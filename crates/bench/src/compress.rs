@@ -346,6 +346,25 @@ pub fn to_json(wires: &[WireRow], indices: &[IndexRow], lstms: &[LstmRow], reps:
     out
 }
 
+/// The executed wire sweep: one row per [`WireFormat`], f32 first.
+fn measure_wires() -> Result<Vec<WireRow>, String> {
+    [WireFormat::F32, WireFormat::F16, WireFormat::Bf16]
+        .into_iter()
+        .map(measure_wire)
+        .collect()
+}
+
+/// The byte-exact wire gate for `r` against the f32 row `base`: dense
+/// and sparse byte reduction, and whether prediction matched and the
+/// 16-bit formats shrank enough.
+fn wire_gate(r: &WireRow, base: &WireRow) -> (f64, f64, bool) {
+    let dense = base.nccl_bytes as f64 / r.nccl_bytes.max(1) as f64;
+    let sparse = base.mpi_bytes as f64 / r.mpi_bytes.max(1) as f64;
+    let ok =
+        r.predicted_exact && (r.format == "f32" || (dense >= DENSE_REDUCTION_GATE && sparse > 1.0));
+    (dense, sparse, ok)
+}
+
 /// Runs everything, writes `path`, and returns the printable report
 /// plus whether every gate passed.
 pub fn run(path: &str) -> Result<(String, bool), String> {
@@ -356,17 +375,9 @@ pub fn run(path: &str) -> Result<(String, bool), String> {
         "== Wire compression & fused-kernel gate (LM tiny, {MACHINES} machines x 1 GPU) =="
     );
 
-    let formats = [WireFormat::F32, WireFormat::F16, WireFormat::Bf16];
-    let mut wires = Vec::new();
-    for format in formats {
-        wires.push(measure_wire(format)?);
-    }
-    let base = (wires[0].nccl_bytes, wires[0].mpi_bytes);
+    let wires = measure_wires()?;
     for r in &wires {
-        let dense = base.0 as f64 / r.nccl_bytes.max(1) as f64;
-        let sparse = base.1 as f64 / r.mpi_bytes.max(1) as f64;
-        let gate_ok = r.predicted_exact
-            && (r.format == "f32" || (dense >= DENSE_REDUCTION_GATE && sparse > 1.0));
+        let (dense, sparse, gate_ok) = wire_gate(r, &wires[0]);
         ok &= gate_ok;
         let _ = writeln!(
             out,
@@ -464,14 +475,15 @@ mod tests {
         assert!(json.contains("\"gates\""));
     }
 
+    /// The byte gates of the full sweep. The fused-LSTM speed floor is
+    /// a timing ratio, so it is gated only by the release `repro
+    /// compress` run, never under a parallel debug `cargo test`.
     #[test]
-    fn full_wire_sweep_passes_gates() {
-        let path = std::env::temp_dir().join(format!(
-            "parallax_bench_compress_{}.json",
-            std::process::id()
-        ));
-        let (report, ok) = run(path.to_str().unwrap()).expect("compress bench runs");
-        std::fs::remove_file(&path).ok();
-        assert!(ok, "report:\n{report}");
+    fn full_wire_sweep_passes_byte_gates() {
+        let wires = measure_wires().expect("wire sweep runs");
+        for r in &wires {
+            let (dense, sparse, ok) = wire_gate(r, &wires[0]);
+            assert!(ok, "{}: dense {dense:.2}x sparse {sparse:.2}x", r.format);
+        }
     }
 }

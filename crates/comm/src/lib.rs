@@ -14,6 +14,7 @@
 //! `w/N` bytes per worker — Section 3.1) and ring AllGatherv (`N-1`
 //! steps, each moving the full local contribution).
 
+pub mod checksum;
 pub mod collectives;
 pub mod error;
 pub mod predict;
@@ -23,6 +24,7 @@ pub mod traffic;
 pub mod transport;
 pub mod wire;
 
+pub use checksum::crc32;
 pub use error::CommError;
 pub use predict::StaticLedger;
 pub use protocheck::{SessionSpec, SessionValidator};

@@ -268,6 +268,12 @@ pub fn decode_indices(bytes: &[u8], count: usize) -> Vec<usize> {
 /// *untrusted* bytes (a socket peer, possibly corrupted), where
 /// malformed input is an input condition, not a bug.
 pub fn checked_decode_indices(bytes: &[u8], count: usize) -> Option<Vec<usize>> {
+    // Every index takes at least one byte, so a larger count is
+    // malformed; rejecting it first keeps an untrusted count from
+    // sizing the allocation below.
+    if count > bytes.len() {
+        return None;
+    }
     let mut out = Vec::with_capacity(count);
     let mut prev = 0i64;
     let mut it = bytes.iter();
@@ -368,10 +374,10 @@ impl PackedSlices {
         let indices = checked_decode_indices(&index_bytes, count).ok_or_else(|| {
             crate::CommError::InvalidConfig("malformed packed index stream".into())
         })?;
-        // Delegate shape/bounds validation, then keep the *original*
+        // Validate shape and bounds in place, then keep the *original*
         // bytes so byte_size (and thus traffic accounting) is identical
         // on both sides of the wire.
-        IndexedSlices::new(indices, values.clone(), dense_rows)
+        IndexedSlices::validate(&indices, &values, dense_rows)
             .map_err(|e| crate::CommError::InvalidConfig(format!("packed slices: {e}")))?;
         Ok(PackedSlices {
             values,
@@ -544,6 +550,30 @@ mod tests {
         assert_eq!(p.byte_size(), packed_byte_size(&s));
         // Smaller than the raw format (4 bytes/value + 8 bytes/index).
         assert!(p.byte_size() < s.byte_size());
+    }
+
+    #[test]
+    fn from_wire_rejects_untrusted_fields_with_typed_errors() {
+        let values = Tensor::zeros([2, 3]);
+        let two = encode_indices(&[1, 4]);
+        let p = PackedSlices::from_wire(values.clone(), two.clone(), 2, 5).unwrap();
+        assert_eq!(p.unpack().indices(), &[1, 4]);
+        let reject = |bytes: &[u8], count: usize, rows: usize| {
+            let r = PackedSlices::from_wire(values.clone(), bytes.to_vec(), count, rows);
+            match r {
+                Err(crate::CommError::InvalidConfig(msg)) => msg,
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        };
+        // Stream errors: a count beyond the index bytes (rejected before
+        // it sizes an allocation) and trailing bytes.
+        let stream = "malformed packed index stream";
+        assert_eq!(reject(&two, usize::MAX, 5), stream);
+        assert_eq!(reject(&two, 1, 5), stream);
+        // Shape and bounds errors: three indices for two value rows, and
+        // an index past the dense row space.
+        assert!(reject(&encode_indices(&[0, 1, 2]), 3, 5).starts_with("packed slices:"));
+        assert!(reject(&two, 2, 4).starts_with("packed slices:"));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 
+use parallax_comm::crc32;
 use parallax_dataflow::{Graph, VarStore};
 use parallax_tensor::{Shape, Tensor};
 
@@ -39,20 +40,6 @@ pub type SlotMap = BTreeMap<(String, String), Tensor>;
 
 fn io_err(e: std::io::Error) -> CoreError {
     CoreError::Config(format!("checkpoint I/O: {e}"))
-}
-
-/// CRC32 (IEEE 802.3 polynomial, reflected). Bitwise and table-free:
-/// checkpoints are written once per interval, not per message.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Training progress saved alongside the variables, so a resumed run
@@ -527,11 +514,41 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Pins the PLXCKPT3 bytes (magic, CRC, state, variables, slots)
+    /// of a small checkpoint whose values do not depend on the RNG, so
+    /// a codec or checksum change that would orphan saved checkpoints
+    /// fails here.
     #[test]
-    fn crc32_known_vector() {
-        // The classic check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn v3_bytes_match_golden() {
+        let mut g = Graph::new();
+        g.variable(VariableDef::new("w", [2, 2], Init::Zeros))
+            .unwrap();
+        g.variable(VariableDef::new("b", [3], Init::Zeros)).unwrap();
+        let store = VarStore::init(&g, &mut DetRng::seed(1));
+        let state = TrainState {
+            step: 5,
+            cursors: vec![1, 2],
+        };
+        let mut slots = SlotMap::new();
+        slots.insert(
+            ("w".into(), "velocity".into()),
+            Tensor::new([2, 2], vec![0.5, -1.0, 2.0, 0.25]).unwrap(),
+        );
+        let path =
+            std::env::temp_dir().join(format!("parallax_ckpt_golden_{}.ckpt", std::process::id()));
+        save_full(&g, &store, &state, &slots, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "504c58434b505433844ab4be050000000000000002000000000000000100000000000000\
+             020000000000000002000000000000000100000000000000770200000000000000020000\
+             000000000002000000000000000000000000000000000000000000000001000000000000\
+             006201000000000000000300000000000000000000000000000000000000010000000000\
+             0000010000000000000077080000000000000076656c6f63697479020000000000000002\
+             0000000000000002000000000000000000003f000080bf000000400000803e"
+        );
     }
 
     #[test]

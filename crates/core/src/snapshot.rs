@@ -39,10 +39,10 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
 
+use parallax_comm::crc32;
 use parallax_dataflow::{Graph, VarStore};
 use parallax_tensor::{Shape, TensorView};
 
-use crate::checkpoint::crc32;
 use crate::{CoreError, Result};
 
 const MAGIC: &[u8; 8] = b"PLXSNAP1";
@@ -578,6 +578,23 @@ mod tests {
             assert_eq!(ptr % 4, 0);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Pins the stored index checksum (and with it the index layout) of
+    /// a known snapshot: the index holds only names, shapes and offsets,
+    /// so the value is independent of the weights.
+    #[test]
+    fn index_checksum_matches_golden() {
+        let g = graph();
+        let store = VarStore::init(&g, &mut DetRng::seed(3));
+        let path = temp_path("golden");
+        save(&g, &store, 17, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert_eq!(field(12), 0x9d, "index length");
+        assert_eq!(field(8), 0x16eb_72b4, "index CRC");
+        assert_eq!(bytes.len(), 460);
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //!   7 Packet : [u64 header][payload]        (nested, depth-capped)
 //! ```
 //!
+//! `crc` is [`parallax_comm::crc32`] of the body, the checksum that
+//! also guards checkpoints and snapshots.
+//!
 //! The `comm::wire` encodings travel *unchanged*: a `Words` payload
 //! carries the same f16/bf16 words, a `Packed` payload the same
 //! varint index bytes, that the in-process router moves by `Arc` — so
@@ -38,7 +41,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 
 use parallax_comm::wire::PackedSlices;
-use parallax_comm::Payload;
+use parallax_comm::{crc32, Payload};
 use parallax_tensor::{IndexedSlices, Tensor};
 
 use crate::error::FrameError;
@@ -79,24 +82,12 @@ pub enum Frame {
     Fin,
 }
 
-/// CRC-32 (IEEE 802.3, the PKZIP polynomial), bitwise. Matches the
-/// checkpoint format's checksum; reimplemented here because the net
-/// crate sits *below* core in the dependency order.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
+
+/// Frame header: `u32 len` + `u32 crc`.
+const HEADER_LEN: usize = 8;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -106,14 +97,46 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends a whole array little-endian: one resize, then a copy loop
+/// without per-element capacity checks.
+fn put_array<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T) -> [u8; N]) {
+    let start = out.len();
+    out.resize(start + N * xs.len(), 0);
+    for (dst, &x) in out[start..].chunks_exact_mut(N).zip(xs) {
+        dst.copy_from_slice(&to_le(x));
+    }
+}
+
+fn put_indices(out: &mut Vec<u8>, indices: &[usize]) {
+    put_u32(out, indices.len() as u32);
+    put_array(out, indices, |i| (i as u64).to_le_bytes());
+}
+
 fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
     let dims = t.shape().dims();
     put_u32(out, dims.len() as u32);
     for &d in dims {
         put_u32(out, d as u32);
     }
-    for &x in t.data() {
-        put_u32(out, x.to_bits());
+    put_array(out, t.data(), f32::to_le_bytes);
+}
+
+fn tensor_len(t: &Tensor) -> usize {
+    4 + 4 * t.shape().dims().len() + 4 * t.len()
+}
+
+/// The exact number of bytes [`put_payload`] appends for `p`, so a
+/// frame is built in one allocation of the right size.
+fn payload_len(p: &Payload) -> usize {
+    1 + match p {
+        Payload::Tensor(t) => tensor_len(t),
+        Payload::Slices(s) => 8 + 4 + 8 * s.indices().len() + tensor_len(s.values()),
+        Payload::Floats(fs) => 4 + 4 * fs.len(),
+        Payload::Words(ws) => 4 + 2 * ws.len(),
+        Payload::Packed(ps) => 8 + 4 + 4 + ps.index_bytes().len() + tensor_len(ps.values()),
+        Payload::Ids(ids) => 4 + 8 * ids.len(),
+        Payload::Control(_) => 8,
+        Payload::Packet { body, .. } => 8 + payload_len(body),
     }
 }
 
@@ -128,25 +151,18 @@ fn put_payload(out: &mut Vec<u8>, p: &Payload) {
         Payload::Slices(s) => {
             out.push(PAYLOAD_SLICES);
             put_u64(out, s.dense_rows() as u64);
-            put_u32(out, s.indices().len() as u32);
-            for &i in s.indices() {
-                put_u64(out, i as u64);
-            }
+            put_indices(out, s.indices());
             put_tensor(out, s.values());
         }
         Payload::Floats(fs) => {
             out.push(PAYLOAD_FLOATS);
             put_u32(out, fs.len() as u32);
-            for &x in fs.iter() {
-                put_u32(out, x.to_bits());
-            }
+            put_array(out, fs, f32::to_le_bytes);
         }
         Payload::Words(ws) => {
             out.push(PAYLOAD_WORDS);
             put_u32(out, ws.len() as u32);
-            for &w in ws.iter() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+            put_array(out, ws, u16::to_le_bytes);
         }
         Payload::Packed(ps) => {
             out.push(PAYLOAD_PACKED);
@@ -158,10 +174,7 @@ fn put_payload(out: &mut Vec<u8>, p: &Payload) {
         }
         Payload::Ids(ids) => {
             out.push(PAYLOAD_IDS);
-            put_u32(out, ids.len() as u32);
-            for &i in ids {
-                put_u64(out, i as u64);
-            }
+            put_indices(out, ids);
         }
         Payload::Control(c) => {
             out.push(PAYLOAD_CONTROL);
@@ -175,26 +188,32 @@ fn put_payload(out: &mut Vec<u8>, p: &Payload) {
     }
 }
 
-/// Encodes one message frame (header + body) into a fresh buffer.
+/// Encodes one message frame (header + body) into one buffer: the
+/// header is reserved, the body encoded after it, then the header
+/// patched in place.
 pub fn encode_msg(tag: u64, payload: &Payload) -> Vec<u8> {
-    let mut body = Vec::with_capacity(payload.byte_size() as usize + 16);
-    body.push(KIND_MSG);
-    put_u64(&mut body, tag);
-    put_payload(&mut body, payload);
-    finish(body)
+    let mut frame = Vec::with_capacity(HEADER_LEN + 1 + 8 + payload_len(payload));
+    frame.extend_from_slice(&[0; HEADER_LEN]);
+    frame.push(KIND_MSG);
+    put_u64(&mut frame, tag);
+    put_payload(&mut frame, payload);
+    debug_assert_eq!(frame.len(), frame.capacity());
+    seal(frame)
 }
 
 /// Encodes the FIN frame.
 pub fn encode_fin() -> Vec<u8> {
-    finish(vec![KIND_FIN])
+    let mut frame = vec![0; HEADER_LEN];
+    frame.push(KIND_FIN);
+    seal(frame)
 }
 
-fn finish(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 8);
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
+/// Fills in the reserved header of `frame` from the body behind it.
+fn seal(mut frame: Vec<u8>) -> Vec<u8> {
+    let (header, body) = frame.split_at_mut(HEADER_LEN);
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
+    frame
 }
 
 // ---------------------------------------------------------------------
@@ -230,51 +249,42 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, FrameError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.fixed()?))
     }
 
     fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.fixed()?))
     }
 
-    /// Reads a `count`-element array of `elem_bytes`-wide elements,
-    /// checking the bytes are actually present *before* allocating —
-    /// the declared count can never drive an allocation larger than
-    /// the (already capped) body.
-    fn checked_len(&self, count: usize, elem_bytes: usize) -> Result<usize, FrameError> {
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    /// Reads a `count`-element array of `N`-byte little-endian
+    /// elements with one bounds check for the whole array, made
+    /// *before* allocating — the declared count can never drive an
+    /// allocation larger than the (already capped) body.
+    fn array<T, const N: usize>(
+        &mut self,
+        count: usize,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, FrameError> {
         let total = count
-            .checked_mul(elem_bytes)
+            .checked_mul(N)
             .ok_or(FrameError::Malformed("length overflow"))?;
-        if self.remaining() < total {
-            return Err(FrameError::Truncated);
-        }
-        Ok(total)
+        let bytes = self.take(total)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|c| from_le(c.try_into().expect("chunks_exact yields N bytes")))
+            .collect())
     }
 
-    fn f32_vec(&mut self, count: usize) -> Result<Vec<f32>, FrameError> {
-        self.checked_len(count, 4)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(f32::from_bits(self.u32()?));
-        }
-        Ok(out)
-    }
-
-    fn usize_vec(&mut self, count: usize) -> Result<Vec<usize>, FrameError> {
-        self.checked_len(count, 8)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let v = self.u64()?;
-            if v > usize::MAX as u64 {
-                return Err(FrameError::Malformed("index exceeds usize"));
-            }
-            out.push(v as usize);
-        }
-        Ok(out)
+    fn indices(&mut self) -> Result<Vec<usize>, FrameError> {
+        let count = self.u32()? as usize;
+        self.array(count, u64::from_le_bytes)?
+            .into_iter()
+            .map(|v| usize::try_from(v).map_err(|_| FrameError::Malformed("index exceeds usize")))
+            .collect()
     }
 
     fn tensor(&mut self) -> Result<Tensor, FrameError> {
@@ -291,7 +301,7 @@ impl<'a> Cursor<'a> {
                 .ok_or(FrameError::Malformed("tensor element-count overflow"))?;
             dims.push(d);
         }
-        let data = self.f32_vec(elems)?;
+        let data = self.array(elems, f32::from_le_bytes)?;
         Tensor::new(dims, data).map_err(|_| FrameError::Malformed("tensor shape/data mismatch"))
     }
 }
@@ -305,8 +315,7 @@ fn decode_payload(c: &mut Cursor<'_>, depth: u8) -> Result<Payload, FrameError> 
         PAYLOAD_TENSOR => Payload::Tensor(Arc::new(c.tensor()?)),
         PAYLOAD_SLICES => {
             let dense_rows = c.u64()? as usize;
-            let count = c.u32()? as usize;
-            let indices = c.usize_vec(count)?;
+            let indices = c.indices()?;
             let values = c.tensor()?;
             let slices = IndexedSlices::new(indices, values, dense_rows)
                 .map_err(|_| FrameError::Malformed("slices indices/values mismatch"))?;
@@ -314,17 +323,11 @@ fn decode_payload(c: &mut Cursor<'_>, depth: u8) -> Result<Payload, FrameError> 
         }
         PAYLOAD_FLOATS => {
             let len = c.u32()? as usize;
-            Payload::Floats(Arc::new(c.f32_vec(len)?))
+            Payload::Floats(Arc::new(c.array(len, f32::from_le_bytes)?))
         }
         PAYLOAD_WORDS => {
             let len = c.u32()? as usize;
-            c.checked_len(len, 2)?;
-            let mut ws = Vec::with_capacity(len);
-            for _ in 0..len {
-                let b = c.take(2)?;
-                ws.push(u16::from_le_bytes([b[0], b[1]]));
-            }
-            Payload::Words(Arc::new(ws))
+            Payload::Words(Arc::new(c.array(len, u16::from_le_bytes)?))
         }
         PAYLOAD_PACKED => {
             let dense_rows = c.u64()? as usize;
@@ -336,10 +339,7 @@ fn decode_payload(c: &mut Cursor<'_>, depth: u8) -> Result<Payload, FrameError> 
                 .map_err(|_| FrameError::Malformed("packed slices failed validation"))?;
             Payload::Packed(Arc::new(packed))
         }
-        PAYLOAD_IDS => {
-            let len = c.u32()? as usize;
-            Payload::Ids(c.usize_vec(len)?)
-        }
+        PAYLOAD_IDS => Payload::Ids(c.indices()?),
         PAYLOAD_CONTROL => Payload::Control(c.u64()?),
         PAYLOAD_PACKET => {
             let header = c.u64()?;
@@ -377,29 +377,42 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
     }
 }
 
-/// Decodes one whole frame (header + body) from a byte slice — the
-/// codec's pure entry point, shared by the stream reader and the
-/// property tests.
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
-    if bytes.len() < 8 {
-        return Err(FrameError::Truncated);
-    }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as u64;
-    let expected = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+/// Splits a frame header into the body length and its expected CRC,
+/// rejecting a length above [`MAX_FRAME_BODY`] before anything is
+/// allocated for it.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(usize, u32), FrameError> {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as u64;
     if len > MAX_FRAME_BODY {
         return Err(FrameError::Oversize {
             len,
             max: MAX_FRAME_BODY,
         });
     }
-    let body = bytes
-        .get(8..8 + len as usize)
-        .ok_or(FrameError::Truncated)?;
+    Ok((len as usize, u32::from_le_bytes([c0, c1, c2, c3])))
+}
+
+/// Checks `body` against the header's CRC, then decodes it.
+fn verify_body(body: &[u8], expected: u32) -> Result<Frame, FrameError> {
     let actual = crc32(body);
     if actual != expected {
         return Err(FrameError::CrcMismatch { expected, actual });
     }
     decode_body(body)
+}
+
+/// Decodes one whole frame (header + body) from a byte slice — the
+/// codec's pure entry point; [`read_frame`] applies the same header
+/// and CRC checks to a stream.
+pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
+    let header = bytes
+        .first_chunk::<HEADER_LEN>()
+        .ok_or(FrameError::Truncated)?;
+    let (len, expected) = parse_header(header)?;
+    let body = bytes
+        .get(HEADER_LEN..HEADER_LEN + len)
+        .ok_or(FrameError::Truncated)?;
+    verify_body(body, expected)
 }
 
 /// Writes one already-encoded frame to a stream.
@@ -413,21 +426,17 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
 /// reports as peer death); EOF *inside* a frame is
 /// [`FrameError::Truncated`].
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Result<Option<Frame>, FrameError>> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; HEADER_LEN];
     match r.read_exact(&mut header) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(Ok(None)),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as u64;
-    let expected = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_FRAME_BODY {
-        return Ok(Err(FrameError::Oversize {
-            len,
-            max: MAX_FRAME_BODY,
-        }));
-    }
-    let mut body = vec![0u8; len as usize];
+    let (len, expected) = match parse_header(&header) {
+        Ok(h) => h,
+        Err(e) => return Ok(Err(e)),
+    };
+    let mut body = vec![0u8; len];
     match r.read_exact(&mut body) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
@@ -435,22 +444,12 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Result<Option<Frame>, Fr
         }
         Err(e) => return Err(e),
     }
-    let actual = crc32(&body);
-    if actual != expected {
-        return Ok(Err(FrameError::CrcMismatch { expected, actual }));
-    }
-    Ok(decode_body(&body).map(Some))
+    Ok(verify_body(&body, expected).map(Some))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_reference_vector() {
-        // Same IEEE vector the checkpoint module pins.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
 
     fn roundtrip(p: &Payload) -> Payload {
         let bytes = encode_msg(0x1234, p);
@@ -491,6 +490,71 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Pins the wire format: one frame of every payload kind, plus FIN,
+    /// byte for byte (length, CRC, body) as the codec has always written
+    /// them. A change here breaks every peer still running the old
+    /// encoding, so it must be deliberate.
+    #[test]
+    fn encoded_frames_match_golden_bytes() {
+        let values = Tensor::new([3, 2], vec![0.5, -1.0, 2.0, 3.25, -0.125, 7.0]).unwrap();
+        let slices = IndexedSlices::new(vec![1, 5, 6], values, 10).unwrap();
+        let packed = PackedSlices::pack(&slices);
+        let golden: [(Payload, &str); 8] = [
+            (
+                Payload::Tensor(Arc::new(
+                    Tensor::new([2, 3], vec![1.0, -2.5, 0.0, f32::MIN, f32::MAX, -0.0]).unwrap(),
+                )),
+                "2e0000005f3441f0000807060504030201000200000002000000030000000000803f\
+                 000020c000000000ffff7fffffff7f7f00000080",
+            ),
+            (
+                Payload::Slices(Arc::new(slices)),
+                "52000000ab627b40000807060504030201010a000000000000000300000001000000\
+                 00000000050000000000000006000000000000000200000003000000020000000000\
+                 003f000080bf0000004000005040000000be0000e040",
+            ),
+            (
+                Payload::Floats(Arc::new(vec![1.5, -2.25, 3.0])),
+                "1a0000006ba7af2a00080706050403020102030000000000c03f000010c000004040",
+            ),
+            (
+                Payload::Words(Arc::new(vec![0x3C00, 0x7FFF, 0])),
+                "14000000f7fe7fa00008070605040302010303000000003cff7f0000",
+            ),
+            (
+                Payload::Packed(Arc::new(packed)),
+                "41000000456f3249000807060504030201040a000000000000000300000003000000\
+                 0208020200000003000000020000000000003f000080bf0000004000005040000000\
+                 be0000e040",
+            ),
+            (
+                Payload::Ids(vec![0, 7, 12345]),
+                "2600000043aa66a8000807060504030201050300000000000000000000000700000000\
+                 0000003930000000000000",
+            ),
+            (
+                Payload::Control(0xDEAD_BEEF),
+                "120000001211c51000080706050403020106efbeadde00000000",
+            ),
+            (
+                Payload::Packet {
+                    header: 42,
+                    body: Box::new(Payload::Floats(Arc::new(vec![9.0]))),
+                },
+                "1b0000000fd166c4000807060504030201072a00000000000000020100000000001041",
+            ),
+        ];
+        for (payload, want) in &golden {
+            let frame = encode_msg(0x0102_0304_0506_0708, payload);
+            assert_eq!(hex(&frame), *want, "{payload:?}");
+        }
+        assert_eq!(hex(&encode_fin()), "010000001bdf05a501");
+    }
+
     #[test]
     fn fin_roundtrips() {
         let bytes = encode_fin();
@@ -516,6 +580,26 @@ mod tests {
         assert!(matches!(
             decode_frame(&bytes),
             Err(FrameError::CrcMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn packed_count_beyond_index_bytes_rejected_before_allocation() {
+        // A well-formed, correctly checksummed frame whose Packed payload
+        // declares u32::MAX indices but carries one index byte: the
+        // count must be rejected, not used to size an allocation.
+        let mut frame = vec![0; HEADER_LEN];
+        frame.push(KIND_MSG);
+        put_u64(&mut frame, 1);
+        frame.push(PAYLOAD_PACKED);
+        put_u64(&mut frame, 4);
+        put_u32(&mut frame, u32::MAX);
+        put_u32(&mut frame, 1);
+        frame.push(0);
+        put_tensor(&mut frame, &Tensor::zeros([1, 1]));
+        assert!(matches!(
+            decode_frame(&seal(frame)),
+            Err(FrameError::Malformed(_))
         ));
     }
 

@@ -34,6 +34,18 @@ pub struct IndexedSlices {
 impl IndexedSlices {
     /// Creates a sparse slice set.
     pub fn new(indices: Vec<usize>, values: Tensor, dense_rows: usize) -> Result<Self> {
+        Self::validate(&indices, &values, dense_rows)?;
+        Ok(IndexedSlices {
+            indices,
+            values,
+            dense_rows,
+        })
+    }
+
+    /// Checks the invariants [`IndexedSlices::new`] enforces, without
+    /// taking ownership: `values` is a matrix with one row per index,
+    /// and every index addresses a row below `dense_rows`.
+    pub fn validate(indices: &[usize], values: &Tensor, dense_rows: usize) -> Result<()> {
         let (rows, _cols) = values.shape().as_matrix()?;
         if rows != indices.len() {
             return Err(TensorError::LengthMismatch {
@@ -47,11 +59,7 @@ impl IndexedSlices {
                 bound: dense_rows,
             });
         }
-        Ok(IndexedSlices {
-            indices,
-            values,
-            dense_rows,
-        })
+        Ok(())
     }
 
     /// An empty slice set for a variable with `dense_rows` rows and

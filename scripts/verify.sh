@@ -90,6 +90,12 @@ cargo run --release -q -p parallax-bench --bin repro -- chaos \
 # the build (each fleet generation also has its own internal deadline).
 timeout 600 cargo run --release -q -p parallax-bench --bin repro -- dist-check
 
+# Benchmark self-tests (perfbench/ is a package of its own, outside the
+# workspace): its frame-size mirror must equal `encode_msg`, and the
+# per-step frame, byte, message and request counts of one seed must
+# repeat exactly, so a codec change cannot silently move the wire.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Compression gate: f16/bf16 dense payloads must shrink >= 1.8x with
 # predicted==traced==measured bytes exactly equal under every wire
 # format, the delta+varint sparse index codec must beat raw u32 indices
