@@ -16,7 +16,7 @@ use parallax_tensor::{IndexedSlices, Tensor};
 use parallax_trace::{span, SpanCat};
 
 use crate::transport::{unwrap_shared, Endpoint, Payload};
-use crate::wire::{PackedSlices, WireFormat};
+use crate::wire::{bf16_from_f32, bf16_to_f32, f16_from_f32, f16_to_f32, PackedSlices, WireFormat};
 use crate::{CommError, Result};
 
 /// Position of this endpoint within the participant list.
@@ -179,9 +179,24 @@ pub fn ring_allreduce_wire(
     data: &mut [f32],
     wire: WireFormat,
 ) -> Result<()> {
-    if !wire.compresses() {
-        return ring_allreduce(ep, ranks, tag, data);
+    match wire {
+        WireFormat::F32 => ring_allreduce(ep, ranks, tag, data),
+        WireFormat::F16 => ring_allreduce_words(ep, ranks, tag, data, f16_from_f32, f16_to_f32),
+        WireFormat::Bf16 => ring_allreduce_words(ep, ranks, tag, data, bf16_from_f32, bf16_to_f32),
     }
+}
+
+/// [`ring_allreduce_wire`] for one 16-bit format. Generic over the
+/// codec so each hop is a single loop the compiler can vectorize: the
+/// format is chosen once per call, not once per element.
+fn ring_allreduce_words(
+    ep: &mut Endpoint,
+    ranks: &[usize],
+    tag: u64,
+    data: &mut [f32],
+    enc: impl Fn(f32) -> u16,
+    dec: impl Fn(u16) -> f32,
+) -> Result<()> {
     let _span = span(SpanCat::Collective, "allreduce");
     let pos = position(ep, ranks)?;
     let n = ranks.len();
@@ -193,49 +208,59 @@ pub fn ring_allreduce_wire(
     let prev = ranks[(pos + n - 1) % n];
     let len = data.len();
 
-    // Same rotation as `ring_allreduce`; the travelling chunk is held
-    // in f32 between hops and encoded only at the send boundary.
-    let mut send_f32 = data[chunk_range(len, n, pos)].to_vec();
+    // Same rotation as `ring_allreduce`, but the travelling chunk stays
+    // in wire words: each reduce-scatter hop rewrites the incoming words
+    // in place as enc(dec(word) + local) and sends that buffer on. The
+    // last hop's chunk is the one this rank owns, fully reduced: the
+    // owner encodes it exactly once and keeps the decode of those words.
+    let mut send: Vec<u16> = data[chunk_range(len, n, pos)]
+        .iter()
+        .map(|&x| enc(x))
+        .collect();
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.reduce_scatter");
         let recv_idx = (pos + n - step - 1) % n;
-        ep.send(
-            next,
-            tag,
-            Payload::Words(Arc::new(wire.encode_vec(&send_f32))),
-        )?;
-        let incoming = ep.recv(prev, tag)?.into_shared_words()?;
-        let recv_range = chunk_range(len, n, recv_idx);
-        if incoming.len() != recv_range.len() {
+        ep.send(next, tag, Payload::Words(Arc::new(send)))?;
+        let mut words = unwrap_shared(ep.recv(prev, tag)?.into_shared_words()?);
+        let local = &mut data[chunk_range(len, n, recv_idx)];
+        if words.len() != local.len() {
             return Err(CommError::LengthMismatch {
-                expected: recv_range.len(),
-                actual: incoming.len(),
+                expected: local.len(),
+                actual: words.len(),
             });
         }
-        let mut acc = wire.decode_vec(&incoming);
-        for (x, d) in acc.iter_mut().zip(&data[recv_range]) {
-            *x += *d;
+        if step < n - 2 {
+            for (w, &d) in words.iter_mut().zip(local.iter()) {
+                *w = enc(dec(*w) + d);
+            }
+        } else {
+            // The owner's hop.
+            for (w, d) in words.iter_mut().zip(local.iter_mut()) {
+                *w = enc(dec(*w) + *d);
+                *d = dec(*w);
+            }
         }
-        send_f32 = acc;
+        send = words;
     }
-    // The owner encodes the fully reduced chunk once; both its own copy
-    // and every forwarded copy decode those same words.
-    let mut send_words = Arc::new(wire.encode_vec(&send_f32));
-    wire.decode_into(&send_words, &mut data[chunk_range(len, n, (pos + 1) % n)]);
+    // Allgather: forward each reduced chunk's words verbatim (by
+    // reference count) and decode them into place.
+    let mut send = Arc::new(send);
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.allgather");
         let recv_idx = (pos + n - step) % n;
-        ep.send(next, tag, Payload::Words(Arc::clone(&send_words)))?;
+        ep.send(next, tag, Payload::Words(send))?;
         let incoming = ep.recv(prev, tag)?.into_shared_words()?;
-        let recv_range = chunk_range(len, n, recv_idx);
-        if incoming.len() != recv_range.len() {
+        let out = &mut data[chunk_range(len, n, recv_idx)];
+        if incoming.len() != out.len() {
             return Err(CommError::LengthMismatch {
-                expected: recv_range.len(),
+                expected: out.len(),
                 actual: incoming.len(),
             });
         }
-        wire.decode_into(&incoming, &mut data[recv_range]);
-        send_words = incoming;
+        for (o, &w) in out.iter_mut().zip(incoming.iter()) {
+            *o = dec(w);
+        }
+        send = incoming;
     }
     Ok(())
 }
@@ -751,6 +776,71 @@ mod tests {
                 .collect();
             for r in &results {
                 assert_eq!(r, &expected);
+            }
+        }
+    }
+
+    /// Contribution of rank `r` (of `n`) at element `i` for the wire
+    /// oracle test: ±0, f16 subnormals and rounding ties, values whose
+    /// sum overflows f16's 65504, ±inf, NaN on at most one rank per
+    /// element (so the result's sign is defined), and seeded randoms of
+    /// every magnitude from 2⁻³⁰ to 2¹⁷.
+    fn wire_oracle_input(r: usize, n: usize, i: usize) -> f32 {
+        let mut z = ((r as u64) << 32 | i as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let sign = if z & 1 == 1 { -1.0f32 } else { 1.0 };
+        let smallest_sub = f32::from_bits(0x3380_0000); // 2⁻²⁴
+        match i % 12 {
+            0 => sign * 0.0,
+            1 => sign * smallest_sub * (z >> 8 & 0x3ff) as f32,
+            2 => sign * smallest_sub * ((z >> 8 & 0x3ff) as f32 + 0.5),
+            3 => 30_000.0 + (z >> 8 & 0xfff) as f32,
+            4 if r == i / 12 % n => f32::INFINITY,
+            5 if r == i / 12 % n => f32::NEG_INFINITY,
+            6 if r == i / 12 % n => f32::from_bits(0xffa0_0001 ^ (z as u32 & 0x8000_0000)),
+            7 => sign * f32::from_bits(0x3880_0000 | (z >> 8) as u32 & 0x7f_e000 | 0x1000),
+            _ => {
+                let exp = 97 + (z >> 8) % 48; // 2⁻³⁰ ..= 2¹⁷
+                sign * f32::from_bits((exp as u32) << 23 | (z >> 20) as u32 & 0x7f_ffff)
+            }
+        }
+    }
+
+    #[test]
+    fn wire_allreduce_equals_sequential_quantized_fold() {
+        // Every hop delivers dec(enc(partial)) and adds the local
+        // contribution in f32; the owner encodes the reduced chunk once
+        // and every replica decodes those words. So chunk c must equal
+        //   x = w_c; for k in 1..n { x = q(x) + w_{(c+k) mod n} }; q(x)
+        // with q = dec∘enc, bit for bit, specials included.
+        for wire in [WireFormat::F16, WireFormat::Bf16] {
+            for n in 2..=5usize {
+                for len in [1, n - 1, n + 1, 37] {
+                    let topo = Topology::uniform(n, 1).unwrap();
+                    let (results, _) = run_all(topo, |ep, ranks| {
+                        let mut data: Vec<f32> = (0..len)
+                            .map(|i| wire_oracle_input(ep.rank(), n, i))
+                            .collect();
+                        ring_allreduce_wire(ep, ranks, 1, &mut data, wire).unwrap();
+                        data
+                    });
+                    let mut want = vec![0u32; len];
+                    for c in 0..n {
+                        for i in chunk_range(len, n, c) {
+                            let mut x = wire_oracle_input(c, n, i);
+                            for k in 1..n {
+                                x = wire.quantize(x) + wire_oracle_input((c + k) % n, n, i);
+                            }
+                            want[i] = wire.quantize(x).to_bits();
+                        }
+                    }
+                    for (rank, got) in results.iter().enumerate() {
+                        let got: Vec<u32> = got.iter().map(|f| f.to_bits()).collect();
+                        assert_eq!(got, want, "{wire:?} n={n} len={len} rank {rank}");
+                    }
+                }
             }
         }
     }

@@ -101,19 +101,6 @@ impl WireFormat {
         xs.iter().map(|&x| self.encode_scalar(x)).collect()
     }
 
-    /// Decodes wire words into `out` (lengths must match).
-    pub fn decode_into(self, words: &[u16], out: &mut [f32]) {
-        debug_assert_eq!(words.len(), out.len());
-        for (o, &w) in out.iter_mut().zip(words) {
-            *o = self.decode_scalar(w);
-        }
-    }
-
-    /// Decodes wire words into a fresh buffer.
-    pub fn decode_vec(self, words: &[u16]) -> Vec<f32> {
-        words.iter().map(|&w| self.decode_scalar(w)).collect()
-    }
-
     /// The value a scalar becomes after one encode/decode roundtrip —
     /// what a peer will see.
     pub fn quantize(self, x: f32) -> f32 {
@@ -128,65 +115,58 @@ impl WireFormat {
 /// f32 → IEEE binary16, round-to-nearest-even. Inf stays inf, NaN stays
 /// NaN (quiet), overflow saturates to ±inf exactly as IEEE rounding
 /// does, and the subnormal range rounds to multiples of 2⁻²⁴.
+///
+/// Branch-free, so the ring's per-hop loops vectorize: every range's
+/// candidate is computed and selects pick one. Equal to the branchy
+/// definition (the test oracle) on all 2³² inputs.
+#[inline]
 pub fn f16_from_f32(x: f32) -> u16 {
     let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
+    let sign = (bits >> 16) & 0x8000;
     let abs = bits & 0x7fff_ffff;
-    if abs >= 0x7f80_0000 {
-        // Inf / NaN; set a high mantissa bit so NaN payloads survive.
-        let nan = if abs > 0x7f80_0000 { 0x0200 } else { 0 };
-        return sign | 0x7c00 | nan;
-    }
-    if abs >= 0x4780_0000 {
-        // ≥ 2¹⁶: past every finite half, saturate to infinity. (The
-        // rounding carry below covers [65520, 65536) on its own.)
-        return sign | 0x7c00;
-    }
-    if abs >= 0x3880_0000 {
-        // Normal half range (≥ 2⁻¹⁴): round the 13 dropped mantissa
-        // bits to nearest-even; a mantissa carry propagates into the
-        // exponent, saturating to 0x7c00 (inf) past 65504.
-        let rounded = abs + 0x0fff + ((abs >> 13) & 1);
-        return sign | ((rounded - 0x3800_0000) >> 13) as u16;
-    }
-    // Subnormal half (or zero): result is round(|x| · 2²⁴) ≤ 1024,
-    // where 1024 lands on the smallest normal's bit pattern.
-    let exp = abs >> 23;
-    if exp < 102 {
-        return sign; // below half the smallest subnormal: ±0
-    }
-    let mant = (abs & 0x007f_ffff) | 0x0080_0000;
-    let shift = 126 - exp; // 14..=24
-    let rem = mant & ((1 << shift) - 1);
-    let half = 1u32 << (shift - 1);
-    let mut v = mant >> shift;
-    if rem > half || (rem == half && v & 1 == 1) {
-        v += 1;
-    }
-    sign | v as u16
+    // Normal half range (≥ 2⁻¹⁴): round the 13 dropped mantissa bits to
+    // nearest-even and rebias the exponent; a mantissa carry propagates
+    // into the exponent, reaching 0x7c00 (inf) past 65504.
+    let normal = (abs + 0x0fff + ((abs >> 13) & 1)).wrapping_sub(0x3800_0000) >> 13;
+    // Subnormal half (or zero): adding 0.5, whose ulp is 2⁻²⁴, makes the
+    // FPU round |x| to a multiple of 2⁻²⁴ (nearest-even); the sum's low
+    // bits are then round(|x| · 2²⁴) ≤ 1024, where 1024 lands on the
+    // smallest normal's bit pattern.
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits() - 0x3f00_0000;
+    let finite = if abs < 0x3880_0000 { subnormal } else { normal };
+    // ≥ 2¹⁶ saturates to inf (the carry covers [65520, 65536) on its
+    // own); NaN keeps a high mantissa bit so it stays NaN.
+    let special = if abs > 0x7f80_0000 { 0x7e00 } else { 0x7c00 };
+    let mag = if abs >= 0x4780_0000 { special } else { finite };
+    (sign | mag) as u16
 }
 
 /// IEEE binary16 → f32 (exact; every half value is representable).
+///
+/// Branch-free like [`f16_from_f32`]; equal to the branchy definition
+/// (the test oracle) on all 2¹⁶ words.
+#[inline]
 pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1f) as u32;
-    let mant = (h & 0x03ff) as u32;
-    if exp == 0x1f {
-        return f32::from_bits(sign | 0x7f80_0000 | (mant << 13));
-    }
-    if exp == 0 {
-        if mant == 0 {
-            return f32::from_bits(sign);
-        }
-        // Subnormal: mant · 2⁻²⁴, exact in f32.
-        let mag = mant as f32 * f32::from_bits(0x3380_0000);
-        return f32::from_bits(mag.to_bits() | sign);
-    }
-    f32::from_bits(sign | ((exp + 112) << 23) | (mant << 13))
+    let h = h as u32;
+    let sign = (h & 0x8000) << 16;
+    // Exponent and mantissa moved to their f32 positions.
+    let em = (h & 0x7fff) << 13;
+    let exp = em & 0x0f80_0000;
+    // Normal: rebias the exponent from 15 to 127.
+    let normal = em + 0x3800_0000;
+    // Subnormal or zero: mant · 2⁻²⁴ = (2⁻¹⁴ + mant · 2⁻²⁴) − 2⁻¹⁴, an
+    // exact subtraction of normal floats (no denormal operand).
+    let subnormal = (f32::from_bits(em + 0x3880_0000) - f32::from_bits(0x3880_0000)).to_bits();
+    // Inf / NaN: exponent 0x1f becomes 0xff, the payload carries over.
+    let special = em + 0x7000_0000;
+    let mag = if exp == 0 { subnormal } else { normal };
+    let mag = if exp == 0x0f80_0000 { special } else { mag };
+    f32::from_bits(sign | mag)
 }
 
 /// f32 → bfloat16, round-to-nearest-even on the dropped 16 mantissa
 /// bits. NaN keeps a quiet bit; large values round to ±inf like IEEE.
+#[inline]
 pub fn bf16_from_f32(x: f32) -> u16 {
     let bits = x.to_bits();
     if x.is_nan() {
@@ -425,6 +405,116 @@ impl PackedSlices {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition: one early return per input range. The oracle the
+    /// branch-free [`f16_from_f32`] is checked against.
+    fn f16_from_f32_branchy(x: f32) -> u16 {
+        let bits = x.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let abs = bits & 0x7fff_ffff;
+        if abs >= 0x7f80_0000 {
+            let nan = if abs > 0x7f80_0000 { 0x0200 } else { 0 };
+            return sign | 0x7c00 | nan;
+        }
+        if abs >= 0x4780_0000 {
+            return sign | 0x7c00;
+        }
+        if abs >= 0x3880_0000 {
+            let rounded = abs + 0x0fff + ((abs >> 13) & 1);
+            return sign | ((rounded - 0x3800_0000) >> 13) as u16;
+        }
+        let exp = abs >> 23;
+        if exp < 102 {
+            return sign;
+        }
+        let mant = (abs & 0x007f_ffff) | 0x0080_0000;
+        let shift = 126 - exp;
+        let rem = mant & ((1 << shift) - 1);
+        let half = 1u32 << (shift - 1);
+        let mut v = mant >> shift;
+        if rem > half || (rem == half && v & 1 == 1) {
+            v += 1;
+        }
+        sign | v as u16
+    }
+
+    /// The definition of the decode, branching on the exponent; the
+    /// oracle for [`f16_to_f32`].
+    fn f16_to_f32_branchy(h: u16) -> f32 {
+        let sign = ((h & 0x8000) as u32) << 16;
+        let exp = ((h >> 10) & 0x1f) as u32;
+        let mant = (h & 0x03ff) as u32;
+        if exp == 0x1f {
+            return f32::from_bits(sign | 0x7f80_0000 | (mant << 13));
+        }
+        if exp == 0 {
+            if mant == 0 {
+                return f32::from_bits(sign);
+            }
+            let mag = mant as f32 * f32::from_bits(0x3380_0000);
+            return f32::from_bits(mag.to_bits() | sign);
+        }
+        f32::from_bits(sign | ((exp + 112) << 23) | (mant << 13))
+    }
+
+    fn assert_f16_encode_matches_oracle(bits: u32) {
+        let x = f32::from_bits(bits);
+        let (got, want) = (f16_from_f32(x), f16_from_f32_branchy(x));
+        assert_eq!(
+            got, want,
+            "f16_from_f32({bits:#010x}) = {got:#06x}, oracle {want:#06x}"
+        );
+    }
+
+    #[test]
+    fn decode_matches_oracle_and_reencodes_on_every_word() {
+        for w in 0..=u16::MAX {
+            let x = f16_to_f32(w);
+            assert_eq!(x.to_bits(), f16_to_f32_branchy(w).to_bits(), "f16 {w:#06x}");
+            // Every word decodes exactly, so it re-encodes to itself; a
+            // NaN comes back as the sign-preserving quiet NaN.
+            let back = if x.is_nan() { w & 0x8000 | 0x7e00 } else { w };
+            assert_eq!(f16_from_f32(x), back, "f16 {w:#06x}");
+            let y = bf16_to_f32(w);
+            assert_eq!(y.to_bits(), (w as u32) << 16, "bf16 {w:#06x}");
+            let back = if y.is_nan() { w | 0x0040 } else { w };
+            assert_eq!(bf16_from_f32(y), back, "bf16 {w:#06x}");
+        }
+    }
+
+    /// Optimized builds check every f32 bit pattern (~20 s on one core;
+    /// `scripts/verify.sh` runs this module with `--release`).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn f16_encode_matches_oracle_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            assert_f16_encode_matches_oracle(bits);
+        }
+    }
+
+    /// Debug builds check each sign × exponent at the mantissas where
+    /// normal-range rounding changes (0 and 1, just below / at / above
+    /// the halfway point 0x1000, the next ulp 0x2000, a tie that rounds
+    /// up to even 0x3000, all ones), plus seeded random bit patterns, to
+    /// keep `cargo test` fast.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn f16_encode_matches_oracle_at_rounding_boundaries() {
+        for sign_exp in 0..512u32 {
+            for mant in [
+                0, 1, 0xfff, 0x1000, 0x1001, 0x1fff, 0x2000, 0x3000, 0x7f_ffff,
+            ] {
+                assert_f16_encode_matches_oracle(sign_exp << 23 | mant);
+            }
+        }
+        let mut z = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..1 << 20 {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            assert_f16_encode_matches_oracle((z >> 32) as u32);
+        }
+    }
 
     #[test]
     fn f16_roundtrips_exact_values() {

@@ -1141,7 +1141,7 @@ impl Runner {
                 let _fwd = parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.forward");
                 session.forward_into(&feed, &mut ctx, &mut acts)?;
             }
-            let grads = {
+            let mut grads = {
                 let _bwd = parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.backward");
                 backward(&self.graph, &acts, self.loss)?
             };
@@ -1185,23 +1185,21 @@ impl Runner {
 
             // AllReduce path: dense via ring AllReduce, sparse via
             // AllGatherv; every replica applies the identical aggregate.
+            // Each gradient is moved out of the map and reduced in place.
             let mut sq_norm = 0.0f64;
             for &var in ar_vars {
-                let Some(grad) = grads.get(&var) else {
+                let Some(grad) = grads.remove(&var) else {
                     continue;
                 };
                 // Sparse gradients densify onto the ring unless this
                 // variable is in pure-AR AllGatherv mode (Horovod).
-                let densified;
                 let grad = if grad.is_sparse() && !gatherv_vars.contains(&var) {
-                    densified = Grad::Dense(grad.to_dense());
-                    &densified
+                    Grad::Dense(grad.to_dense())
                 } else {
                     grad
                 };
                 match grad {
-                    Grad::Dense(t) => {
-                        let mut agg = t.clone();
+                    Grad::Dense(mut agg) => {
                         collectives::ring_allreduce_tensor_wire(
                             endpoint,
                             &worker_ranks,
@@ -1233,7 +1231,7 @@ impl Runner {
                             endpoint,
                             &worker_ranks,
                             mpi_tag(var.index(), iter as u64),
-                            s.clone(),
+                            s,
                             self.config.wire_format,
                         )?;
                         // Canonical machine-blocked fold shared with the

@@ -11,6 +11,12 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 
+# Exhaustive wire-codec gate: optimized builds check the branch-free
+# f16 encoder against its branchy oracle on every f32 bit pattern
+# (~20 s on one core); the debug run above checks only the rounding
+# boundaries and a seeded sample.
+cargo test --release -q -p parallax-comm --lib wire::
+
 # Static plan verification gate: graph passes, plan passes, and the
 # traffic predictor cross-validated against one executed iteration.
 cargo run --release -q -p parallax-bench --bin repro -- check --model lm
