@@ -10,10 +10,10 @@
 //! validation) is shared, which is what makes the two modes
 //! bitwise-equivalent.
 //!
-//! Each role writes a binary artifact (losses, traffic by class,
-//! traced span bytes, chief replica / server shards) into the spec's
-//! `artifact_dir`; the launcher merges them with the exact folds the
-//! in-process attempt uses ([`mean_worker_losses`],
+//! Each role writes an artifact, a tensor file (losses, traffic by
+//! class, traced span bytes, chief replica / server shards), into the
+//! spec's `artifact_dir`; the launcher merges them with the exact
+//! folds the in-process attempt uses ([`mean_worker_losses`],
 //! [`Runner::stitch_final_model`], `TrafficReport::merge_from`).
 //!
 //! Recovery model: the launcher respawns the *whole fleet* with fresh
@@ -40,6 +40,7 @@ use parallax_comm::protocheck::SessionValidator;
 use parallax_comm::{Endpoint, PeerHealth, TrafficSnapshot, TrafficStats, WireFormat};
 use parallax_core::plancheck::predict_iteration_traffic;
 use parallax_core::runner::TrafficReport;
+use parallax_core::snapshot::{self, Snapshot};
 use parallax_core::sparsity::estimate_profile;
 use parallax_core::{
     derive_session, get_runner, mean_worker_losses, ParallaxConfig, RestorePoint, RoleAssignment,
@@ -212,10 +213,9 @@ impl DistJob {
 
 // ---------------------------------------------------------------------------
 // Role artifacts: the per-process half of a run report, merged by the
-// launcher. Flat little-endian binary, no external serialization dep.
+// launcher. Tensor files (`parallax_core::snapshot`): scalars and
+// traffic counters as header words, series and weights as entries.
 // ---------------------------------------------------------------------------
-
-const ARTIFACT_MAGIC: &[u8; 8] = b"PLXDART1";
 
 /// What one role process writes on success.
 pub struct RoleArtifact {
@@ -249,249 +249,157 @@ pub fn artifact_name(role: Role) -> String {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    put_u32(out, xs.len() as u32);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
+/// Appends `s` to `words`: machine count, the three per-machine byte
+/// vectors, link count and sorted `(from, to, bytes)` links, then the
+/// two message counts.
+fn put_traffic(words: &mut Vec<u64>, s: &TrafficSnapshot) {
+    words.push(s.out_bytes.len() as u64);
+    for per_machine in [&s.out_bytes, &s.in_bytes, &s.intra_bytes_per_machine] {
+        words.extend(per_machine);
     }
-}
-
-fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    let dims = t.shape().dims();
-    put_u32(out, dims.len() as u32);
-    for &d in dims {
-        put_u64(out, d as u64);
-    }
-    put_f32s(out, t.data());
-}
-
-fn put_snapshot(out: &mut Vec<u8>, s: &TrafficSnapshot) {
-    put_u32(out, s.out_bytes.len() as u32);
-    for &b in &s.out_bytes {
-        put_u64(out, b);
-    }
-    for &b in &s.in_bytes {
-        put_u64(out, b);
-    }
-    for &b in &s.intra_bytes_per_machine {
-        put_u64(out, b);
-    }
-    let mut links: Vec<(usize, usize, u64)> =
-        s.link_bytes.iter().map(|(&(a, b), &v)| (a, b, v)).collect();
+    let mut links: Vec<[u64; 3]> = s
+        .link_bytes
+        .iter()
+        .map(|(&(a, b), &v)| [a as u64, b as u64, v])
+        .collect();
     links.sort_unstable();
-    put_u32(out, links.len() as u32);
-    for (a, b, v) in links {
-        put_u64(out, a as u64);
-        put_u64(out, b as u64);
-        put_u64(out, v);
-    }
-    put_u64(out, s.inter_messages);
-    put_u64(out, s.intra_messages);
+    words.push(links.len() as u64);
+    words.extend(links.concat());
+    words.extend([s.inter_messages, s.intra_messages]);
 }
 
-/// Bounded little-endian reader with typed (string) errors — artifact
-/// files are trusted outputs of sibling processes, but truncation from
-/// a killed writer must fail cleanly, never panic.
-struct Cur<'a> {
-    buf: &'a [u8],
-    at: usize,
+/// Splits the next `n` header words off `words`; artifacts come from
+/// sibling processes, but one cut short must fail cleanly.
+fn next_words<'a>(words: &mut &'a [u64], n: u64) -> Result<&'a [u64], String> {
+    let n = usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= words.len())
+        .ok_or_else(|| format!("artifact needs {n} more header words, has {}", words.len()))?;
+    let (head, rest) = words.split_at(n);
+    *words = rest;
+    Ok(head)
 }
 
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("artifact truncated at byte {}", self.at))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, String> {
-        let n = self.u32()? as usize;
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            v.push(self.f32()?);
-        }
-        Ok(v)
-    }
-
-    fn tensor(&mut self) -> Result<Tensor, String> {
-        let rank = self.u32()? as usize;
-        let mut dims = Vec::with_capacity(rank.min(16));
-        for _ in 0..rank {
-            dims.push(self.u64()? as usize);
-        }
-        let data = self.f32s()?;
-        Tensor::new(parallax_tensor::Shape::new(dims), data).map_err(|e| e.to_string())
-    }
-
-    fn snapshot(&mut self) -> Result<TrafficSnapshot, String> {
-        let machines = self.u32()? as usize;
-        let mut vecs = [Vec::new(), Vec::new(), Vec::new()];
-        for v in &mut vecs {
-            for _ in 0..machines {
-                v.push(self.u64()?);
-            }
-        }
-        let [out_bytes, in_bytes, intra_bytes_per_machine] = vecs;
-        let n_links = self.u32()? as usize;
-        let mut link_bytes = HashMap::with_capacity(n_links.min(1 << 16));
-        for _ in 0..n_links {
-            let a = self.u64()? as usize;
-            let b = self.u64()? as usize;
-            let v = self.u64()?;
-            link_bytes.insert((a, b), v);
-        }
-        Ok(TrafficSnapshot {
-            out_bytes,
-            in_bytes,
-            link_bytes,
-            intra_bytes_per_machine,
-            inter_messages: self.u64()?,
-            intra_messages: self.u64()?,
-        })
-    }
+/// Reads back one [`put_traffic`] record.
+fn next_traffic(words: &mut &[u64]) -> Result<TrafficSnapshot, String> {
+    let machines = next_words(words, 1)?[0];
+    let out_bytes = next_words(words, machines)?.to_vec();
+    let in_bytes = next_words(words, machines)?.to_vec();
+    let intra_bytes_per_machine = next_words(words, machines)?.to_vec();
+    let links = next_words(words, 1)?[0];
+    let link_bytes = next_words(words, links.saturating_mul(3))?
+        .chunks_exact(3)
+        .map(|l| ((l[0] as usize, l[1] as usize), l[2]))
+        .collect();
+    let [inter_messages, intra_messages] = next_words(words, 2)?.try_into().expect("two words");
+    Ok(TrafficSnapshot {
+        out_bytes,
+        in_bytes,
+        link_bytes,
+        intra_bytes_per_machine,
+        inter_messages,
+        intra_messages,
+    })
 }
 
 impl RoleArtifact {
-    /// Serializes the artifact.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(ARTIFACT_MAGIC);
-        let kind: u8 = match self.role {
-            Role::Chief | Role::Worker { .. } => 0,
-            Role::Server { .. } => 1,
-        };
-        out.push(kind);
-        put_u32(&mut out, self.role.index() as u32);
-        put_u32(&mut out, self.start_iter as u32);
-        put_u64(&mut out, self.span_bytes);
-        put_f32s(&mut out, &self.losses);
-        put_f32s(&mut out, &self.norms);
-        out.extend_from_slice(&self.compute_secs.to_le_bytes());
-        match &self.store {
-            Some(values) => {
-                out.push(1);
-                put_u32(&mut out, values.len() as u32);
-                for t in values {
-                    put_tensor(&mut out, t);
-                }
-            }
-            None => out.push(0),
+    /// Writes the artifact atomically as a tensor file: role, resume
+    /// point, span bytes, compute seconds, shard keys and traffic as
+    /// header words; losses and norms as untagged entries, the replica
+    /// store and the shards as entries tagged `store` and `shard`.
+    pub fn write(&self, path: &Path) -> Result<(), String> {
+        let mut words = vec![
+            u64::from(matches!(self.role, Role::Server { .. })),
+            self.role.index() as u64,
+            self.start_iter as u64,
+            self.span_bytes,
+            self.compute_secs.to_bits(),
+            u64::from(self.store.is_some()),
+            self.shards.len() as u64,
+        ];
+        words.extend(self.shards.iter().flat_map(|&((var, part), _)| [var, part]));
+        let t = &self.traffic;
+        for class in [&t.nccl, &t.mpi, &t.ps, &t.local_agg, &t.other] {
+            put_traffic(&mut words, class);
         }
-        put_u32(&mut out, self.shards.len() as u32);
-        for ((var, part), t) in &self.shards {
-            put_u64(&mut out, *var);
-            put_u64(&mut out, *part);
-            put_tensor(&mut out, t);
-        }
-        for snap in [
-            &self.traffic.nccl,
-            &self.traffic.mpi,
-            &self.traffic.ps,
-            &self.traffic.local_agg,
-            &self.traffic.other,
-        ] {
-            put_snapshot(&mut out, snap);
-        }
-        out
+        let series = |xs: &[f32]| Tensor::new([xs.len()], xs.to_vec()).map_err(|e| e.to_string());
+        let (losses, norms) = (series(&self.losses)?, series(&self.norms)?);
+        let store = self.store.iter().flatten().map(|t| ("store", t));
+        let tagged: Vec<(&str, &Tensor)> = store
+            .chain(self.shards.iter().map(|(_, t)| ("shard", t)))
+            .collect();
+        let names: Vec<String> = (0..tagged.len()).map(|i| i.to_string()).collect();
+        let mut entries = vec![("losses", "", &losses), ("norms", "", &norms)];
+        entries.extend(
+            names
+                .iter()
+                .zip(tagged)
+                .map(|(name, (tag, t))| (name.as_str(), tag, t)),
+        );
+        snapshot::write(path, 0, &words, &entries).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Parses an [`RoleArtifact::encode`] buffer.
-    pub fn decode(buf: &[u8]) -> Result<RoleArtifact, String> {
-        let mut c = Cur { buf, at: 0 };
-        if c.take(8)? != ARTIFACT_MAGIC {
-            return Err("bad artifact magic".into());
-        }
-        let kind = c.take(1)?[0];
-        let index = c.u32()? as usize;
+    /// Reads an artifact file, checking its structure and every block
+    /// CRC.
+    pub fn read(path: &Path) -> Result<RoleArtifact, String> {
+        let at = |e: parallax_core::CoreError| format!("{}: {e}", path.display());
+        let file = Snapshot::open(path).map_err(at)?;
+        let mut words = file.words();
+        let [kind, index, start_iter, span_bytes, secs, has_store, n_shards]: [u64; 7] =
+            next_words(&mut words, 7)?.try_into().expect("seven words");
+        let index = index as usize;
         let role = match kind {
             0 if index == 0 => Role::Chief,
             0 => Role::Worker { index },
             1 => Role::Server { machine: index },
             other => return Err(format!("bad artifact role kind {other}")),
         };
-        let start_iter = c.u32()? as usize;
-        let span_bytes = c.u64()?;
-        let losses = c.f32s()?;
-        let norms = c.f32s()?;
-        let compute_secs = c.f64()?;
-        let store = match c.take(1)?[0] {
-            0 => None,
-            _ => {
-                let n = c.u32()? as usize;
-                let mut values = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    values.push(c.tensor()?);
-                }
-                Some(values)
-            }
-        };
-        let n_shards = c.u32()? as usize;
-        let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
-        for _ in 0..n_shards {
-            let var = c.u64()?;
-            let part = c.u64()?;
-            shards.push(((var, part), c.tensor()?));
-        }
+        let keys = next_words(&mut words, n_shards.saturating_mul(2))?;
         let traffic = TrafficReport {
-            nccl: c.snapshot()?,
-            mpi: c.snapshot()?,
-            ps: c.snapshot()?,
-            local_agg: c.snapshot()?,
-            other: c.snapshot()?,
+            nccl: next_traffic(&mut words)?,
+            mpi: next_traffic(&mut words)?,
+            ps: next_traffic(&mut words)?,
+            local_agg: next_traffic(&mut words)?,
+            other: next_traffic(&mut words)?,
         };
+        if !words.is_empty() {
+            return Err(format!("{} trailing artifact header words", words.len()));
+        }
+        let series = |name: &str| -> Result<Vec<f32>, String> {
+            let idx = file
+                .entry_index(name)
+                .ok_or_else(|| format!("artifact has no '{name}' entry"))?;
+            Ok(file.tensor_at(idx).map_err(at)?.into_data())
+        };
+        let tagged = |tag: &str| -> Result<Vec<Tensor>, String> {
+            (0..file.entries().len())
+                .filter(|&i| file.entries()[i].tag == tag)
+                .map(|i| file.tensor_at(i).map_err(at))
+                .collect()
+        };
+        let store = tagged("store")?;
+        let shards = tagged("shard")?;
+        if shards.len() as u64 != n_shards {
+            return Err(format!(
+                "artifact declares {n_shards} shards, holds {}",
+                shards.len()
+            ));
+        }
         Ok(RoleArtifact {
             role,
-            start_iter,
+            start_iter: start_iter as usize,
             span_bytes,
-            losses,
-            norms,
-            compute_secs,
-            store,
-            shards,
+            losses: series("losses")?,
+            norms: series("norms")?,
+            compute_secs: f64::from_bits(secs),
+            store: (has_store != 0).then_some(store),
+            shards: keys
+                .chunks_exact(2)
+                .map(|k| (k[0], k[1]))
+                .zip(shards)
+                .collect(),
             traffic,
         })
-    }
-
-    /// Writes the artifact atomically (temp file + rename).
-    pub fn write(&self, path: &Path) -> Result<(), String> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode()).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path).map_err(|e| format!("rename {}: {e}", path.display()))
-    }
-
-    /// Reads and parses an artifact file.
-    pub fn read(path: &Path) -> Result<RoleArtifact, String> {
-        let buf = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::decode(&buf)
     }
 }
 
@@ -1080,10 +988,20 @@ mod tests {
         }
     }
 
+    fn temp_file(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "parallax_artifact_{}_{tag}.bin",
+            std::process::id()
+        ))
+    }
+
     #[test]
     fn artifact_roundtrips() {
         let a = artifact();
-        let b = RoleArtifact::decode(&a.encode()).unwrap();
+        let path = temp_file("roundtrip");
+        a.write(&path).unwrap();
+        let b = RoleArtifact::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         assert_eq!(b.role, Role::Worker { index: 3 });
         assert_eq!(b.start_iter, 2);
         assert_eq!(b.span_bytes, 99);
@@ -1096,16 +1014,21 @@ mod tests {
         assert_eq!(store[1].data(), &[7.0, 7.0, 7.0]);
         assert_eq!(b.shards.len(), 1);
         assert_eq!(b.shards[0].0, (4, 1));
-        assert_eq!(b.traffic.ps, a.traffic.ps);
-        assert_eq!(b.traffic.other.link_bytes, a.traffic.other.link_bytes);
+        let classes =
+            |t: &TrafficReport| [&t.nccl, &t.mpi, &t.ps, &t.local_agg, &t.other].map(Clone::clone);
+        assert_eq!(classes(&b.traffic), classes(&a.traffic));
     }
 
     #[test]
     fn truncated_artifact_fails_cleanly() {
-        let bytes = artifact().encode();
+        let path = temp_file("truncated");
+        artifact().write(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         for cut in [0, 5, 9, 20, bytes.len() - 1] {
-            assert!(RoleArtifact::decode(&bytes[..cut]).is_err(), "cut {cut}");
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(RoleArtifact::read(&path).is_err(), "cut {cut}");
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! 1. **Trains** a tiny model for [`TRAIN_ITERS`] synchronous
 //!    iterations on [`MACHINES`] machines with `snapshot_path` set, so
-//!    the chief publishes a post-barrier `PLXSNAP1` artifact every
+//!    the chief publishes a post-barrier `PLXSNAP2` snapshot every
 //!    [`PUBLISH_EVERY`] iterations via the FetchShard protocol.
 //! 2. **Times the zero-copy load** — a full validated
 //!    [`Snapshot::open`] must stay under [`SNAPSHOT_LOAD_GATE_US`]

@@ -2,8 +2,9 @@
 //! polynomial, reflected, initial value and final XOR `0xFFFF_FFFF`.
 //!
 //! It checks the bytes this system reads back from outside the
-//! process: socket frames (`parallax-net`), PLXCKPT3 checkpoints and
-//! the PLXSNAP1 snapshot index (`parallax-core`). Frames are checksummed on
+//! process: socket frames (`parallax-net`) and tensor files, the index
+//! and each data block of snapshots, checkpoints and role artifacts
+//! (`core::snapshot` in `parallax-core`). Frames are checksummed on
 //! every message, twice per frame (sender and reader), so this sits on
 //! the socket data plane's hot path.
 //!

@@ -1,46 +1,32 @@
 //! Model checkpointing.
 //!
 //! The paper's `ParallaxConfig` includes "a file path to save trained
-//! variables". This module implements that: a dependency-free binary
-//! format with integrity checks on load, plus the training state
-//! (step counter, data-shard cursors) the runner needs to resume after a
-//! failure.
+//! variables". This module implements that, plus the training state
+//! (step counter, data-shard cursors) and optimizer slots the runner
+//! needs to resume after a failure.
 //!
-//! Format v3 (`PLXCKPT3`): magic, CRC32 (IEEE, little-endian, over the
-//! entire payload that follows), then the payload — step `u64`, cursor
-//! count `u64`, cursors (`u64` each), variable count `u64`, per
-//! variable its name, shape and little-endian `f32` data, then an
-//! optimizer-slot section: entry count `u64` and per entry the variable
-//! name, slot name (e.g. `velocity`, `accum`), shape and `f32` data.
-//! Format v2 (`PLXCKPT2`) lacked the slot section; v1 (`PLXCKPT1`)
-//! additionally lacked the CRC and training state. [`load`] /
-//! [`load_with_state`] / [`load_full`] read all three (older formats
-//! yield a default state and/or empty slots). Saves are atomic: written
-//! to a temp file in the same directory, then renamed.
+//! A checkpoint is a tensor file ([`crate::snapshot`]): the variables
+//! as untagged entries (so a serving engine can open it like any
+//! snapshot), each optimizer slot as an entry named after its variable
+//! and tagged with the slot name (`velocity`, `accum`), the step as the
+//! file's step and the per-worker cursors as its header words. [`load`]
+//! opens it with [`Snapshot::open`]'s fail-closed validation and copies
+//! each tensor out after checking its block CRC. Saves are atomic.
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{Read as _, Write as _};
+use std::collections::BTreeMap;
 use std::path::Path;
 
-use parallax_comm::crc32;
 use parallax_dataflow::{Graph, VarStore};
-use parallax_tensor::{Shape, Tensor};
+use parallax_tensor::Tensor;
 
+use crate::snapshot::{self, Snapshot};
 use crate::{CoreError, Result};
-
-const MAGIC_V1: &[u8; 8] = b"PLXCKPT1";
-const MAGIC_V2: &[u8; 8] = b"PLXCKPT2";
-const MAGIC_V3: &[u8; 8] = b"PLXCKPT3";
 
 /// Optimizer slot variables keyed by `(variable name, slot name)`.
 ///
 /// A `BTreeMap` so serialization order — and therefore the bytes on
 /// disk — is deterministic regardless of how the map was assembled.
 pub type SlotMap = BTreeMap<(String, String), Tensor>;
-
-fn io_err(e: std::io::Error) -> CoreError {
-    CoreError::Config(format!("checkpoint I/O: {e}"))
-}
 
 /// Training progress saved alongside the variables, so a resumed run
 /// replays from exactly where the checkpoint was cut.
@@ -55,225 +41,62 @@ pub struct TrainState {
     pub cursors: Vec<u64>,
 }
 
-fn write_name(payload: &mut Vec<u8>, name: &str) {
-    payload.extend_from_slice(&(name.len() as u64).to_le_bytes());
-    payload.extend_from_slice(name.as_bytes());
-}
-
-fn write_tensor(payload: &mut Vec<u8>, value: &Tensor) {
-    let dims = value.shape().dims();
-    payload.extend_from_slice(&(dims.len() as u64).to_le_bytes());
-    for &d in dims {
-        payload.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    for &x in value.data() {
-        payload.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Saves every variable of `store` (named per `graph`) plus `state` to
-/// `path`, atomically (temp file + rename). Equivalent to [`save_full`]
-/// with no optimizer slots.
-pub fn save_with_state(
-    graph: &Graph,
-    store: &VarStore,
-    state: &TrainState,
-    path: &Path,
-) -> Result<()> {
-    save_full(graph, store, state, &SlotMap::new(), path)
-}
-
 /// Saves every variable of `store` (named per `graph`), the training
-/// `state` and the optimizer `slots` to `path`, atomically (temp file +
-/// rename). Always writes format v3.
-pub fn save_full(
+/// `state` and the optimizer `slots` to `path`, atomically.
+pub fn save(
     graph: &Graph,
     store: &VarStore,
     state: &TrainState,
     slots: &SlotMap,
     path: &Path,
 ) -> Result<()> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&state.step.to_le_bytes());
-    payload.extend_from_slice(&(state.cursors.len() as u64).to_le_bytes());
-    for &c in &state.cursors {
-        payload.extend_from_slice(&c.to_le_bytes());
-    }
-    payload.extend_from_slice(&(graph.variables().len() as u64).to_le_bytes());
-    for var in graph.var_ids() {
-        let def = graph.var_def(var)?;
-        let value = store.get(var)?;
-        write_name(&mut payload, &def.name);
-        write_tensor(&mut payload, value);
-    }
-    payload.extend_from_slice(&(slots.len() as u64).to_le_bytes());
-    for ((var_name, slot_name), value) in slots {
-        write_name(&mut payload, var_name);
-        write_name(&mut payload, slot_name);
-        write_tensor(&mut payload, value);
-    }
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(MAGIC_V3);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-
-    // Atomic save: a crash mid-write must not destroy the previous
-    // checkpoint, so write a sibling temp file and rename over.
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-        file.write_all(&out).map_err(io_err)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io_err)?;
-    Ok(())
-}
-
-/// Saves every variable of `store` (named per `graph`) to `path` with a
-/// default (step 0) training state.
-pub fn save(graph: &Graph, store: &VarStore, path: &Path) -> Result<()> {
-    save_with_state(graph, store, &TrainState::default(), path)
+    let mut entries = snapshot::graph_entries(graph, store)?;
+    entries.extend(
+        slots
+            .iter()
+            .map(|((var, slot), value)| (var.as_str(), slot.as_str(), value)),
+    );
+    snapshot::write(path, state.step, &state.cursors, &entries)
 }
 
 /// Loads a checkpoint into a [`VarStore`] laid out for `graph`,
-/// discarding the training state.
-pub fn load(graph: &Graph, path: &Path) -> Result<VarStore> {
-    load_with_state(graph, path).map(|(store, _)| store)
-}
-
-/// Loads a checkpoint into a [`VarStore`] laid out for `graph`,
-/// returning the saved [`TrainState`] and discarding optimizer slots.
-pub fn load_with_state(graph: &Graph, path: &Path) -> Result<(VarStore, TrainState)> {
-    load_full(graph, path).map(|(store, state, _)| (store, state))
-}
-
-/// Loads a checkpoint (v3, v2 or legacy v1) into a [`VarStore`] laid
-/// out for `graph`, returning the saved [`TrainState`] (default for v1
-/// files) and optimizer [`SlotMap`] (empty for v1/v2 files).
+/// returning the saved [`TrainState`] and optimizer [`SlotMap`].
 ///
 /// Variables are matched *by name*, so the checkpoint survives graph
-/// edits that only reorder declarations; CRC mismatches (v2+), shape
+/// edits that only reorder declarations; CRC mismatches, shape
 /// mismatches and missing variables are errors. Slot entries naming a
 /// variable the graph no longer has are silently dropped — the model
 /// still loads, the stale state does not.
-pub fn load_full(graph: &Graph, path: &Path) -> Result<(VarStore, TrainState, SlotMap)> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .map_err(io_err)?
-        .read_to_end(&mut bytes)
-        .map_err(io_err)?;
-    if bytes.len() < 8 {
-        return Err(CoreError::Config("checkpoint truncated".into()));
-    }
-    let magic: &[u8] = &bytes[..8];
-    let has_slots = magic == MAGIC_V3;
-    let (payload, versioned) = if magic == MAGIC_V2 || magic == MAGIC_V3 {
-        if bytes.len() < 12 {
-            return Err(CoreError::Config("checkpoint truncated".into()));
-        }
-        let stored = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        let payload = &bytes[12..];
-        let actual = crc32(payload);
-        if stored != actual {
-            return Err(CoreError::Config(format!(
-                "checkpoint CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
-        (payload, true)
-    } else if magic == MAGIC_V1 {
-        (&bytes[8..], false)
-    } else {
-        return Err(CoreError::Config(
-            "not a parallax checkpoint (bad magic)".into(),
-        ));
-    };
-
-    let mut cursor = 0usize;
-    let take = |cursor: &mut usize, n: usize| -> Result<&[u8]> {
-        if *cursor + n > payload.len() {
-            return Err(CoreError::Config("checkpoint truncated".into()));
-        }
-        let slice = &payload[*cursor..*cursor + n];
-        *cursor += n;
-        Ok(slice)
-    };
-    let read_u64 = |cursor: &mut usize| -> Result<u64> {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(take(cursor, 8)?);
-        Ok(u64::from_le_bytes(buf))
-    };
-
-    let state = if versioned {
-        let step = read_u64(&mut cursor)?;
-        let n = read_u64(&mut cursor)? as usize;
-        let mut cursors = Vec::with_capacity(n);
-        for _ in 0..n {
-            cursors.push(read_u64(&mut cursor)?);
-        }
-        TrainState { step, cursors }
-    } else {
-        TrainState::default()
-    };
-
-    let read_name = |cursor: &mut usize| -> Result<String> {
-        let len = read_u64(cursor)? as usize;
-        String::from_utf8(take(cursor, len)?.to_vec())
-            .map_err(|_| CoreError::Config("checkpoint name is not UTF-8".into()))
-    };
-    let read_tensor = |cursor: &mut usize| -> Result<Tensor> {
-        let rank = read_u64(cursor)? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_u64(cursor)? as usize);
-        }
-        let shape = Shape::new(dims);
-        let volume = shape.volume();
-        let raw = take(cursor, volume * 4)?;
-        let data: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Ok(Tensor::new(shape, data)?)
-    };
-
-    let count = read_u64(&mut cursor)? as usize;
-    let mut by_name: HashMap<String, Tensor> = HashMap::with_capacity(count);
-    for _ in 0..count {
-        let name = read_name(&mut cursor)?;
-        let tensor = read_tensor(&mut cursor)?;
-        by_name.insert(name, tensor);
-    }
-    let mut slots = SlotMap::new();
-    if has_slots {
-        let n = read_u64(&mut cursor)? as usize;
-        for _ in 0..n {
-            let var_name = read_name(&mut cursor)?;
-            let slot_name = read_name(&mut cursor)?;
-            let tensor = read_tensor(&mut cursor)?;
-            if graph.find_variable(&var_name).is_some() {
-                slots.insert((var_name, slot_name), tensor);
-            }
-        }
-    }
-    if cursor != payload.len() {
-        return Err(CoreError::Config("trailing bytes after checkpoint".into()));
-    }
-
+pub fn load(graph: &Graph, path: &Path) -> Result<(VarStore, TrainState, SlotMap)> {
+    let file = Snapshot::open(path)?;
     let mut values = Vec::with_capacity(graph.variables().len());
     for var in graph.var_ids() {
         let def = graph.var_def(var)?;
-        let tensor = by_name.remove(&def.name).ok_or_else(|| {
+        let idx = file.entry_index(&def.name).ok_or_else(|| {
             CoreError::Config(format!("checkpoint missing variable '{}'", def.name))
         })?;
-        if tensor.shape() != &def.shape {
+        let shape = &file.entries()[idx].shape;
+        if shape != &def.shape {
             return Err(CoreError::Config(format!(
-                "checkpoint variable '{}' has shape {}, graph expects {}",
-                def.name,
-                tensor.shape(),
-                def.shape
+                "checkpoint variable '{}' has shape {shape}, graph expects {}",
+                def.name, def.shape
             )));
         }
-        values.push(tensor);
+        values.push(file.tensor_at(idx)?);
     }
+    let mut slots = SlotMap::new();
+    for (idx, entry) in file.entries().iter().enumerate() {
+        if !entry.tag.is_empty() && graph.find_variable(&entry.name).is_some() {
+            slots.insert(
+                (entry.name.clone(), entry.tag.clone()),
+                file.tensor_at(idx)?,
+            );
+        }
+    }
+    let state = TrainState {
+        step: file.step(),
+        cursors: file.words().to_vec(),
+    };
     Ok((VarStore::from_values(values), state, slots))
 }
 
@@ -300,28 +123,9 @@ mod tests {
         p
     }
 
-    /// Writes the legacy v1 layout (no CRC, no train state) for the
-    /// compatibility test.
-    fn save_v1(graph: &Graph, store: &VarStore, path: &std::path::Path) {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC_V1);
-        out.extend_from_slice(&(graph.variables().len() as u64).to_le_bytes());
-        for var in graph.var_ids() {
-            let def = graph.var_def(var).unwrap();
-            let value = store.get(var).unwrap();
-            let name = def.name.as_bytes();
-            out.extend_from_slice(&(name.len() as u64).to_le_bytes());
-            out.extend_from_slice(name);
-            let dims = value.shape().dims();
-            out.extend_from_slice(&(dims.len() as u64).to_le_bytes());
-            for &d in dims {
-                out.extend_from_slice(&(d as u64).to_le_bytes());
-            }
-            for &x in value.data() {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        std::fs::write(path, out).unwrap();
+    /// Saves `store` with no training state and no slots.
+    fn save_weights(g: &Graph, store: &VarStore, path: &Path) {
+        save(g, store, &TrainState::default(), &SlotMap::new(), path).unwrap();
     }
 
     #[test]
@@ -329,8 +133,8 @@ mod tests {
         let g = graph();
         let store = VarStore::init(&g, &mut DetRng::seed(3));
         let path = temp_path("roundtrip");
-        save(&g, &store, &path).unwrap();
-        let loaded = load(&g, &path).unwrap();
+        save_weights(&g, &store, &path);
+        let (loaded, _, _) = load(&g, &path).unwrap();
         assert_eq!(store.max_divergence(&loaded), 0.0);
         std::fs::remove_file(&path).ok();
     }
@@ -344,33 +148,11 @@ mod tests {
             cursors: vec![4, 5, 4, 4],
         };
         let path = temp_path("state");
-        save_with_state(&g, &store, &state, &path).unwrap();
-        let (loaded, got) = load_with_state(&g, &path).unwrap();
+        save(&g, &store, &state, &SlotMap::new(), &path).unwrap();
+        let (loaded, got, _) = load(&g, &path).unwrap();
         assert_eq!(got, state);
         assert_eq!(store.max_divergence(&loaded), 0.0);
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Writes the legacy v2 layout (no slot section) for the
-    /// compatibility test.
-    fn save_v2(graph: &Graph, store: &VarStore, state: &TrainState, path: &std::path::Path) {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&state.step.to_le_bytes());
-        payload.extend_from_slice(&(state.cursors.len() as u64).to_le_bytes());
-        for &c in &state.cursors {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-        payload.extend_from_slice(&(graph.variables().len() as u64).to_le_bytes());
-        for var in graph.var_ids() {
-            let def = graph.var_def(var).unwrap();
-            write_name(&mut payload, &def.name);
-            write_tensor(&mut payload, store.get(var).unwrap());
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC_V2);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        std::fs::write(path, out).unwrap();
     }
 
     #[test]
@@ -391,11 +173,16 @@ mod tests {
             cursors: vec![3, 3, 3],
         };
         let path = temp_path("slots");
-        save_full(&g, &store, &state, &slots, &path).unwrap();
-        let (loaded, got_state, got_slots) = load_full(&g, &path).unwrap();
+        save(&g, &store, &state, &slots, &path).unwrap();
+        let (loaded, got_state, got_slots) = load(&g, &path).unwrap();
         assert_eq!(store.max_divergence(&loaded), 0.0);
         assert_eq!(got_state, state);
         assert_eq!(got_slots, slots);
+        // Served as a snapshot, name lookups find the variables, never
+        // the slots stored under the same names.
+        let snap = Snapshot::open(&path).unwrap();
+        let w = g.find_variable("w").unwrap();
+        assert_eq!(snap.view("w").unwrap().data(), store.get(w).unwrap().data());
         std::fs::remove_file(&path).ok();
     }
 
@@ -409,38 +196,9 @@ mod tests {
             Tensor::new([2], vec![1.0, 2.0]).unwrap(),
         );
         let path = temp_path("ghost_slot");
-        save_full(&g, &store, &TrainState::default(), &slots, &path).unwrap();
-        let (_, _, got) = load_full(&g, &path).unwrap();
+        save(&g, &store, &TrainState::default(), &slots, &path).unwrap();
+        let (_, _, got) = load(&g, &path).unwrap();
         assert!(got.is_empty(), "stale slot must be dropped, got {got:?}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_v2_files_load_with_empty_slots() {
-        let g = graph();
-        let store = VarStore::init(&g, &mut DetRng::seed(5));
-        let state = TrainState {
-            step: 4,
-            cursors: vec![2, 2],
-        };
-        let path = temp_path("v2compat");
-        save_v2(&g, &store, &state, &path);
-        let (loaded, got_state, slots) = load_full(&g, &path).unwrap();
-        assert_eq!(store.max_divergence(&loaded), 0.0);
-        assert_eq!(got_state, state);
-        assert!(slots.is_empty());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_v1_files_still_load() {
-        let g = graph();
-        let store = VarStore::init(&g, &mut DetRng::seed(9));
-        let path = temp_path("v1compat");
-        save_v1(&g, &store, &path);
-        let (loaded, state) = load_with_state(&g, &path).unwrap();
-        assert_eq!(store.max_divergence(&loaded), 0.0);
-        assert_eq!(state, TrainState::default());
         std::fs::remove_file(&path).ok();
     }
 
@@ -449,7 +207,7 @@ mod tests {
         let g = graph();
         let store = VarStore::init(&g, &mut DetRng::seed(3));
         let path = temp_path("reorder");
-        save(&g, &store, &path).unwrap();
+        save_weights(&g, &store, &path);
         // A graph with the same variables declared in a different order.
         let mut g2 = Graph::new();
         g2.variable(VariableDef::new("b", [3], Init::Zeros))
@@ -458,7 +216,7 @@ mod tests {
             .unwrap();
         g2.variable(VariableDef::new("w", [4, 3], Init::Glorot))
             .unwrap();
-        let loaded = load(&g2, &path).unwrap();
+        let (loaded, _, _) = load(&g2, &path).unwrap();
         let b = g2.find_variable("b").unwrap();
         assert_eq!(loaded.get(b).unwrap().shape().dims(), &[3]);
         let emb2 = loaded
@@ -475,7 +233,7 @@ mod tests {
         let g = graph();
         let store = VarStore::init(&g, &mut DetRng::seed(3));
         let path = temp_path("corrupt");
-        save(&g, &store, &path).unwrap();
+        save_weights(&g, &store, &path);
         // Truncated file.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
@@ -485,15 +243,17 @@ mod tests {
         bad[0] = b'X';
         std::fs::write(&path, &bad).unwrap();
         assert!(load(&g, &path).is_err());
-        // A single flipped payload bit: caught by the CRC.
+        // A single flipped bit in the last data block: caught by that
+        // block's CRC, named after its variable.
         let mut flipped = bytes.clone();
-        let mid = 12 + (flipped.len() - 12) / 2;
-        flipped[mid] ^= 0x10;
+        let last = flipped.len() - 2;
+        flipped[last] ^= 0x10;
         std::fs::write(&path, &flipped).unwrap();
         match load(&g, &path) {
-            Err(CoreError::Config(msg)) => {
-                assert!(msg.contains("CRC"), "expected CRC error, got: {msg}")
-            }
+            Err(CoreError::Config(msg)) => assert!(
+                msg.contains("CRC") && msg.contains("'b'"),
+                "expected a CRC error naming 'b', got: {msg}"
+            ),
             other => panic!("bit flip must fail the CRC, got {other:?}"),
         }
         // Shape mismatch against a different graph.
@@ -514,12 +274,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Pins the PLXCKPT3 bytes (magic, CRC, state, variables, slots)
-    /// of a small checkpoint whose values do not depend on the RNG, so
-    /// a codec or checksum change that would orphan saved checkpoints
-    /// fails here.
+    /// Pins the bytes of a small checkpoint — header, index with state
+    /// words and one slot entry, stored index and block CRCs, aligned
+    /// data — whose values do not depend on the RNG, so a format or
+    /// checksum change that would orphan saved files fails here.
     #[test]
-    fn v3_bytes_match_golden() {
+    fn container_bytes_match_golden() {
         let mut g = Graph::new();
         g.variable(VariableDef::new("w", [2, 2], Init::Zeros))
             .unwrap();
@@ -534,20 +294,25 @@ mod tests {
             ("w".into(), "velocity".into()),
             Tensor::new([2, 2], vec![0.5, -1.0, 2.0, 0.25]).unwrap(),
         );
-        let path =
-            std::env::temp_dir().join(format!("parallax_ckpt_golden_{}.ckpt", std::process::id()));
-        save_full(&g, &store, &state, &slots, &path).unwrap();
+        let path = temp_path("golden.ckpt");
+        save(&g, &store, &state, &slots, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "504c58434b505433844ab4be050000000000000002000000000000000100000000000000\
-             020000000000000002000000000000000100000000000000770200000000000000020000\
-             000000000002000000000000000000000000000000000000000000000001000000000000\
-             006201000000000000000300000000000000000000000000000000000000010000000000\
-             0000010000000000000077080000000000000076656c6f63697479020000000000000002\
-             0000000000000002000000000000000000003f000080bf000000400000803e"
+            "504c58534e415032ebcb82acdf0000000500000000000000020000000000000001000000\
+             000000000200000000000000030000000000000001000000000000007700000000000000\
+             000200000000000000020000000000000002000000000000000001000000000000100000\
+             0000000000554bbbec010000000000000062000000000000000001000000000000000300\
+             00000000000040010000000000000c000000000000006fc6d57b01000000000000007708\
+             0000000000000076656c6f63697479020000000000000002000000000000000200000000\
+             00000080010000000000001000000000000000aba87b1f00000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000000000000000\
+             0000000000000000000000000000000000000000000000000000003f000080bf00000040\
+             0000803e"
         );
     }
 
@@ -575,10 +340,10 @@ mod tests {
         let stitched = p3.stitch(&shards3).unwrap();
         assert_eq!(stitched, full);
         let path = temp_path("repartition");
-        save(&g, &VarStore::from_values(vec![stitched]), &path).unwrap();
+        save_weights(&g, &VarStore::from_values(vec![stitched]), &path);
 
         // Restore and re-shard under P' = 2.
-        let loaded = load(&g, &path).unwrap();
+        let (loaded, _, _) = load(&g, &path).unwrap();
         let restored = loaded.get(var).unwrap();
         let p2 = RowPartition::even(10, 2).unwrap();
         let shards2: Vec<Tensor> = (0..2)

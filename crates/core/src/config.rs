@@ -173,9 +173,10 @@ pub struct ParallaxConfig {
     /// `checkpoint_path` is set.
     pub checkpoint_interval: usize,
     /// Serving-snapshot path. When set, the chief also publishes a
-    /// weights-only, mmap-friendly `PLXSNAP1` artifact (atomically, via
-    /// rename) at every checkpoint boundary — the online-serving mode:
-    /// a `parallax-serve` engine watching this path refreshes between
+    /// weights-only, mmap-friendly tensor file ([`crate::snapshot`],
+    /// the format checkpoints use too) atomically, via rename, at every
+    /// checkpoint boundary — the online-serving mode: a
+    /// `parallax-serve` engine watching this path refreshes between
     /// batches and never lags training by more than
     /// `checkpoint_interval` steps. Uses `checkpoint_interval` as its
     /// cadence and may be set with or without `checkpoint_path`.

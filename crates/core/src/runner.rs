@@ -72,7 +72,7 @@ impl RestorePoint {
     /// Loads a checkpoint file into a restore point, returning the step
     /// it was saved at (the iteration training resumes from).
     pub fn load(graph: &Graph, path: &std::path::Path) -> Result<(RestorePoint, u64)> {
-        let (store, state, slots) = checkpoint::load_full(graph, path)?;
+        let (store, state, slots) = checkpoint::load(graph, path)?;
         Ok((RestorePoint { store, slots }, state.step))
     }
 }
@@ -1033,7 +1033,7 @@ impl Runner {
                 step,
                 cursors: vec![step; self.topo.num_workers()],
             };
-            checkpoint::save_full(&self.graph, &store, &state, &slots, path)?;
+            checkpoint::save(&self.graph, &store, &state, &slots, path)?;
         }
         if let Some(path) = self.config.snapshot_path.as_ref() {
             crate::snapshot::save(&self.graph, &store, step, path)?;

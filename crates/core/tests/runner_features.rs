@@ -218,8 +218,9 @@ fn trained_model_checkpoints_and_resumes() {
 
     let mut path = std::env::temp_dir();
     path.push(format!("parallax_e2e_ckpt_{}", std::process::id()));
-    checkpoint::save(&graph, &store, &path).unwrap();
-    let mut restored = checkpoint::load(&graph, &path).unwrap();
+    let state = checkpoint::TrainState::default();
+    checkpoint::save(&graph, &store, &state, &checkpoint::SlotMap::new(), &path).unwrap();
+    let (mut restored, _, _) = checkpoint::load(&graph, &path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(store.max_divergence(&restored), 0.0);
 
@@ -231,7 +232,7 @@ fn trained_model_checkpoints_and_resumes() {
 }
 
 /// Crash-and-resume under a *stateful* optimizer must land on exactly
-/// the model an uninterrupted run produces: checkpoint v3 carries the
+/// the model an uninterrupted run produces: the checkpoint carries the
 /// Momentum velocity / Adagrad accumulator for both AllReduce replicas
 /// and PS server shards, so recovery replays from identical state.
 #[test]

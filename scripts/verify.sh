@@ -50,10 +50,13 @@ RUSTFLAGS="--cfg loom" cargo test -q \
 
 # Unsafe-memory gate (skipped when the miri component is unavailable,
 # e.g. offline containers; CI always runs it): interpret the
-# unsafe-bearing tensor kernels/pool and snapshot mmap-path tests.
+# unsafe-bearing tensor kernels/pool, and the snapshot and checkpoint
+# tests that read tensor files through the zero-copy view (they use
+# real files, so host isolation is off for them).
 if cargo +nightly miri --version >/dev/null 2>&1; then
   cargo +nightly miri test -q -p parallax-tensor --lib
-  cargo +nightly miri test -q -p parallax-core --lib snapshot
+  MIRIFLAGS=-Zmiri-disable-isolation \
+    cargo +nightly miri test -q -p parallax-core --lib -- snapshot checkpoint
 else
   echo "verify: skipping miri (component not installed)"
 fi
