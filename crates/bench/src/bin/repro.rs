@@ -50,11 +50,11 @@
 //! reference, or breaks the exact trace/traffic byte crosscheck.
 //! Excluded from `all` (a gate, like `check`).
 //!
-//! `compress` measures the wire codecs (f16/bf16 dense payloads,
-//! delta+varint sparse indices) on executed runs and the fused LSTM
-//! cell against its unfused composition, writes
-//! `BENCH_compression.json`, and exits nonzero if any compression or
-//! equality gate fails. Excluded from `all` (a gate, like `check`).
+//! `compress` measures the wire codecs (f16/bf16 dense payloads on
+//! executed runs, delta+varint sparse indices), writes
+//! `BENCH_compression.json`, and exits nonzero if any byte-reduction or
+//! predicted-vs-measured byte gate fails. Excluded from `all` (a gate,
+//! like `check`).
 //!
 //! `serve-bench` trains a tiny model with snapshot publishing, times
 //! the zero-copy snapshot load, checks served outputs bitwise against

@@ -1,6 +1,6 @@
-//! `repro compress`: wire-format compression and fused-kernel gate.
+//! `repro compress`: wire-format compression gate.
 //!
-//! Three sections, each both *measured* and *gated*:
+//! Two sections, each both *measured* and *gated* on bytes:
 //!
 //! 1. **Executed wire sweep** — one real LM iteration (Horovod-style
 //!    AllReduce placement, so dense gradients ride the ring and sparse
@@ -12,16 +12,11 @@
 //!    sorted gather indices across densities; must be lossless and, at
 //!    alpha <= 0.1, shrink index bytes by at least
 //!    [`INDEX_SHRINK_GATE`].
-//! 3. **Fused LSTM cell** — the fused kernel against the unfused op
-//!    composition it replaced; must be bitwise identical and not
-//!    materially slower ([`FUSED_SPEEDUP_GATE`], tolerant of shared-host
-//!    noise).
 //!
 //! Results are written as `BENCH_compression.json`; any gate violation
 //! makes `run` return `ok = false` so `repro compress` exits nonzero.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use parallax_comm::{wire, WireFormat};
 use parallax_core::plancheck::predict_iteration_traffic;
@@ -29,7 +24,7 @@ use parallax_core::sparsity::estimate_profile;
 use parallax_core::{get_runner, ParallaxConfig};
 use parallax_models::data::ZipfCorpus;
 use parallax_models::lm::{LmConfig, LmModel};
-use parallax_tensor::{ops, DetRng, Tensor};
+use parallax_tensor::DetRng;
 
 /// Machines in the executed topology (1 GPU each, matching `repro
 /// check`, so ring hops cross real machine boundaries).
@@ -45,32 +40,6 @@ pub const DENSE_REDUCTION_GATE: f64 = 1.8;
 /// alpha <= 0.1. Sorted gather indices at that density have small
 /// deltas, so most encode in 1-2 bytes; 2x is a loose floor.
 pub const INDEX_SHRINK_GATE: f64 = 2.0;
-
-/// The fused kernel must not be materially slower than the unfused
-/// composition. The real claim is the bitwise-equality assert plus the
-/// reported speedup; the floor only catches pathological regressions
-/// without flaking on a noisy shared host.
-pub const FUSED_SPEEDUP_GATE: f64 = 0.9;
-
-/// Interleaved best-of-`reps` timing of two closures (same discipline
-/// as the kernel microbenchmark: noise hits both sides alike).
-fn best_of_interleaved(
-    reps: usize,
-    mut optimized: impl FnMut(),
-    mut baseline: impl FnMut(),
-) -> (f64, f64) {
-    let mut best_opt = f64::INFINITY;
-    let mut best_base = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        optimized();
-        best_opt = best_opt.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        baseline();
-        best_base = best_base.min(t.elapsed().as_secs_f64());
-    }
-    (best_opt, best_base)
-}
 
 /// One executed-iteration measurement under a wire format.
 pub struct WireRow {
@@ -100,29 +69,6 @@ impl IndexRow {
     /// Raw-over-encoded byte ratio.
     pub fn shrink(&self) -> f64 {
         self.raw_bytes as f64 / self.encoded_bytes.max(1) as f64
-    }
-}
-
-/// One fused-vs-unfused LSTM cell measurement.
-pub struct LstmRow {
-    /// Shape label.
-    pub name: &'static str,
-    /// Batch rows.
-    pub batch: usize,
-    /// Input width.
-    pub in_dim: usize,
-    /// Hidden width.
-    pub hidden: usize,
-    /// Best unfused-composition time, seconds.
-    pub unfused_secs: f64,
-    /// Best fused-kernel time, seconds.
-    pub fused_secs: f64,
-}
-
-impl LstmRow {
-    /// Unfused-over-fused throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        self.unfused_secs / self.fused_secs
     }
 }
 
@@ -209,85 +155,14 @@ fn measure_index(alpha: f64, rows: usize, rng: &mut DetRng) -> IndexRow {
     }
 }
 
-/// The unfused LSTM cell as the op composition the dataflow graph used
-/// before `Op::LstmCellFused`: concat -> matmul -> bias -> gate slices
-/// -> activations -> Hadamard products.
-fn unfused_cell(x: &Tensor, h_prev: &Tensor, c_prev: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
-    let hidden = c_prev.shape().as_matrix().expect("c_prev matrix").1;
-    let concat = ops::concat_cols(&[x, h_prev]).expect("concat");
-    let z = ops::matmul(&concat, w).expect("matmul");
-    let z = ops::add_bias(&z, b).expect("bias");
-    let gates = ops::split_cols(&z, &[hidden, hidden, hidden, hidden]).expect("split");
-    let i = ops::sigmoid(&gates[0]);
-    let f = ops::sigmoid(&gates[1]);
-    let g = ops::tanh(&gates[2]);
-    let o = ops::sigmoid(&gates[3]);
-    let fc = ops::hadamard(&f, c_prev).expect("f*c");
-    let ig = ops::hadamard(&i, &g).expect("i*g");
-    let c = ops::add(&fc, &ig).expect("c");
-    let c_tanh = ops::tanh(&c);
-    ops::hadamard(&o, &c_tanh).expect("h")
-}
-
-/// LSTM cell shapes drawn from the model presets (lm/nmt tiny steps)
-/// plus one larger shape where fusion's saved passes dominate.
-const LSTM_SHAPES: [(&str, usize, usize, usize); 3] = [
-    ("lm_tiny_step", 32, 64, 64),
-    ("nmt_tiny_step", 16, 48, 48),
-    ("lm_full_step", 160, 256, 256),
-];
-
-/// Measures fused vs unfused LSTM cells, asserting bitwise equality of
-/// the fused output's `[h|c]` bands against the composition first.
-fn measure_lstm(reps: usize) -> Vec<LstmRow> {
-    let mut rng = DetRng::seed(0xc0_11);
-    let mut out = Vec::new();
-    for (name, batch, in_dim, hidden) in LSTM_SHAPES {
-        let x = Tensor::randn([batch, in_dim], 0.5, &mut rng);
-        let h_prev = Tensor::randn([batch, hidden], 0.5, &mut rng);
-        let c_prev = Tensor::randn([batch, hidden], 0.5, &mut rng);
-        let w = Tensor::randn([in_dim + hidden, 4 * hidden], 0.2, &mut rng);
-        let b = Tensor::randn([4 * hidden], 0.1, &mut rng);
-        let fused = ops::lstm_cell_fused(&x, &h_prev, &c_prev, &w, &b, hidden).expect("fused");
-        let h_ref = unfused_cell(&x, &h_prev, &c_prev, &w, &b);
-        let h_band = ops::split_cols(&fused, &[hidden, 5 * hidden]).expect("split h")[0].clone();
-        assert_eq!(
-            h_band, h_ref,
-            "fused h must equal the unfused composition bitwise at {name}"
-        );
-        let (fused_secs, unfused_secs) = best_of_interleaved(
-            reps,
-            || {
-                std::hint::black_box(
-                    ops::lstm_cell_fused(&x, &h_prev, &c_prev, &w, &b, hidden).unwrap(),
-                );
-            },
-            || {
-                std::hint::black_box(unfused_cell(&x, &h_prev, &c_prev, &w, &b));
-            },
-        );
-        out.push(LstmRow {
-            name,
-            batch,
-            in_dim,
-            hidden,
-            unfused_secs,
-            fused_secs,
-        });
-    }
-    out
-}
-
-/// Renders the three sections as a JSON document.
-pub fn to_json(wires: &[WireRow], indices: &[IndexRow], lstms: &[LstmRow], reps: usize) -> String {
+/// Renders the two sections as a JSON document.
+pub fn to_json(wires: &[WireRow], indices: &[IndexRow]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"reps\": {reps},");
     let _ = writeln!(
         out,
         "  \"gates\": {{\"dense_reduction\": {DENSE_REDUCTION_GATE}, \
-         \"index_shrink\": {INDEX_SHRINK_GATE}, \
-         \"fused_speedup\": {FUSED_SPEEDUP_GATE}}},"
+         \"index_shrink\": {INDEX_SHRINK_GATE}}},"
     );
     let base = wires
         .iter()
@@ -325,23 +200,7 @@ pub fn to_json(wires: &[WireRow], indices: &[IndexRow], lstms: &[LstmRow], reps:
             if i + 1 < indices.len() { "," } else { "" },
         );
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"fused_lstm\": [\n");
-    for (i, r) in lstms.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"batch\": {}, \"in_dim\": {}, \"hidden\": {}, \
-             \"unfused_secs\": {:.9}, \"fused_secs\": {:.9}, \"speedup\": {:.3}}}{}",
-            r.name,
-            r.batch,
-            r.in_dim,
-            r.hidden,
-            r.unfused_secs,
-            r.fused_secs,
-            r.speedup(),
-            if i + 1 < lstms.len() { "," } else { "" },
-        );
-    }
+    out.push_str("  ]\n}\n");
     out.push_str("  ]\n}\n");
     out
 }
@@ -372,7 +231,7 @@ pub fn run(path: &str) -> Result<(String, bool), String> {
     let mut ok = true;
     let _ = writeln!(
         out,
-        "== Wire compression & fused-kernel gate (LM tiny, {MACHINES} machines x 1 GPU) =="
+        "== Wire compression gate (LM tiny, {MACHINES} machines x 1 GPU) =="
     );
 
     let wires = measure_wires()?;
@@ -412,26 +271,7 @@ pub fn run(path: &str) -> Result<(String, bool), String> {
         );
     }
 
-    let reps = 9;
-    let lstms = measure_lstm(reps);
-    for r in &lstms {
-        let gate_ok = r.speedup() >= FUSED_SPEEDUP_GATE;
-        ok &= gate_ok;
-        let _ = writeln!(
-            out,
-            "lstm {:<14} ({}x{}->{})  unfused {:>9.1} us  fused {:>9.1} us  ({:.2}x)  [{}]",
-            r.name,
-            r.batch,
-            r.in_dim,
-            r.hidden,
-            r.unfused_secs * 1e6,
-            r.fused_secs * 1e6,
-            r.speedup(),
-            if gate_ok { "ok" } else { "GATE FAIL" },
-        );
-    }
-
-    std::fs::write(path, to_json(&wires, &indices, &lstms, reps)).map_err(|e| e.to_string())?;
+    std::fs::write(path, to_json(&wires, &indices)).map_err(|e| e.to_string())?;
     let _ = writeln!(out, "wrote {path}");
     let _ = writeln!(out, "compress: {}", if ok { "PASS" } else { "FAIL" });
     out.push('\n');
@@ -450,14 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_lstm_rows_measure_and_match() {
-        // reps=1 keeps this fast; the bitwise assert inside is the point.
-        let rows = measure_lstm(1);
-        assert_eq!(rows.len(), LSTM_SHAPES.len());
-        assert!(rows.iter().all(|r| r.fused_secs > 0.0));
-    }
-
-    #[test]
     fn json_renders_all_sections() {
         let wires = vec![WireRow {
             format: "f32",
@@ -467,17 +299,13 @@ mod tests {
         }];
         let mut rng = DetRng::seed(7);
         let indices = vec![measure_index(0.05, 10_000, &mut rng)];
-        let lstms = measure_lstm(1);
-        let json = to_json(&wires, &indices, &lstms, 1);
+        let json = to_json(&wires, &indices);
         assert!(json.contains("\"wire\""));
         assert!(json.contains("\"sparse_index\""));
-        assert!(json.contains("\"fused_lstm\""));
         assert!(json.contains("\"gates\""));
     }
 
-    /// The byte gates of the full sweep. The fused-LSTM speed floor is
-    /// a timing ratio, so it is gated only by the release `repro
-    /// compress` run, never under a parallel debug `cargo test`.
+    /// The byte gates of the full sweep.
     #[test]
     fn full_wire_sweep_passes_byte_gates() {
         let wires = measure_wires().expect("wire sweep runs");

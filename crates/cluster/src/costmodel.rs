@@ -10,15 +10,15 @@
 //!
 //! [`CalibrationProfile`] closes the loop the other way: instead of
 //! static testbed constants, it distills a measured trace dump
-//! (per-machine compute phases, PS serve spans, `ps.wait_ns` /
-//! `ps.service_ns` histograms, per-op self times) into the inputs of a
-//! calibrated [`IterationSim`](crate::IterationSim) — the basis of the
+//! (per-machine compute phases, PS serve and apply spans, the
+//! `ps.wait_ns` histogram) into the inputs of a calibrated
+//! [`IterationSim`](crate::IterationSim) — the basis of the
 //! sim-vs-measured conformance suite.
 
 use std::collections::BTreeMap;
 
-use parallax_trace::export::{self_durations, COMPUTE_PHASE_SPANS};
-use parallax_trace::{HistogramSnapshot, SpanCat, TraceDump, SIM_LANE, UNTRACKED_MACHINE};
+use parallax_trace::export::COMPUTE_PHASE_SPANS;
+use parallax_trace::{SpanCat, TraceDump, SIM_LANE, UNTRACKED_MACHINE};
 
 use crate::hardware::CpuModel;
 use crate::sim::{IterationSim, PsQueueModel};
@@ -81,8 +81,8 @@ impl ComputeCost {
 }
 
 /// A measured calibration profile distilled from a trace dump: the
-/// per-machine and per-op timings a calibrated simulation starts from,
-/// replacing the static testbed constants.
+/// per-machine timings a calibrated simulation starts from, replacing
+/// the static testbed constants.
 ///
 /// All times are seconds *per iteration* unless noted. Per-machine
 /// vectors are indexed by machine id and sized to `machines`.
@@ -115,13 +115,6 @@ pub struct CalibrationProfile {
     /// `ps.wait_ns` histogram — the ground truth a calibrated sim's
     /// `predicted_mean_ps_wait` is checked against.
     pub wait_mean_s: f64,
-    /// Snapshot of the `ps.wait_ns` histogram, when present.
-    pub wait_hist: Option<HistogramSnapshot>,
-    /// Snapshot of the `ps.service_ns` histogram, when present.
-    pub service_hist: Option<HistogramSnapshot>,
-    /// Total self time (seconds, whole run) per compute op name — the
-    /// tracer-fed replacement for FLOP-based op costs.
-    pub op_self_s: BTreeMap<String, f64>,
 }
 
 impl CalibrationProfile {
@@ -141,9 +134,7 @@ impl CalibrationProfile {
         let mut serve_count = vec![0.0f64; machines];
         let mut wait_sum_ns = 0.0f64;
         let mut wait_count = 0.0f64;
-        let selfs = self_durations(&dump.records);
-        let mut op_self_ns: BTreeMap<String, f64> = BTreeMap::new();
-        for (i, r) in dump.records.iter().enumerate() {
+        for r in &dump.records {
             if r.lane == SIM_LANE || r.machine == UNTRACKED_MACHINE {
                 continue;
             }
@@ -167,9 +158,6 @@ impl CalibrationProfile {
                 SpanCat::Ps if r.name == "ps.wait" => {
                     wait_sum_ns += r.dur_ns as f64;
                     wait_count += 1.0;
-                }
-                SpanCat::Compute => {
-                    *op_self_ns.entry(r.name.to_string()).or_default() += selfs[i] as f64;
                 }
                 _ => {}
             }
@@ -204,19 +192,12 @@ impl CalibrationProfile {
             }
         }
 
-        // Histogram-derived figures: prefer the `ps.wait_ns` histogram
-        // (covers every recv gap, including spans lost to ring
-        // overflow); fall back to the `ps.wait` spans.
-        let find = |name: &str| {
-            dump.histograms
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, h)| h.clone())
-        };
-        let wait_hist = find("ps.wait_ns");
-        let service_hist = find("ps.service_ns");
-        let wait_mean_s = match &wait_hist {
-            Some(h) if h.count > 0 => secs(h.mean()),
+        // Prefer the `ps.wait_ns` histogram (covers every recv gap,
+        // including spans lost to ring overflow); fall back to the
+        // `ps.wait` spans.
+        let wait_hist = dump.histograms.iter().find(|(n, _)| n == "ps.wait_ns");
+        let wait_mean_s = match wait_hist {
+            Some((_, h)) if h.count > 0 => secs(h.mean()),
             _ if wait_count > 0.0 => secs(wait_sum_ns / wait_count),
             _ => 0.0,
         };
@@ -231,9 +212,6 @@ impl CalibrationProfile {
             late_requests_per_iter: late,
             service_mean_s: service_mean,
             wait_mean_s,
-            wait_hist,
-            service_hist,
-            op_self_s: op_self_ns.into_iter().map(|(k, v)| (k, v / 1e9)).collect(),
         }
     }
 
@@ -277,11 +255,9 @@ impl CalibrationProfile {
         sim.ps_queue = Some(self.queue_model());
     }
 
-    /// Serializes the profile's simulation inputs as JSON
-    /// (`parallax-calibration-v1`) — what `repro trace` writes next to
-    /// its trace dump and `repro plan --calibrate` reads back. The
-    /// histogram snapshots and per-op self times are observability
-    /// extras, not simulation inputs, and are not serialized.
+    /// Serializes the profile as JSON (`parallax-calibration-v1`) —
+    /// what `repro trace` writes next to its trace dump and `repro plan
+    /// --calibrate` reads back.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let arr = |v: &[f64]| -> String {
@@ -309,16 +285,26 @@ impl CalibrationProfile {
     }
 
     /// Parses a profile serialized by [`CalibrationProfile::to_json`].
-    /// Every per-machine vector must have exactly `machines` entries.
+    /// Every per-machine vector must have exactly `machines` entries,
+    /// and every figure must be finite and non-negative.
     pub fn from_json(text: &str) -> crate::Result<Self> {
         let bad = |what: &str| crate::SpecError::Invalid(format!("calibration JSON: {what}"));
         if !text.contains("\"schema\":\"parallax-calibration-v1\"") {
             return Err(bad("missing schema parallax-calibration-v1"));
         }
-        let machines = scan_number(text, "machines").ok_or_else(|| bad("missing machines"))?;
-        let machines = machines as usize;
-        let iterations =
-            scan_number(text, "iterations").ok_or_else(|| bad("missing iterations"))? as u64;
+        let figure = |key: &str, x: f64| -> crate::Result<f64> {
+            if x.is_finite() && x >= 0.0 {
+                Ok(x)
+            } else {
+                Err(bad(&format!("{key} has invalid value {x}")))
+            }
+        };
+        let number = |key: &str| -> crate::Result<f64> {
+            let x = scan_number(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
+            figure(key, x)
+        };
+        let machines = number("machines")? as usize;
+        let iterations = number("iterations")? as u64;
         let vec_field = |key: &str| -> crate::Result<Vec<f64>> {
             let v = scan_array(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
             if v.len() != machines {
@@ -327,7 +313,11 @@ impl CalibrationProfile {
                     v.len()
                 )));
             }
-            Ok(v)
+            v.into_iter().map(|x| figure(key, x)).collect()
+        };
+        let wait_mean_s = match scan_number(text, "wait_mean_s") {
+            Some(x) => figure("wait_mean_s", x)?,
+            None => 0.0,
         };
         Ok(CalibrationProfile {
             machines,
@@ -338,10 +328,7 @@ impl CalibrationProfile {
             early_requests_per_iter: vec_field("early_requests_per_iter")?,
             late_requests_per_iter: vec_field("late_requests_per_iter")?,
             service_mean_s: vec_field("service_mean_s")?,
-            wait_mean_s: scan_number(text, "wait_mean_s").unwrap_or(0.0),
-            wait_hist: None,
-            service_hist: None,
-            op_self_s: BTreeMap::new(),
+            wait_mean_s,
         })
     }
 }
@@ -376,6 +363,7 @@ fn scan_array(text: &str, key: &str) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parallax_trace::HistogramSnapshot;
 
     fn cpu() -> CpuModel {
         CpuModel {
@@ -472,8 +460,7 @@ mod tests {
     fn calibration_profile_distills_dump() {
         let mut dump = TraceDump::default();
         // 2 iterations, 2 machines. Machine 1's lane 1 is the busiest.
-        // Spans within a track are laid out disjoint (self time needs
-        // real intervals); each iteration is offset by 1s.
+        // Each iteration is offset by 1s.
         for i in 0..2u64 {
             let t = i * 1_000_000_000;
             dump.records
@@ -525,7 +512,8 @@ mod tests {
                 t + 100_000_000,
                 40_000_000,
             ));
-            // MatMul nested inside the forward phase of machine 0.
+            // An op span nested inside machine 0's forward phase: only
+            // phase spans count as compute, so it adds nothing.
             dump.records.push(span(
                 SpanCat::Compute,
                 "MatMul",
@@ -557,7 +545,6 @@ mod tests {
         assert!((cal.service_mean_s[0] - 0.002).abs() < 1e-12);
         // No histogram in the dump: wait mean falls back to the spans.
         assert!((cal.wait_mean_s - 0.04).abs() < 1e-12);
-        assert!((cal.op_self_s["MatMul"] - 0.1).abs() < 1e-12);
 
         // Applying to a sim wires the queue model in.
         let mut sim = IterationSim::new(crate::ClusterModel::paper_testbed(), 2);
@@ -580,9 +567,6 @@ mod tests {
             late_requests_per_iter: vec![2.0, 0.0],
             service_mean_s: vec![0.002, 0.0],
             wait_mean_s: 0.04,
-            wait_hist: None,
-            service_hist: None,
-            op_self_s: BTreeMap::new(),
         };
         let text = cal.to_json();
         assert!(text.contains("parallax-calibration-v1"));
@@ -621,6 +605,39 @@ mod tests {
     }
 
     #[test]
+    fn calibration_json_rejects_negative_and_non_finite_figures() {
+        let good = CalibrationProfile {
+            machines: 2,
+            iterations: 1,
+            compute_per_iter: vec![0.3, 0.6],
+            server_busy_per_iter: vec![0.0; 2],
+            apply_per_iter: vec![0.0; 2],
+            early_requests_per_iter: vec![0.0; 2],
+            late_requests_per_iter: vec![0.0; 2],
+            service_mean_s: vec![0.0; 2],
+            wait_mean_s: 0.04,
+        }
+        .to_json();
+        assert!(CalibrationProfile::from_json(&good).is_ok());
+        for (from, to) in [
+            ("\"compute_per_iter\":[0.3,", "\"compute_per_iter\":[-.3,"),
+            ("\"compute_per_iter\":[0.3,", "\"compute_per_iter\":[NaN,"),
+            ("\"compute_per_iter\":[0.3,", "\"compute_per_iter\":[inf,"),
+            ("\"wait_mean_s\":0.04", "\"wait_mean_s\":-0.04"),
+            ("\"wait_mean_s\":0.04", "\"wait_mean_s\":1e999"),
+            ("\"iterations\":1", "\"iterations\":-1"),
+            ("\"machines\":2", "\"machines\":-2"),
+        ] {
+            let text = good.replacen(from, to, 1);
+            assert_ne!(text, good, "{to} must edit the profile");
+            match CalibrationProfile::from_json(&text) {
+                Err(crate::SpecError::Invalid(msg)) => assert!(msg.contains("invalid value")),
+                other => panic!("{to}: expected SpecError::Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn calibration_prefers_wait_histogram() {
         let mut dump = TraceDump::default();
         dump.records
@@ -635,6 +652,5 @@ mod tests {
         ));
         let cal = CalibrationProfile::from_dump(&dump, 1, 1);
         assert!((cal.wait_mean_s - 0.025).abs() < 1e-12);
-        assert!(cal.wait_hist.is_some());
     }
 }

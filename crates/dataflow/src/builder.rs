@@ -138,53 +138,6 @@ pub fn lstm_step(
     result
 }
 
-/// One LSTM step through the fused kernel (`Op::LstmCellFused`): the
-/// whole concat/matmul/bias/gate/cell chain runs as one node, and `h`
-/// and `c` are sliced out of its `[h | c | i | f | g | o]` output.
-/// Bit-for-bit identical to [`lstm_step`] (kept for equivalence tests)
-/// but without the ~13 intermediate tensors per step; the lm/nmt
-/// presets build their recurrences with this.
-pub fn lstm_step_fused(
-    g: &mut Graph,
-    x: NodeId,
-    h_prev: NodeId,
-    c_prev: NodeId,
-    w: VarId,
-    b: VarId,
-    hidden: usize,
-) -> Result<(NodeId, NodeId)> {
-    let scope = g
-        .var_def(w)
-        .map(|d| d.name.trim_end_matches("/kernel").to_string())
-        .unwrap_or_else(|_| "lstm".to_string());
-    g.push_scope(scope);
-    let result = (|| {
-        let wr = g.read(w)?;
-        let br = g.read(b)?;
-        let cell = g.add(Op::LstmCellFused {
-            x,
-            h_prev,
-            c_prev,
-            w: wr,
-            b: br,
-            hidden,
-        })?;
-        let h = g.add(Op::SliceCols {
-            input: cell,
-            start: 0,
-            width: hidden,
-        })?;
-        let c = g.add(Op::SliceCols {
-            input: cell,
-            start: hidden,
-            width: hidden,
-        })?;
-        Ok((h, c))
-    })();
-    g.pop_scope();
-    result
-}
-
 /// Declares an embedding table, optionally inside a partitioner group.
 pub fn embedding(
     g: &mut Graph,
@@ -267,65 +220,6 @@ mod tests {
             h.data().iter().all(|v| v.abs() <= 1.0),
             "h is tanh*sigmoid bounded"
         );
-    }
-
-    #[test]
-    fn fused_lstm_step_matches_unfused_bitwise_including_gradients() {
-        // Two identical graphs, one per step flavour, trained on the same
-        // loss: forward states and every variable gradient must agree
-        // bit-for-bit, at several worker-pool thread counts.
-        let hidden = 6;
-        let build = |fused: bool| {
-            let mut g = Graph::new();
-            let x = g.placeholder("x", PhKind::Float).unwrap();
-            let h0 = g.placeholder("h0", PhKind::Float).unwrap();
-            let c0 = g.placeholder("c0", PhKind::Float).unwrap();
-            let (w, b) = lstm_weights(&mut g, "cell", 4, hidden).unwrap();
-            let (h1, c1) = if fused {
-                lstm_step_fused(&mut g, x, h0, c0, w, b, hidden).unwrap()
-            } else {
-                lstm_step(&mut g, x, h0, c0, w, b, hidden).unwrap()
-            };
-            // Chain a second step so state flows through the fused node.
-            let (h2, c2) = if fused {
-                lstm_step_fused(&mut g, x, h1, c1, w, b, hidden).unwrap()
-            } else {
-                lstm_step(&mut g, x, h1, c1, w, b, hidden).unwrap()
-            };
-            let sum = g.add(Op::Add(h2, c2)).unwrap();
-            let sq = g.add(Op::Hadamard(sum, sum)).unwrap();
-            let loss = g.add(Op::MeanAll(sq)).unwrap();
-            (g, h2, loss)
-        };
-        let feed = {
-            let mut rng = DetRng::seed(77);
-            Feed::new()
-                .with("x", Tensor::randn([3, 4], 0.9, &mut rng))
-                .with("h0", Tensor::randn([3, hidden], 0.5, &mut rng))
-                .with("c0", Tensor::randn([3, hidden], 0.5, &mut rng))
-        };
-        let run = |fused: bool| {
-            let (g, h2, loss) = build(fused);
-            let mut store = VarStore::init(&g, &mut DetRng::seed(5));
-            let acts = Session::new(&g).forward(&feed, &mut store).unwrap();
-            let grads = crate::grad::backward(&g, &acts, loss).unwrap();
-            let w = g.find_variable("cell/kernel").unwrap();
-            let b = g.find_variable("cell/bias").unwrap();
-            (
-                acts.tensor(h2).unwrap().clone(),
-                grads[&w].to_dense(),
-                grads[&b].to_dense(),
-            )
-        };
-        for threads in [1, 2, 4] {
-            parallax_tensor::pool::configure_threads(threads);
-            let (h_f, dw_f, db_f) = run(true);
-            let (h_u, dw_u, db_u) = run(false);
-            assert_eq!(h_f, h_u, "forward h, threads={threads}");
-            assert_eq!(dw_f, dw_u, "kernel grad, threads={threads}");
-            assert_eq!(db_f, db_u, "bias grad, threads={threads}");
-        }
-        parallax_tensor::pool::configure_threads(1);
     }
 
     #[test]

@@ -180,21 +180,6 @@ impl<'g> Session<'g> {
                 Value::Tensor(ops::sum_rows(t)?.reshape([rows, 1])?)
             }
             Op::ScaleRows { x, s } => Value::Tensor(ops::scale_rows(tensor(*x)?, tensor(*s)?)?),
-            Op::LstmCellFused {
-                x,
-                h_prev,
-                c_prev,
-                w,
-                b,
-                hidden,
-            } => Value::Tensor(ops::lstm_cell_fused(
-                tensor(*x)?,
-                tensor(*h_prev)?,
-                tensor(*c_prev)?,
-                tensor(*w)?,
-                tensor(*b)?,
-                *hidden,
-            )?),
             Op::Reshape(a, shape) => Value::Tensor(tensor(*a)?.clone().reshape(shape.clone())?),
             Op::MeanAll(a) => Value::Tensor(ops::mean_all(tensor(*a)?)),
             Op::SoftmaxXent { logits, labels } => {

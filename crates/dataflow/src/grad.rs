@@ -235,33 +235,6 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
                 accumulate(&mut node_grads[x.index()], dx)?;
                 accumulate(&mut node_grads[s.index()], ds.reshape(sv.shape().clone())?)?;
             }
-            Op::LstmCellFused {
-                x,
-                h_prev,
-                c_prev,
-                w,
-                b,
-                hidden,
-            } => {
-                let y = acts.tensor(NodeId(idx))?;
-                let (dx, dh_prev, dc_prev, dw, db) = ops::lstm_cell_fused_grad(
-                    y,
-                    &upstream,
-                    acts.tensor(*x)?,
-                    acts.tensor(*h_prev)?,
-                    acts.tensor(*c_prev)?,
-                    acts.tensor(*w)?,
-                    *hidden,
-                )?;
-                accumulate(&mut node_grads[x.index()], dx)?;
-                accumulate(&mut node_grads[h_prev.index()], dh_prev)?;
-                accumulate(&mut node_grads[c_prev.index()], dc_prev)?;
-                accumulate(&mut node_grads[w.index()], dw)?;
-                accumulate(
-                    &mut node_grads[b.index()],
-                    db.reshape(acts.tensor(*b)?.shape().clone())?,
-                )?;
-            }
             Op::Reshape(a, _) => {
                 let av = acts.tensor(*a)?;
                 accumulate(

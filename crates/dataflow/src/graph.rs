@@ -191,25 +191,6 @@ pub enum Op {
         /// Number of rows.
         rows: usize,
     },
-    /// A whole LSTM step in one fused kernel: concat, matmul, bias,
-    /// gate activations and cell update. Output is `[batch, 6*hidden]`
-    /// rows of `[h | c | i | f | g | o]`; consumers slice the bands
-    /// they need (see `builder::lstm_step_fused`). Bit-for-bit
-    /// identical to the unfused op chain.
-    LstmCellFused {
-        /// Step input `[batch, in_dim]`.
-        x: NodeId,
-        /// Previous hidden state `[batch, hidden]`.
-        h_prev: NodeId,
-        /// Previous cell state `[batch, hidden]`.
-        c_prev: NodeId,
-        /// Fused kernel `[in_dim + hidden, 4*hidden]` (gate order `i, f, g, o`).
-        w: NodeId,
-        /// Bias `[4*hidden]`.
-        b: NodeId,
-        /// The cell's hidden width.
-        hidden: usize,
-    },
     /// Row-wise softmax of a matrix (attention weights).
     SoftmaxRows(NodeId),
     /// Sums each row into a `[rows, 1]` column (attention scores from
@@ -261,14 +242,6 @@ impl Op {
                 vec![*a]
             }
             Op::ScaleRows { x, s } => vec![*x, *s],
-            Op::LstmCellFused {
-                x,
-                h_prev,
-                c_prev,
-                w,
-                b,
-                ..
-            } => vec![*x, *h_prev, *c_prev, *w, *b],
             Op::Gather { ids, .. } => vec![*ids],
             Op::ConcatCols(nodes) => nodes.clone(),
             Op::SliceCols { input, .. } | Op::SliceRows { input, .. } => vec![*input],
@@ -299,7 +272,6 @@ impl Op {
             Op::SoftmaxRows(_) => "SoftmaxRows",
             Op::SumRowsToColumn(_) => "SumRowsToColumn",
             Op::ScaleRows { .. } => "ScaleRows",
-            Op::LstmCellFused { .. } => "LstmCellFused",
             Op::Reshape(..) => "Reshape",
             Op::MeanAll(_) => "MeanAll",
             Op::SoftmaxXent { .. } => "SoftmaxXent",
@@ -358,21 +330,6 @@ fn remap_op(op: &Op, map: &[Option<NodeId>]) -> Result<Op> {
             input: m(input)?,
             start: *start,
             rows: *rows,
-        },
-        Op::LstmCellFused {
-            x,
-            h_prev,
-            c_prev,
-            w,
-            b,
-            hidden,
-        } => Op::LstmCellFused {
-            x: m(x)?,
-            h_prev: m(h_prev)?,
-            c_prev: m(c_prev)?,
-            w: m(w)?,
-            b: m(b)?,
-            hidden: *hidden,
         },
         Op::SoftmaxRows(a) => Op::SoftmaxRows(m(a)?),
         Op::SumRowsToColumn(a) => Op::SumRowsToColumn(m(a)?),

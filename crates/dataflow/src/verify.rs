@@ -761,78 +761,6 @@ pub fn check_shapes(graph: &Graph, feed: Option<&Feed>, report: &mut VerifyRepor
                 }
                 sx
             }
-            Op::LstmCellFused {
-                x,
-                h_prev,
-                c_prev,
-                w,
-                b,
-                hidden,
-            } => {
-                let sx = input_shape(*x, &shapes);
-                let sh = input_shape(*h_prev, &shapes);
-                let sc = input_shape(*c_prev, &shapes);
-                let sw = input_shape(*w, &shapes);
-                let sb = input_shape(*b, &shapes);
-                for (what, got) in [("h_prev columns", sh.cols), ("c_prev columns", sc.cols)] {
-                    if dims_conflict(got, Some(*hidden)) {
-                        push_s001(
-                            report,
-                            graph,
-                            here,
-                            format!(
-                                "LstmCellFused {what} {} do not match hidden width {hidden}",
-                                fmt_dim(got)
-                            ),
-                        );
-                    }
-                }
-                for (what, got) in [("kernel columns", sw.cols), ("bias width", sb.cols)] {
-                    if dims_conflict(got, Some(4 * *hidden)) {
-                        push_s001(
-                            report,
-                            graph,
-                            here,
-                            format!(
-                                "LstmCellFused {what} {} do not match 4*hidden = {}",
-                                fmt_dim(got),
-                                4 * *hidden
-                            ),
-                        );
-                    }
-                }
-                if let (Some(xc), Some(wr)) = (sx.cols, sw.rows) {
-                    if xc + *hidden != wr {
-                        push_s001(
-                            report,
-                            graph,
-                            here,
-                            format!(
-                                "LstmCellFused kernel has {wr} rows but input width {xc} + \
-                                 hidden {hidden} = {}",
-                                xc + *hidden
-                            ),
-                        );
-                    }
-                }
-                if dims_conflict(sx.rows, sh.rows) || dims_conflict(sx.rows, sc.rows) {
-                    push_s001(
-                        report,
-                        graph,
-                        here,
-                        format!(
-                            "LstmCellFused batch rows disagree: x {}, h_prev {}, c_prev {}",
-                            fmt_dim(sx.rows),
-                            fmt_dim(sh.rows),
-                            fmt_dim(sc.rows)
-                        ),
-                    );
-                }
-                MatShape {
-                    rows: unify(sx.rows, unify(sh.rows, sc.rows)),
-                    cols: Some(6 * *hidden),
-                }
-            }
             Op::Gather { table, ids } => {
                 let Ok(def) = graph.var_def(*table) else {
                     continue;

@@ -5,6 +5,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use parallax_dataflow::builder::{lstm_step, lstm_weights};
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::graph::{Init, Op, PhKind};
 use parallax_dataflow::{Feed, Graph, NodeId, Session, VarStore, VariableDef};
@@ -22,6 +23,9 @@ enum LayerSpec {
     /// Split the features in half and re-concatenate through
     /// different activations.
     SplitMerge,
+    /// Two chained steps of one LSTM cell over the layer input, the
+    /// second starting from the first's state; emits `[h | c]`.
+    Lstm { hidden: usize },
 }
 
 fn layer_strategy() -> impl Strategy<Value = LayerSpec> {
@@ -30,12 +34,19 @@ fn layer_strategy() -> impl Strategy<Value = LayerSpec> {
         Just(LayerSpec::Residual),
         Just(LayerSpec::Square),
         Just(LayerSpec::SplitMerge),
+        (1usize..4).prop_map(|hidden| LayerSpec::Lstm { hidden }),
     ]
 }
 
-/// Builds the random network; returns the loss node.
-fn build(graph: &mut Graph, layers: &[LayerSpec], in_width: usize) -> NodeId {
+/// Builds the random network; returns the loss node and the initial
+/// LSTM state placeholders to feed, with their widths.
+fn build(
+    graph: &mut Graph,
+    layers: &[LayerSpec],
+    in_width: usize,
+) -> (NodeId, Vec<(String, usize)>) {
     let x = graph.placeholder("x", PhKind::Float).expect("placeholder");
+    let mut states = Vec::new();
     let mut h = x;
     let mut width = in_width;
     for (i, layer) in layers.iter().enumerate() {
@@ -102,10 +113,25 @@ fn build(graph: &mut Graph, layers: &[LayerSpec], in_width: usize) -> NodeId {
                 let tb = graph.add(Op::Tanh(b)).expect("tanh");
                 h = graph.add(Op::ConcatCols(vec![ta, tb])).expect("concat");
             }
+            LayerSpec::Lstm { hidden } => {
+                let (w, b) =
+                    lstm_weights(graph, &format!("lstm{i}"), width, *hidden).expect("weights");
+                let h0 = graph
+                    .placeholder(format!("h0_{i}"), PhKind::Float)
+                    .expect("h0");
+                let c0 = graph
+                    .placeholder(format!("c0_{i}"), PhKind::Float)
+                    .expect("c0");
+                states.extend([(format!("h0_{i}"), *hidden), (format!("c0_{i}"), *hidden)]);
+                let (h1, c1) = lstm_step(graph, h, h0, c0, w, b, *hidden).expect("step 1");
+                let (h2, c2) = lstm_step(graph, h, h1, c1, w, b, *hidden).expect("step 2");
+                h = graph.add(Op::ConcatCols(vec![h2, c2])).expect("concat");
+                width = 2 * hidden;
+            }
         }
     }
     let sq = graph.add(Op::Hadamard(h, h)).expect("square");
-    graph.add(Op::MeanAll(sq)).expect("loss")
+    (graph.add(Op::MeanAll(sq)).expect("loss"), states)
 }
 
 proptest! {
@@ -119,10 +145,13 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let mut graph = Graph::new();
-        let loss = build(&mut graph, &layers, in_width);
+        let (loss, states) = build(&mut graph, &layers, in_width);
         let mut rng = DetRng::seed(seed);
         let store = VarStore::init(&graph, &mut rng);
-        let feed = Feed::new().with("x", Tensor::randn([batch, in_width], 0.7, &mut rng));
+        let mut feed = Feed::new().with("x", Tensor::randn([batch, in_width], 0.7, &mut rng));
+        for (name, width) in states {
+            feed = feed.with(name, Tensor::randn([batch, width], 0.5, &mut rng));
+        }
 
         let mut run_store = store.clone();
         let acts = Session::new(&graph)

@@ -9,7 +9,7 @@
 //! exactly the sparse-model profile of Table 1.
 
 use parallax_core::runner::shard_range;
-use parallax_dataflow::builder::{linear, lstm_step_fused, lstm_weights, Act};
+use parallax_dataflow::builder::{linear, lstm_step, lstm_weights, Act};
 use parallax_dataflow::graph::{Op, PhKind};
 use parallax_dataflow::{Feed, Graph, VarId};
 use parallax_tensor::{DetRng, Tensor};
@@ -137,8 +137,7 @@ impl LmModel {
             let mut layer_in = x_t;
             for (l, &(w, b)) in cells.iter().enumerate() {
                 let (h_prev, c_prev) = state[l];
-                let (h_t, c_t) =
-                    lstm_step_fused(&mut g, layer_in, h_prev, c_prev, w, b, config.hidden)?;
+                let (h_t, c_t) = lstm_step(&mut g, layer_in, h_prev, c_prev, w, b, config.hidden)?;
                 state[l] = (h_t, c_t);
                 layer_in = h_t;
             }

@@ -10,7 +10,7 @@
 //! architecture's gains are largest (Table 4).
 
 use parallax_core::runner::shard_range;
-use parallax_dataflow::builder::{linear, lstm_step_fused, lstm_weights, Act};
+use parallax_dataflow::builder::{linear, lstm_step, lstm_weights, Act};
 use parallax_dataflow::graph::{Op, PhKind};
 use parallax_dataflow::{Feed, Graph, NodeId, VarId};
 use parallax_tensor::{DetRng, Tensor};
@@ -103,7 +103,7 @@ impl LstmStack {
         let mut input = x;
         for (l, &(w, b)) in self.cells.iter().enumerate() {
             let (h_prev, c_prev) = state[l];
-            let (h, c) = lstm_step_fused(g, input, h_prev, c_prev, w, b, self.hidden)?;
+            let (h, c) = lstm_step(g, input, h_prev, c_prev, w, b, self.hidden)?;
             state[l] = (h, c);
             input = h;
         }

@@ -11,7 +11,10 @@
 //! The format is the same flat JSON the calibration profiles use
 //! (`parallax_cluster::costmodel`): scalar fields scanned by key, no
 //! external JSON dependency. Written by the launcher, read by
-//! `repro dist` roles.
+//! `repro dist` roles. Decoding fails closed: counts, the seed and the
+//! deadline parse exactly as unsigned integers and ports as `u16`, so
+//! a fraction, sign, exponent or out-of-range value is a
+//! [`NetError::Spec`], never a silent truncation.
 
 use crate::error::{NetError, Result};
 
@@ -134,8 +137,20 @@ pub struct ClusterSpec {
 
 impl ClusterSpec {
     /// Total transport ranks: per machine, its workers then its server.
+    ///
+    /// # Panics
+    ///
+    /// If the count overflows `usize`; [`ClusterSpec::validate`]
+    /// rejects such specs.
     pub fn num_endpoints(&self) -> usize {
-        self.machines * (self.gpus_per_machine + 1)
+        self.checked_endpoints()
+            .expect("endpoint count overflows usize; validate() rejects this spec")
+    }
+
+    fn checked_endpoints(&self) -> Option<usize> {
+        self.gpus_per_machine
+            .checked_add(1)?
+            .checked_mul(self.machines)
     }
 
     /// `host:port` for `rank`.
@@ -163,13 +178,18 @@ impl ClusterSpec {
         if self.iterations == 0 {
             return bad("iterations must be >= 1".into());
         }
+        let Some(endpoints) = self.checked_endpoints() else {
+            return bad(format!(
+                "{} machines x ({} GPUs + 1 server) overflows the rank count",
+                self.machines, self.gpus_per_machine
+            ));
+        };
         // Empty ports mean "launcher assigns fresh ones"; anything else
         // must cover every rank.
-        if !self.ports.is_empty() && self.ports.len() != self.num_endpoints() {
+        if !self.ports.is_empty() && self.ports.len() != endpoints {
             return bad(format!(
-                "{} ports for {} endpoints",
-                self.ports.len(),
-                self.num_endpoints()
+                "{} ports for {endpoints} endpoints",
+                self.ports.len()
             ));
         }
         if self.artifact_dir.is_empty() {
@@ -217,22 +237,27 @@ impl ClusterSpec {
         if scan_string(text, "schema").as_deref() != Some(SCHEMA) {
             return Err(bad("missing schema parallax-cluster-v1"));
         }
-        let num = |key: &str| scan_number(text, key).ok_or_else(|| bad(&format!("missing {key}")));
+        let num = |key: &str| {
+            let token = scan_token(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
+            parse_uint(token).ok_or_else(|| bad(&format!("{key} is not an unsigned integer")))
+        };
+        let count = |key: &str| -> Result<usize> {
+            usize::try_from(num(key)?).map_err(|_| bad(&format!("{key} out of range")))
+        };
         let string = |key: &str| scan_string(text, key).unwrap_or_default();
-        let ports_f = scan_array(text, "ports").ok_or_else(|| bad("missing ports"))?;
-        let mut ports = Vec::with_capacity(ports_f.len());
-        for p in ports_f {
-            if !(1.0..=65535.0).contains(&p) || p.fract() != 0.0 {
-                return Err(bad("port out of range"));
+        let mut ports = Vec::new();
+        for p in scan_array(text, "ports").ok_or_else(|| bad("missing ports"))? {
+            match parse_uint::<u16>(p) {
+                Some(port) if port != 0 => ports.push(port),
+                _ => return Err(bad("ports must be integers in 1..=65535")),
             }
-            ports.push(p as u16);
         }
         let spec = ClusterSpec {
             preset: scan_string(text, "preset").ok_or_else(|| bad("missing preset"))?,
-            machines: num("machines")? as usize,
-            gpus_per_machine: num("gpus_per_machine")? as usize,
-            iterations: num("iterations")? as usize,
-            seed: num("seed")? as u64,
+            machines: count("machines")?,
+            gpus_per_machine: count("gpus_per_machine")?,
+            iterations: count("iterations")?,
+            seed: num("seed")?,
             wire_format: string("wire_format"),
             host: {
                 let h = string("host");
@@ -244,14 +269,17 @@ impl ClusterSpec {
             },
             ports,
             artifact_dir: string("artifact_dir"),
-            recv_deadline_ms: num("recv_deadline_ms")? as u64,
+            recv_deadline_ms: num("recv_deadline_ms")?,
             fault_spec: string("fault_spec"),
             checkpoint: string("checkpoint"),
             snapshot: string("snapshot"),
-            checkpoint_interval: num("checkpoint_interval")? as usize,
-            max_recoveries: scan_number(text, "max_recoveries").map_or(1, |v| v as usize),
+            checkpoint_interval: count("checkpoint_interval")?,
+            max_recoveries: match scan_token(text, "max_recoveries") {
+                Some(_) => count("max_recoveries")?,
+                None => 1,
+            },
             validate_protocol: scan_flag(text, "validate_protocol")
-                .ok_or_else(|| bad("missing validate_protocol"))?,
+                .ok_or_else(|| bad("missing or malformed validate_protocol"))?,
         };
         spec.validate()?;
         Ok(spec)
@@ -277,13 +305,24 @@ fn unescape(s: &str) -> String {
     out
 }
 
-/// Finds `"key": <number>` in a flat JSON document.
-fn scan_number(text: &str, key: &str) -> Option<f64> {
+/// Finds `"key": <token>` in a flat JSON document: the scalar up to the
+/// next `,`, `}`, `]` or whitespace.
+fn scan_token<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let rest = after_key(text, key)?;
     let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-' || c == '+' || c == '.' || c == 'e'))
+        .find(|c: char| matches!(c, ',' | '}' | ']') || c.is_whitespace())
         .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Some(&rest[..end])
+}
+
+/// Parses an unsigned decimal integer made of digits only: no sign,
+/// fraction or exponent, and an out-of-range value is `None` rather
+/// than a saturated or truncated one.
+fn parse_uint<T: std::str::FromStr>(token: &str) -> Option<T> {
+    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    token.parse().ok()
 }
 
 /// Finds `"key": <flag>` in a flat JSON document, accepting JSON
@@ -296,7 +335,7 @@ fn scan_flag(text: &str, key: &str) -> Option<bool> {
     } else if rest.starts_with("false") {
         Some(false)
     } else {
-        scan_number(text, key).map(|v| v != 0.0)
+        parse_uint::<u64>(scan_token(text, key)?).map(|v| v != 0)
     }
 }
 
@@ -321,8 +360,9 @@ fn scan_string(text: &str, key: &str) -> Option<String> {
     Some(unescape(&rest[..end?]))
 }
 
-/// Finds `"key": [n, n, ...]` in a flat JSON document.
-fn scan_array(text: &str, key: &str) -> Option<Vec<f64>> {
+/// Finds `"key": [n, n, ...]` in a flat JSON document and returns its
+/// items, trimmed.
+fn scan_array<'a>(text: &'a str, key: &str) -> Option<Vec<&'a str>> {
     let rest = after_key(text, key)?;
     let rest = rest.strip_prefix('[')?;
     let close = rest.find(']')?;
@@ -330,14 +370,18 @@ fn scan_array(text: &str, key: &str) -> Option<Vec<f64>> {
     if inner.is_empty() {
         return Some(Vec::new());
     }
-    inner.split(',').map(|s| s.trim().parse().ok()).collect()
+    Some(inner.split(',').map(str::trim).collect())
 }
 
-/// Positions after `"key":`, whitespace skipped.
+/// Positions after `"key"` and its colon, whitespace on either side of
+/// the colon skipped. An occurrence of `"key"` not followed by a colon
+/// (a string value) is passed over.
 fn after_key<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)?;
-    Some(text[at + pat.len()..].trim_start())
+    let pat = format!("\"{key}\"");
+    text.match_indices(&pat).find_map(|(at, _)| {
+        let value = text[at + pat.len()..].trim_start().strip_prefix(':')?;
+        Some(value.trim_start())
+    })
 }
 
 #[cfg(test)]
@@ -404,6 +448,67 @@ mod tests {
         assert!(s.validate_protocol);
         assert!(s.ports.is_empty());
         assert_eq!(s.max_recoveries, 0);
+    }
+
+    #[test]
+    fn integer_fields_parse_exactly_or_fail_closed() {
+        // A seed above 2^53 survives the round trip bit for bit.
+        let mut s = spec();
+        s.seed = (1 << 53) + 1;
+        assert_eq!(ClusterSpec::from_json(&s.to_json()).unwrap(), s);
+        let good = spec().to_json();
+        for (from, to) in [
+            ("\"iterations\":4", "\"iterations\":4.9"),
+            ("\"seed\":42", "\"seed\":-7"),
+            ("\"seed\":42", "\"seed\":+42"),
+            ("\"machines\":1", "\"machines\":1e300"),
+            ("\"gpus_per_machine\":2", "\"gpus_per_machine\":1e300"),
+            (
+                "\"recv_deadline_ms\":5000",
+                "\"recv_deadline_ms\":18446744073709551616",
+            ),
+            ("\"max_recoveries\":3", "\"max_recoveries\":3.5"),
+            ("\"validate_protocol\":1", "\"validate_protocol\":0.5"),
+            ("7101,", "70000,"),
+            ("7101,", "-1,"),
+            ("7101,", "7101.5,"),
+            ("7101,", "0,"),
+        ] {
+            let text = good.replacen(from, to, 1);
+            assert_ne!(text, good, "{to} must edit the spec");
+            assert!(
+                matches!(ClusterSpec::from_json(&text), Err(NetError::Spec(_))),
+                "{to} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn rank_count_overflow_is_a_spec_error() {
+        // With ports listed, validate compares them to the rank count.
+        let mut s = spec();
+        s.gpus_per_machine = usize::MAX;
+        assert!(matches!(s.validate(), Err(NetError::Spec(_))));
+        assert!(matches!(
+            ClusterSpec::from_json(&s.to_json()),
+            Err(NetError::Spec(_))
+        ));
+        // Without ports the count must still fit, or a later
+        // `num_endpoints` would overflow.
+        let mut s = spec();
+        s.ports.clear();
+        s.machines = usize::MAX;
+        assert!(matches!(
+            ClusterSpec::from_json(&s.to_json()),
+            Err(NetError::Spec(_))
+        ));
+    }
+
+    #[test]
+    fn whitespace_before_colon_is_accepted() {
+        let text = spec().to_json().replace("\":", "\" : ");
+        assert!(text.contains("\"seed\" : 42"));
+        assert_eq!(ClusterSpec::from_json(&text).unwrap(), spec());
     }
 
     #[test]

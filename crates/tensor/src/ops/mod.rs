@@ -6,12 +6,10 @@
 
 pub mod activation;
 pub mod elementwise;
-pub mod lstm;
 pub mod matmul;
 pub mod reduce;
 
 pub use activation::{relu, relu_grad, sigmoid, sigmoid_grad, softmax_rows, tanh, tanh_grad};
 pub use elementwise::{add, add_bias, axpy, hadamard, scale, scale_rows, sub};
-pub use lstm::{lstm_cell_fused, lstm_cell_fused_grad};
 pub use matmul::{gather_rows, gather_rows_grad, matmul, matmul_a_bt, matmul_at_b, transpose};
 pub use reduce::{concat_cols, mean_all, softmax_cross_entropy, split_cols, sum_cols, sum_rows};

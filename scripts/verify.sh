@@ -107,9 +107,8 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Compression gate: f16/bf16 dense payloads must shrink >= 1.8x with
 # predicted==traced==measured bytes exactly equal under every wire
-# format, the delta+varint sparse index codec must beat raw u32 indices
-# at alpha <= 0.1, and the fused LSTM cell must be no slower than the
-# unfused op chain (exits nonzero if any gate fails).
+# format, and the delta+varint sparse index codec must beat raw u64
+# indices at alpha <= 0.1 (exits nonzero if any gate fails).
 cargo run --release -q -p parallax-bench --bin repro -- compress
 
 # Serving gate: train both tiny presets with snapshot publishing, then
