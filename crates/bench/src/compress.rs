@@ -201,7 +201,6 @@ pub fn to_json(wires: &[WireRow], indices: &[IndexRow]) -> String {
         );
     }
     out.push_str("  ]\n}\n");
-    out.push_str("  ]\n}\n");
     out
 }
 
@@ -298,11 +297,34 @@ mod tests {
             predicted_exact: true,
         }];
         let mut rng = DetRng::seed(7);
-        let indices = vec![measure_index(0.05, 10_000, &mut rng)];
+        let indices = vec![
+            measure_index(0.05, 10_000, &mut rng),
+            measure_index(0.1, 10_000, &mut rng),
+        ];
         let json = to_json(&wires, &indices);
         assert!(json.contains("\"wire\""));
         assert!(json.contains("\"sparse_index\""));
         assert!(json.contains("\"gates\""));
+        // One document: brackets and braces nest, the top-level object
+        // closes on the last non-blank character, and no list ends in a
+        // trailing comma.
+        let body = json.trim_end();
+        let mut depth = 0i32;
+        for (i, c) in body.char_indices() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                _ => continue,
+            }
+            assert!(depth >= 0, "unbalanced close at byte {i}:\n{json}");
+            assert!(
+                depth > 0 || i + 1 == body.len(),
+                "text after the document's close at byte {i}:\n{json}"
+            );
+        }
+        assert_eq!(depth, 0, "unclosed document:\n{json}");
+        assert!(json.ends_with("  ]\n}\n") && !json.ends_with("  ]\n}\n  ]\n}\n"));
+        assert!(!json.contains(",\n  ]") && !json.contains(",\n}"), "{json}");
     }
 
     /// The byte gates of the full sweep.

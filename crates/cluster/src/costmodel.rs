@@ -286,7 +286,8 @@ impl CalibrationProfile {
 
     /// Parses a profile serialized by [`CalibrationProfile::to_json`].
     /// Every per-machine vector must have exactly `machines` entries,
-    /// and every figure must be finite and non-negative.
+    /// every figure must be finite and non-negative, and `machines` and
+    /// `iterations` must be whole numbers.
     pub fn from_json(text: &str) -> crate::Result<Self> {
         let bad = |what: &str| crate::SpecError::Invalid(format!("calibration JSON: {what}"));
         if !text.contains("\"schema\":\"parallax-calibration-v1\"") {
@@ -303,8 +304,20 @@ impl CalibrationProfile {
             let x = scan_number(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
             figure(key, x)
         };
-        let machines = number("machines")? as usize;
-        let iterations = number("iterations")? as u64;
+        // Counts must be whole and within f64's exact-integer range, so
+        // the casts below neither truncate nor saturate.
+        let count = |key: &str| -> crate::Result<u64> {
+            let x = number(key)?;
+            if x.fract() == 0.0 && x <= (1u64 << 53) as f64 {
+                Ok(x as u64)
+            } else {
+                Err(bad(&format!("{key} has invalid value {x}")))
+            }
+        };
+        let machines = count("machines")?;
+        let machines = usize::try_from(machines)
+            .map_err(|_| bad(&format!("machines has invalid value {machines}")))?;
+        let iterations = count("iterations")?;
         let vec_field = |key: &str| -> crate::Result<Vec<f64>> {
             let v = scan_array(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
             if v.len() != machines {
@@ -627,6 +640,9 @@ mod tests {
             ("\"wait_mean_s\":0.04", "\"wait_mean_s\":1e999"),
             ("\"iterations\":1", "\"iterations\":-1"),
             ("\"machines\":2", "\"machines\":-2"),
+            ("\"machines\":2", "\"machines\":2.5"),
+            ("\"iterations\":1", "\"iterations\":4.9"),
+            ("\"iterations\":1", "\"iterations\":1e300"),
         ] {
             let text = good.replacen(from, to, 1);
             assert_ne!(text, good, "{to} must edit the profile");
