@@ -34,11 +34,65 @@ fn best_of_interleaved(
     (best_opt, best_base)
 }
 
+/// Which of the three matrix products a row times. Every orientation
+/// computes an `m x n` output over an inner dimension `k`; only the
+/// stored layout of the operands differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Orientation {
+    /// `A (m x k) * B (k x n)`: forward layers.
+    AB,
+    /// `A^T * B` with A stored `k x m`: weight gradients.
+    AtB,
+    /// `A * B^T` with B stored `n x k`: input gradients and logits.
+    ABt,
+}
+
+impl Orientation {
+    /// Label in the JSON record.
+    pub fn label(self) -> &'static str {
+        match self {
+            Orientation::AB => "a_b",
+            Orientation::AtB => "at_b",
+            Orientation::ABt => "a_bt",
+        }
+    }
+
+    /// Random operands in this orientation's stored layout.
+    fn operands(self, m: usize, k: usize, n: usize, rng: &mut DetRng) -> (Tensor, Tensor) {
+        let (a, b) = match self {
+            Orientation::AB => ([m, k], [k, n]),
+            Orientation::AtB => ([k, m], [k, n]),
+            Orientation::ABt => ([m, k], [n, k]),
+        };
+        (Tensor::randn(a, 1.0, rng), Tensor::randn(b, 1.0, rng))
+    }
+
+    fn blocked(self, a: &Tensor, b: &Tensor) -> Tensor {
+        match self {
+            Orientation::AB => ops::matmul(a, b),
+            Orientation::AtB => ops::matmul_at_b(a, b),
+            Orientation::ABt => ops::matmul_a_bt(a, b),
+        }
+        .expect("blocked kernel")
+    }
+
+    fn naive(self, a: &Tensor, b: &Tensor) -> Tensor {
+        match self {
+            Orientation::AB => naive::matmul(a, b),
+            Orientation::AtB => naive::matmul_at_b(a, b),
+            Orientation::ABt => naive::matmul_a_bt(a, b),
+        }
+        .expect("naive kernel")
+    }
+}
+
 /// One matmul comparison row.
 pub struct MatmulRow {
     /// Workload label (which model preset the shape is drawn from).
     pub name: &'static str,
-    /// `a` is `m x k`, `b` is `k x n`.
+    /// Which product is timed.
+    pub op: Orientation,
+    /// Output rows.
     pub m: usize,
     /// Inner dimension.
     pub k: usize,
@@ -58,6 +112,14 @@ impl MatmulRow {
     /// Blocked-over-naive throughput ratio.
     pub fn speedup(&self) -> f64 {
         self.naive_secs / self.blocked_secs
+    }
+
+    /// This row's blocked time over the blocked `A * B` time at the same
+    /// shape (1.0 for `A * B` itself).
+    pub fn vs_a_b(&self, rows: &[MatmulRow]) -> f64 {
+        rows.iter()
+            .find(|r| r.op == Orientation::AB && (r.m, r.k, r.n) == (self.m, self.k, self.n))
+            .map_or(f64::NAN, |r| self.blocked_secs / r.blocked_secs)
     }
 }
 
@@ -112,14 +174,32 @@ fn hashmap_coalesce(slices: &IndexedSlices) -> IndexedSlices {
     IndexedSlices::new(keys, values, slices.dense_rows()).expect("valid coalesced slices")
 }
 
-/// Matmul shapes drawn from the executed model presets: the ResNet
-/// block GEMM (batch x width), the LM projection, the LM softmax logits
-/// GEMM, and the square size the acceptance gate measures.
-const MATMUL_SHAPES: [(&str, usize, usize, usize); 4] = [
-    ("square_256", 256, 256, 256),
-    ("resnet_block_64x256x256", 64, 256, 256),
-    ("lm_projection_160x512x512", 160, 512, 512),
-    ("lm_logits_128x256x1024", 128, 256, 1024),
+const A_B: &[Orientation] = &[Orientation::AB];
+const WITH_A_BT: &[Orientation] = &[Orientation::AB, Orientation::ABt];
+const WITH_AT_B: &[Orientation] = &[Orientation::AB, Orientation::AtB];
+
+/// Matmul shapes `(name, m, k, n, orientations)`: an `m x n` output over
+/// inner dimension `k`. The first four are general sizes timed as
+/// `A * B`: a 256-cube, a ResNet block GEMM, an LM projection and an LM
+/// logits GEMM. The rest are the products the benchmark workloads run.
+/// dense-ar's three layer shapes at batch 32 run forward as `A * B`;
+/// their input gradients `dY * W^T` are `A * B^T` over the same three
+/// triples (`32 x out x in`), and their weight gradients `X^T * dY` are
+/// `A^T * B` at `in x 32 x out`. lm-serve scores 8 hidden states against
+/// the 20,000 x 32 output embedding (`A * B^T`). Every row that is not
+/// `A * B` shares its shape with an `A * B` row, for scale.
+const MATMUL_SHAPES: [(&str, usize, usize, usize, &[Orientation]); 11] = [
+    ("square_256", 256, 256, 256, A_B),
+    ("resnet_block_64x256x256", 64, 256, 256, A_B),
+    ("lm_projection_160x512x512", 160, 512, 512, A_B),
+    ("lm_logits_128x256x1024", 128, 256, 1024, A_B),
+    ("dense_ar_32x256x256", 32, 256, 256, WITH_A_BT),
+    ("dense_ar_32x256x64", 32, 256, 64, WITH_A_BT),
+    ("dense_ar_32x64x256", 32, 64, 256, WITH_A_BT),
+    ("dense_ar_dw_256x32x256", 256, 32, 256, WITH_AT_B),
+    ("dense_ar_dw_256x32x64", 256, 32, 64, WITH_AT_B),
+    ("dense_ar_dw_64x32x256", 64, 32, 256, WITH_AT_B),
+    ("lm_serve_logits_8x32x20000", 8, 32, 20_000, WITH_A_BT),
 ];
 
 const COALESCE_ALPHAS: [f64; 3] = [0.01, 0.1, 0.5];
@@ -128,32 +208,40 @@ const COALESCE_ALPHAS: [f64; 3] = [0.01, 0.1, 0.5];
 pub fn measure(reps: usize) -> (Vec<MatmulRow>, Vec<CoalesceRow>) {
     let mut rng = DetRng::seed(0xbe5c);
     let mut matmuls = Vec::new();
-    for (name, m, k, n) in MATMUL_SHAPES {
-        let a = Tensor::randn([m, k], 1.0, &mut rng);
-        let b = Tensor::randn([k, n], 1.0, &mut rng);
-        // Correctness cross-check before timing anything.
-        assert_eq!(
-            ops::matmul(&a, &b).expect("blocked matmul"),
-            naive::matmul(&a, &b).expect("naive matmul"),
-            "blocked result diverged from reference at {name}"
-        );
-        let (blocked_secs, naive_secs) = best_of_interleaved(
-            reps,
-            || {
-                std::hint::black_box(ops::matmul(&a, &b).unwrap());
-            },
-            || {
-                std::hint::black_box(naive::matmul(&a, &b).unwrap());
-            },
-        );
-        matmuls.push(MatmulRow {
-            name,
-            m,
-            k,
-            n,
-            naive_secs,
-            blocked_secs,
-        });
+    for (name, m, k, n, orientations) in MATMUL_SHAPES {
+        for &op in orientations {
+            let (a, b) = op.operands(m, k, n, &mut rng);
+            // Correctness cross-check, bit for bit, before timing anything.
+            let (blocked, reference) = (op.blocked(&a, &b), op.naive(&a, &b));
+            assert!(
+                blocked.shape() == reference.shape()
+                    && blocked
+                        .data()
+                        .iter()
+                        .zip(reference.data())
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "blocked {} diverged from reference at {name}",
+                op.label()
+            );
+            let (blocked_secs, naive_secs) = best_of_interleaved(
+                reps,
+                || {
+                    std::hint::black_box(op.blocked(&a, &b));
+                },
+                || {
+                    std::hint::black_box(op.naive(&a, &b));
+                },
+            );
+            matmuls.push(MatmulRow {
+                name,
+                op,
+                m,
+                k,
+                n,
+                naive_secs,
+                blocked_secs,
+            });
+        }
     }
 
     let mut coalesces = Vec::new();
@@ -203,11 +291,12 @@ pub fn to_json(matmuls: &[MatmulRow], coalesces: &[CoalesceRow], reps: usize) ->
     for (i, r) in matmuls.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
+            "    {{\"name\": \"{}\", \"op\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
              \"naive_secs\": {:.9}, \"blocked_secs\": {:.9}, \
              \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \
-             \"speedup\": {:.3}}}{}",
+             \"speedup\": {:.3}, \"vs_a_b\": {:.3}}}{}",
             r.name,
+            r.op.label(),
             r.m,
             r.k,
             r.n,
@@ -216,6 +305,7 @@ pub fn to_json(matmuls: &[MatmulRow], coalesces: &[CoalesceRow], reps: usize) ->
             r.flops() / r.naive_secs / 1e9,
             r.flops() / r.blocked_secs / 1e9,
             r.speedup(),
+            r.vs_a_b(matmuls),
             if i + 1 < matmuls.len() { "," } else { "" },
         );
     }
@@ -242,16 +332,18 @@ pub fn to_json(matmuls: &[MatmulRow], coalesces: &[CoalesceRow], reps: usize) ->
 
 /// Measures, writes `path`, and prints a human-readable summary.
 pub fn run(path: &str) -> std::io::Result<()> {
-    let reps = 9;
+    let reps = 31;
     let (matmuls, coalesces) = measure(reps);
     println!("== Kernel microbenchmarks (best of {reps}, interleaved) ==");
     for r in &matmuls {
         println!(
-            "matmul {:<28} {:>7.2} GF/s naive  {:>7.2} GF/s blocked  ({:.2}x)",
+            "{:<4} {:<28} {:>7.2} GF/s naive  {:>7.2} GF/s blocked  ({:.2}x; {:.2}x a_b time)",
+            r.op.label(),
             r.name,
             r.flops() / r.naive_secs / 1e9,
             r.flops() / r.blocked_secs / 1e9,
             r.speedup(),
+            r.vs_a_b(&matmuls),
         );
     }
     for r in &coalesces {
@@ -276,11 +368,14 @@ mod tests {
     #[test]
     fn measure_and_render_small() {
         let (m, c) = measure(1);
-        assert_eq!(m.len(), MATMUL_SHAPES.len());
+        let rows: usize = MATMUL_SHAPES.iter().map(|s| s.4.len()).sum();
+        assert_eq!(m.len(), rows);
+        assert!(m.iter().all(|r| r.vs_a_b(&m).is_finite()));
         assert_eq!(c.len(), COALESCE_ALPHAS.len());
         let json = to_json(&m, &c, 1);
         assert!(json.contains("\"matmul\""));
         assert!(json.contains("\"coalesce\""));
         assert!(json.contains("square_256"));
+        assert!(json.contains("\"op\": \"a_bt\", \"m\": 8, \"k\": 32, \"n\": 20000"));
     }
 }

@@ -56,20 +56,49 @@ impl GradAcc {
     }
 }
 
-fn accumulate(slot: &mut Option<Tensor>, t: Tensor) -> Result<()> {
-    match slot {
-        Some(acc) => {
-            ops::axpy(1.0, &t, acc)?;
-        }
-        None => *slot = Some(t),
+/// Marks every node with a variable upstream of it: a `Variable` read,
+/// a `Gather`, or a node with a marked input. Only marked nodes can pass
+/// a gradient on to a variable, so gradients flow only into them. One
+/// forward sweep suffices because node ids are topologically ordered.
+fn variable_paths(graph: &Graph, upto: NodeId) -> Result<Vec<bool>> {
+    let mut marked = vec![false; graph.num_nodes()];
+    for idx in 0..=upto.index() {
+        let op = graph.op(NodeId(idx))?;
+        marked[idx] = matches!(op, Op::Variable(_) | Op::Gather { .. })
+            || op.inputs().iter().any(|i| marked[i.index()]);
     }
-    Ok(())
+    Ok(marked)
+}
+
+/// Upstream gradients per node for one backward pass. Only nodes with a
+/// variable upstream of them (see [`variable_paths`]) take one.
+struct NodeGrads {
+    slots: Vec<Option<Tensor>>,
+    marked: Vec<bool>,
+}
+
+impl NodeGrads {
+    /// Accumulates the gradient `grad` computes into `node`, and computes
+    /// it only when `node` leads back to a variable.
+    fn flow(&mut self, node: NodeId, grad: impl FnOnce() -> Result<Tensor>) -> Result<()> {
+        if self.marked[node.index()] {
+            let t = grad()?;
+            match &mut self.slots[node.index()] {
+                Some(acc) => ops::axpy(1.0, &t, acc)?,
+                slot => *slot = Some(t),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Computes `d loss / d var` for every variable reachable from `loss`.
 ///
 /// `loss` must evaluate to a single-element tensor. Variables that do not
-/// influence the loss are absent from the result.
+/// influence the loss are absent from the result. Gradients are computed
+/// only along paths from a variable to the loss (the I-to-C path of the
+/// TensorFlow whitepaper, §4.1): inputs fed only by placeholders and
+/// constants, such as a first layer's input batch, get none.
 pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashMap<VarId, Grad>> {
     let n = graph.num_nodes();
     if loss.index() >= n {
@@ -83,12 +112,17 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
         )));
     }
 
-    let mut node_grads: Vec<Option<Tensor>> = vec![None; n];
-    node_grads[loss.index()] = Some(Tensor::new(loss_tensor.shape().clone(), vec![1.0])?);
+    let mut node_grads = NodeGrads {
+        slots: vec![None; n],
+        marked: variable_paths(graph, loss)?,
+    };
+    node_grads.flow(loss, || {
+        Ok(Tensor::new(loss_tensor.shape().clone(), vec![1.0])?)
+    })?;
     let mut var_accs: HashMap<VarId, GradAcc> = HashMap::new();
 
     for idx in (0..=loss.index()).rev() {
-        let Some(upstream) = node_grads[idx].take() else {
+        let Some(upstream) = node_grads.slots[idx].take() else {
             continue;
         };
         let op = graph.op(NodeId(idx))?;
@@ -101,53 +135,58 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
             Op::MatMul(a, b) => {
                 let av = acts.tensor(*a)?;
                 let bv = acts.tensor(*b)?;
-                let da = ops::matmul_a_bt(&upstream, bv)?;
-                let db = ops::matmul_at_b(av, &upstream)?;
-                accumulate(&mut node_grads[a.index()], da.reshape(av.shape().clone())?)?;
-                accumulate(&mut node_grads[b.index()], db.reshape(bv.shape().clone())?)?;
+                node_grads.flow(*a, || {
+                    Ok(ops::matmul_a_bt(&upstream, bv)?.reshape(av.shape().clone())?)
+                })?;
+                node_grads.flow(*b, || {
+                    Ok(ops::matmul_at_b(av, &upstream)?.reshape(bv.shape().clone())?)
+                })?;
             }
             Op::MatMulBT(a, b) => {
                 // y = a b^T: da = dy b, db = dy^T a.
                 let av = acts.tensor(*a)?;
                 let bv = acts.tensor(*b)?;
-                let da = ops::matmul(&upstream, bv)?;
-                let db = ops::matmul_at_b(&upstream, av)?;
-                accumulate(&mut node_grads[a.index()], da.reshape(av.shape().clone())?)?;
-                accumulate(&mut node_grads[b.index()], db.reshape(bv.shape().clone())?)?;
+                node_grads.flow(*a, || {
+                    Ok(ops::matmul(&upstream, bv)?.reshape(av.shape().clone())?)
+                })?;
+                node_grads.flow(*b, || {
+                    Ok(ops::matmul_at_b(&upstream, av)?.reshape(bv.shape().clone())?)
+                })?;
             }
             Op::Add(a, b) => {
-                accumulate(&mut node_grads[a.index()], upstream.clone())?;
-                accumulate(&mut node_grads[b.index()], upstream)?;
+                node_grads.flow(*a, || Ok(upstream.clone()))?;
+                node_grads.flow(*b, || Ok(upstream))?;
             }
             Op::Sub(a, b) => {
-                accumulate(&mut node_grads[a.index()], upstream.clone())?;
-                accumulate(&mut node_grads[b.index()], ops::scale(&upstream, -1.0))?;
+                node_grads.flow(*a, || Ok(upstream.clone()))?;
+                node_grads.flow(*b, || Ok(ops::scale(&upstream, -1.0)))?;
             }
             Op::Hadamard(a, b) => {
                 let av = acts.tensor(*a)?;
                 let bv = acts.tensor(*b)?;
-                accumulate(&mut node_grads[a.index()], ops::hadamard(&upstream, bv)?)?;
-                accumulate(&mut node_grads[b.index()], ops::hadamard(&upstream, av)?)?;
+                node_grads.flow(*a, || Ok(ops::hadamard(&upstream, bv)?))?;
+                node_grads.flow(*b, || Ok(ops::hadamard(&upstream, av)?))?;
             }
             Op::AddBias { x, bias } => {
-                let dbias = ops::sum_cols(&upstream)?;
-                accumulate(&mut node_grads[x.index()], upstream)?;
-                accumulate(&mut node_grads[bias.index()], dbias)?;
+                // Distinct nodes (a vector and a matrix), so the order of
+                // the two accumulations cannot matter.
+                node_grads.flow(*bias, || Ok(ops::sum_cols(&upstream)?))?;
+                node_grads.flow(*x, || Ok(upstream))?;
             }
             Op::Scale(a, f) => {
-                accumulate(&mut node_grads[a.index()], ops::scale(&upstream, *f))?;
+                node_grads.flow(*a, || Ok(ops::scale(&upstream, *f)))?;
             }
             Op::Sigmoid(a) => {
                 let y = acts.tensor(NodeId(idx))?;
-                accumulate(&mut node_grads[a.index()], ops::sigmoid_grad(y, &upstream)?)?;
+                node_grads.flow(*a, || Ok(ops::sigmoid_grad(y, &upstream)?))?;
             }
             Op::Tanh(a) => {
                 let y = acts.tensor(NodeId(idx))?;
-                accumulate(&mut node_grads[a.index()], ops::tanh_grad(y, &upstream)?)?;
+                node_grads.flow(*a, || Ok(ops::tanh_grad(y, &upstream)?))?;
             }
             Op::Relu(a) => {
                 let x = acts.tensor(*a)?;
-                accumulate(&mut node_grads[a.index()], ops::relu_grad(x, &upstream)?)?;
+                node_grads.flow(*a, || Ok(ops::relu_grad(x, &upstream)?))?;
             }
             Op::Gather { table, ids } => {
                 let id_list = acts.value(*ids)?.as_ids("Gather grad")?;
@@ -162,8 +201,9 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
                     .collect::<Result<_>>()?;
                 let split = ops::split_cols(&upstream, &widths)?;
                 for (part, d) in parts.iter().zip(split) {
-                    let shaped = d.reshape(acts.tensor(*part)?.shape().clone())?;
-                    accumulate(&mut node_grads[part.index()], shaped)?;
+                    node_grads.flow(*part, || {
+                        Ok(d.reshape(acts.tensor(*part)?.shape().clone())?)
+                    })?;
                 }
             }
             Op::SliceCols {
@@ -179,10 +219,7 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
                     let dst = &mut d.data_mut()[r * cols + start..r * cols + start + width];
                     dst.copy_from_slice(src);
                 }
-                accumulate(
-                    &mut node_grads[input.index()],
-                    d.reshape(iv.shape().clone())?,
-                )?;
+                node_grads.flow(*input, || Ok(d.reshape(iv.shape().clone())?))?;
             }
             Op::SliceRows { input, start, rows } => {
                 let iv = acts.tensor(*input)?;
@@ -190,10 +227,7 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
                 let mut d = Tensor::zeros([in_rows, cols]);
                 let dst = &mut d.data_mut()[start * cols..(start + rows) * cols];
                 dst.copy_from_slice(upstream.data());
-                accumulate(
-                    &mut node_grads[input.index()],
-                    d.reshape(iv.shape().clone())?,
-                )?;
+                node_grads.flow(*input, || Ok(d.reshape(iv.shape().clone())?))?;
             }
             Op::SoftmaxRows(a) => {
                 // dsoftmax: dx = y * (dy - rowsum(dy * y)), using the
@@ -210,7 +244,7 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
                         dx.data_mut()[i] = y.data()[i] * (upstream.data()[i] - rs);
                     }
                 }
-                accumulate(&mut node_grads[a.index()], dx.reshape(y.shape().clone())?)?;
+                node_grads.flow(*a, || Ok(dx.reshape(y.shape().clone())?))?;
             }
             Op::SumRowsToColumn(a) => {
                 // dy is [rows, 1]; broadcast each row's scalar across the
@@ -224,38 +258,33 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
                         d.data_mut()[r * cols + c] = g;
                     }
                 }
-                accumulate(&mut node_grads[a.index()], d.reshape(av.shape().clone())?)?;
+                node_grads.flow(*a, || Ok(d.reshape(av.shape().clone())?))?;
             }
             Op::ScaleRows { x, s } => {
                 let xv = acts.tensor(*x)?;
                 let sv = acts.tensor(*s)?;
                 // dx = dy scaled by s rows; ds[r] = sum_c dy[r,c] * x[r,c].
-                let dx = ops::scale_rows(&upstream, sv)?;
-                let ds = ops::sum_rows(&ops::hadamard(&upstream, xv)?)?;
-                accumulate(&mut node_grads[x.index()], dx)?;
-                accumulate(&mut node_grads[s.index()], ds.reshape(sv.shape().clone())?)?;
+                node_grads.flow(*x, || Ok(ops::scale_rows(&upstream, sv)?))?;
+                node_grads.flow(*s, || {
+                    Ok(ops::sum_rows(&ops::hadamard(&upstream, xv)?)?
+                        .reshape(sv.shape().clone())?)
+                })?;
             }
             Op::Reshape(a, _) => {
                 let av = acts.tensor(*a)?;
-                accumulate(
-                    &mut node_grads[a.index()],
-                    upstream.reshape(av.shape().clone())?,
-                )?;
+                node_grads.flow(*a, || Ok(upstream.reshape(av.shape().clone())?))?;
             }
             Op::MeanAll(a) => {
                 let av = acts.tensor(*a)?;
                 let g = upstream.scalar_value()? / av.len() as f32;
-                accumulate(
-                    &mut node_grads[a.index()],
-                    Tensor::full(av.shape().clone(), g),
-                )?;
+                node_grads.flow(*a, || Ok(Tensor::full(av.shape().clone(), g)))?;
             }
             Op::SoftmaxXent { logits, labels } => {
                 let lv = acts.tensor(*logits)?;
                 let labs = acts.value(*labels)?.as_ids("SoftmaxXent grad")?;
                 let (_, dlogits) = ops::softmax_cross_entropy(lv, labs)?;
                 let g = upstream.scalar_value()?;
-                accumulate(&mut node_grads[logits.index()], ops::scale(&dlogits, g))?;
+                node_grads.flow(*logits, || Ok(ops::scale(&dlogits, g)))?;
             }
         }
     }

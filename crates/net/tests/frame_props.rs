@@ -1,8 +1,9 @@
 //! Property tests for the socket frame codec: every payload kind, under
 //! every wire format, at arbitrary lengths, round-trips exactly — and
-//! corrupted input (truncation, bit flips, oversize length fields) is
-//! rejected with a typed error, never a panic and never an allocation
-//! beyond the declared, capped frame length.
+//! corrupted input (truncation, bit flips, oversize length fields,
+//! hostile bodies behind a valid checksum) is rejected with a typed
+//! error, never a panic and never an allocation beyond the declared,
+//! capped frame length.
 
 use std::sync::Arc;
 
@@ -10,7 +11,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallax_comm::wire::{PackedSlices, WireFormat};
-use parallax_comm::Payload;
+use parallax_comm::{crc32, Payload};
 use parallax_net::{decode_frame, encode_msg, Frame, FrameError, MAX_FRAME_BODY};
 use parallax_tensor::{IndexedSlices, Tensor};
 
@@ -155,5 +156,50 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(garbage in vec(any::<u8>(), 0..256)) {
         let _ = decode_frame(&garbage);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// A valid frame of every payload kind with 1-4 body bytes
+    /// overwritten (random, 0x00 or 0xFF), sometimes truncated or
+    /// extended, then re-sealed so its length and CRC match: the checksum
+    /// passes, so the body decoder meets the hostile bytes directly. It
+    /// must return a frame or a typed error, never panic or abort (the
+    /// class of a length field driving a multi-GiB allocation).
+    #[test]
+    fn crc_valid_hostile_bodies_never_panic(
+        kind in 0usize..8,
+        wire_sel in 0usize..3,
+        floats in vec(-10.0f32..10.0, 0..16),
+        indices in vec(0usize..50, 0..8),
+        hits in vec((0.0f64..1.0, prop_oneof![any::<u8>(), Just(0x00u8), Just(0xFFu8)]), 1..5),
+        resize in 0usize..4,
+        cut in 1usize..9,
+        tail in vec(any::<u8>(), 1..9),
+    ) {
+        let wire = wire_of(wire_sel);
+        let p = build_payload(kind, wire, &floats, &indices, 2, 9);
+        let mut body = encode_msg(5, &p)[8..].to_vec();
+        for (frac, byte) in hits {
+            let at = ((body.len() - 1) as f64 * frac) as usize;
+            body[at] = byte;
+        }
+        match resize {
+            0 => body.truncate(body.len().saturating_sub(cut)),
+            1 => body.extend_from_slice(&tail),
+            _ => {} // Half the cases keep the encoded length.
+        }
+
+        let mut frame = Vec::with_capacity(8 + body.len());
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        frame.extend_from_slice(&body);
+        let decoded = decode_frame(&frame);
+        prop_assert!(
+            !matches!(decoded, Err(FrameError::CrcMismatch { .. } | FrameError::Oversize { .. })),
+            "the re-sealed header must pass: {decoded:?}"
+        );
     }
 }

@@ -32,7 +32,7 @@ use parallax_core::snapshot::Snapshot;
 use parallax_dataflow::{
     Activations, Feed, Graph, NodeId, Session, VarId, VarProvider, VariableDef,
 };
-use parallax_tensor::{IndexedSlices, Tensor};
+use parallax_tensor::Tensor;
 
 use crate::error::ServeError;
 use crate::queue::{Bounded, PushError};
@@ -141,10 +141,9 @@ impl Loaded {
 }
 
 /// [`VarProvider`] over a loaded snapshot: dense reads materialize the
-/// mapped view once per fetch; sparse reads coalesce duplicate row ids
-/// (via [`IndexedSlices::coalesce`], the same dedup the training path
-/// uses for sparse gradients), gather each distinct row from the
-/// mapped pages once, then expand — densification before the hot loop.
+/// mapped view once per fetch; sparse reads gather the requested rows
+/// straight from the mapped table, reading each id's row once, in
+/// request order (duplicates included).
 struct SnapshotProvider<'a> {
     loaded: &'a Loaded,
 }
@@ -173,33 +172,12 @@ impl VarProvider for SnapshotProvider<'_> {
     fn fetch_sparse_rows(
         &mut self,
         var: VarId,
-        def: &VariableDef,
+        _def: &VariableDef,
         ids: &[usize],
     ) -> parallax_dataflow::Result<Tensor> {
         let idx = self.entry_of(var)?;
         let view = self.loaded.snap.view_at(idx).map_err(provider_err)?;
-        let (rows, cols) = def.shape.as_matrix()?;
-        if ids.is_empty() {
-            return Ok(Tensor::zeros([0, cols]));
-        }
-        // Coalesce duplicate lookups to one mapped-page read per
-        // distinct row (batched requests share hot embedding rows).
-        let distinct = IndexedSlices::new(ids.to_vec(), Tensor::zeros([ids.len(), 1]), rows)?
-            .coalesce()
-            .indices()
-            .to_vec();
-        let gathered = view.gather_rows(&distinct)?;
-        let mut data = Vec::with_capacity(ids.len() * cols);
-        for &id in ids {
-            let slot = distinct.binary_search(&id).map_err(|_| {
-                parallax_tensor::TensorError::IndexOutOfBounds {
-                    index: id,
-                    bound: rows,
-                }
-            })?;
-            data.extend_from_slice(gathered.row(slot)?);
-        }
-        Ok(Tensor::new([ids.len(), cols], data)?)
+        Ok(view.gather_rows(ids)?)
     }
 }
 
@@ -433,8 +411,8 @@ fn run_batch<M: ServeModel>(
 mod tests {
     use super::*;
     use parallax_dataflow::graph::{Init, Op, PhKind};
-    use parallax_dataflow::{VarStore, VariableDef};
-    use parallax_tensor::DetRng;
+    use parallax_dataflow::{DataflowError, VarStore, VariableDef};
+    use parallax_tensor::{ops, DetRng, TensorError};
 
     /// A toy adapter: requests are row ids, answers are rows of an
     /// `[8, 2]` table looked up through `Gather` (so the sparse
@@ -511,6 +489,42 @@ mod tests {
         assert_eq!(engine.served(), 4);
         engine.shutdown();
         assert!(matches!(engine.call(1), Err(ServeError::Closed)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The provider itself, below `RowLookup::validate`: unsorted and
+    /// repeated ids read one mapped row each, an empty list gives an
+    /// empty matrix, and an id past the table is a typed error.
+    #[test]
+    fn provider_gathers_rows_from_the_mapped_table() {
+        let model = RowLookup::new();
+        let (path, store) = snapshot_of(&model.graph, 3, "provider");
+        let loaded = Loaded::load(&path, &model.graph).unwrap();
+        let table = model.graph.find_variable("table").unwrap();
+        let def = model.graph.var_def(table).unwrap().clone();
+        let mut provider = SnapshotProvider { loaded: &loaded };
+
+        let ids = [5usize, 1, 5, 7, 0, 1];
+        let got = provider.fetch_sparse_rows(table, &def, &ids).unwrap();
+        let want = ops::gather_rows(store.get(table).unwrap(), &ids).unwrap();
+        assert_eq!(got.shape(), want.shape());
+        assert!(got
+            .data()
+            .iter()
+            .zip(want.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
+
+        let empty = provider.fetch_sparse_rows(table, &def, &[]).unwrap();
+        assert_eq!(empty.shape().dims(), &[0, 2]);
+
+        assert!(matches!(
+            provider.fetch_sparse_rows(table, &def, &[2, 8]),
+            Err(DataflowError::Tensor(TensorError::IndexOutOfBounds {
+                index: 8,
+                bound: 8
+            }))
+        ));
+        drop(loaded);
         std::fs::remove_file(&path).ok();
     }
 

@@ -37,30 +37,40 @@ fn matrix(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
         })
 }
 
-/// Dispatches [`matmul_rows_inner`] to an AVX2-compiled copy when the
+/// Dispatches [`blocked_rows_inner`] to an AVX2-compiled copy when the
 /// CPU supports it. The wide copy runs the identical per-lane operation
 /// sequence (no FMA contraction), so results match the portable path
-/// bit-for-bit.
-fn matmul_rows(ad: &[f32], bd: &[f32], chunk: &mut [f32], row0: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 feature was just detected at runtime.
-        return unsafe { matmul_rows_avx2(ad, bd, chunk, row0, k, n) };
-    }
-    matmul_rows_inner(ad, bd, chunk, row0, k, n);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_rows_avx2(
+/// bit-for-bit. `A_T` and `B_T` select where the operands are read from
+/// (see [`blocked_rows_inner`]); each combination compiles separately.
+fn blocked_rows<const A_T: bool, const B_T: bool>(
     ad: &[f32],
     bd: &[f32],
     chunk: &mut [f32],
     row0: usize,
     k: usize,
+    m: usize,
     n: usize,
 ) {
-    matmul_rows_inner(ad, bd, chunk, row0, k, n);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the avx2 feature was just detected at runtime.
+        return unsafe { blocked_rows_avx2::<A_T, B_T>(ad, bd, chunk, row0, k, m, n) };
+    }
+    blocked_rows_inner::<A_T, B_T>(ad, bd, chunk, row0, k, m, n);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn blocked_rows_avx2<const A_T: bool, const B_T: bool>(
+    ad: &[f32],
+    bd: &[f32],
+    chunk: &mut [f32],
+    row0: usize,
+    k: usize,
+    m: usize,
+    n: usize,
+) {
+    blocked_rows_inner::<A_T, B_T>(ad, bd, chunk, row0, k, m, n);
 }
 
 /// Plain-loop fallback for tiny `A * B` problems, where the packed
@@ -126,6 +136,35 @@ fn pack_b_panel(bd: &[f32], bpack: &mut [f32], j0: usize, jw: usize, k: usize, n
     }
 }
 
+/// Packs the same panel as [`pack_b_panel`] from a B stored transposed
+/// (`n x k`): `bpack[p * NR + c] = B[j0 + c][p]`, so each of the `jw`
+/// contiguous rows of B fills one lane. Rows are read eight at a time,
+/// so each `p` stores eight adjacent lanes at once; lanes past `jw` are
+/// zeroed.
+#[inline(always)]
+fn pack_bt_panel(bd: &[f32], bpack: &mut [f32], j0: usize, jw: usize, k: usize) {
+    const G: usize = 8;
+    let panel = &bd[j0 * k..(j0 + jw) * k];
+    let mut c = 0;
+    while c + G <= jw {
+        let rows: [&[f32]; G] = std::array::from_fn(|r| &panel[(c + r) * k..(c + r + 1) * k]);
+        for (p, dst) in bpack.chunks_exact_mut(NR).enumerate() {
+            dst[c..c + G].copy_from_slice(&std::array::from_fn::<f32, G, _>(|r| rows[r][p]));
+        }
+        c += G;
+    }
+    for (c, brow) in panel.chunks_exact(k).enumerate().skip(c) {
+        for (p, &bv) in brow.iter().enumerate() {
+            bpack[p * NR + c] = bv;
+        }
+    }
+    if jw < NR {
+        for dst in bpack.chunks_exact_mut(NR) {
+            dst[jw..].fill(0.0);
+        }
+    }
+}
+
 /// The register microkernel: a full `MR x NR` output tile over packed
 /// operands (`apack[p * MR + r]`, `bpack[p * NR + c]`), accumulating `p`
 /// ascending into one accumulator per element — the same per-element
@@ -174,27 +213,44 @@ fn store_tile(
     }
 }
 
-/// Computes rows `[row0, row0 + chunk_rows)` of `A (m x k) * B (k x n)`
-/// into `chunk`. Each `NR`-wide column panel of B is packed contiguously
-/// once and stays L1-resident while every `MR`-row tile of A streams
-/// past it; A tiles are packed transposed so the microkernel reads both
-/// operands sequentially.
+/// Computes rows `[row0, row0 + chunk_rows)` of the `m x n` product
+/// into `chunk`. A is stored `m x k`, or `k x m` when `A_T`; B is stored
+/// `k x n`, or `n x k` when `B_T`. Only the packing differs: the packed
+/// tiles, the microkernel and the per-element reduction order are
+/// shared, so every layout matches its scalar reference bit for bit, and
+/// neither operand's transpose is ever materialized. Each `NR`-wide
+/// column panel of B is packed contiguously once and stays L1-resident
+/// while every `MR`-row tile of A streams past it; A tiles are packed
+/// transposed so the microkernel reads both operands sequentially.
 #[inline(always)]
-fn matmul_rows_inner(ad: &[f32], bd: &[f32], chunk: &mut [f32], row0: usize, k: usize, n: usize) {
+fn blocked_rows_inner<const A_T: bool, const B_T: bool>(
+    ad: &[f32],
+    bd: &[f32],
+    chunk: &mut [f32],
+    row0: usize,
+    k: usize,
+    m: usize,
+    n: usize,
+) {
     let nrows = chunk.len() / n;
     let tiles = nrows.div_ceil(MR);
     // Pack every A tile once, transposed and zero-padded: tile t holds
     // apack[t*k*MR + p*MR + r] = A[row0 + t*MR + r][p]. Padded rows feed
     // accumulators that are never stored.
     let mut apack = vec![0.0f32; tiles * k * MR];
-    for t in 0..tiles {
-        let i = t * MR;
-        let iw = MR.min(nrows - i);
-        let blk = &mut apack[t * k * MR..(t + 1) * k * MR];
-        for r in 0..iw {
-            let arow = &ad[(row0 + i + r) * k..(row0 + i + r + 1) * k];
-            for (p, &av) in arow.iter().enumerate() {
-                blk[p * MR + r] = av;
+    for (t, blk) in apack.chunks_exact_mut(k * MR).enumerate() {
+        let i = row0 + t * MR;
+        let iw = MR.min(nrows - t * MR);
+        if A_T {
+            // A is stored `[p][i]`: every packed row is a contiguous read.
+            for p in 0..k {
+                blk[p * MR..p * MR + iw].copy_from_slice(&ad[p * m + i..p * m + i + iw]);
+            }
+        } else {
+            for r in 0..iw {
+                for (p, &av) in ad[(i + r) * k..(i + r + 1) * k].iter().enumerate() {
+                    blk[p * MR + r] = av;
+                }
             }
         }
     }
@@ -202,84 +258,15 @@ fn matmul_rows_inner(ad: &[f32], bd: &[f32], chunk: &mut [f32], row0: usize, k: 
     let mut j0 = 0;
     while j0 < n {
         let jw = NR.min(n - j0);
-        pack_b_panel(bd, &mut bpack, j0, jw, k, n);
-        for t in 0..tiles {
+        if B_T {
+            pack_bt_panel(bd, &mut bpack, j0, jw, k);
+        } else {
+            pack_b_panel(bd, &mut bpack, j0, jw, k, n);
+        }
+        for (t, blk) in apack.chunks_exact(k * MR).enumerate() {
             let i = t * MR;
             let iw = MR.min(nrows - i);
-            let acc = microkernel(&apack[t * k * MR..(t + 1) * k * MR], &bpack, k);
-            store_tile(chunk, &acc, i, j0, iw, jw, n);
-        }
-        j0 += jw;
-    }
-}
-
-/// AVX2/portable dispatcher for [`matmul_at_b_rows_inner`]; see
-/// [`matmul_rows`] for why the result is identical either way.
-fn matmul_at_b_rows(
-    ad: &[f32],
-    bd: &[f32],
-    chunk: &mut [f32],
-    row0: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 feature was just detected at runtime.
-        return unsafe { matmul_at_b_rows_avx2(ad, bd, chunk, row0, k, m, n) };
-    }
-    matmul_at_b_rows_inner(ad, bd, chunk, row0, k, m, n);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_at_b_rows_avx2(
-    ad: &[f32],
-    bd: &[f32],
-    chunk: &mut [f32],
-    row0: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    matmul_at_b_rows_inner(ad, bd, chunk, row0, k, m, n);
-}
-
-/// Computes rows `[row0, row0 + chunk_rows)` of `A^T (k x m)^T * B (k x n)`
-/// into `chunk`. A is already laid out `[p][i]`, so the A tile packs
-/// with contiguous reads and no transpose is materialized.
-#[inline(always)]
-fn matmul_at_b_rows_inner(
-    ad: &[f32],
-    bd: &[f32],
-    chunk: &mut [f32],
-    row0: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    let nrows = chunk.len() / n;
-    let tiles = nrows.div_ceil(MR);
-    // apack[t*k*MR + p*MR + r] = A[p][row0 + t*MR + r]; contiguous source.
-    let mut apack = vec![0.0f32; tiles * k * MR];
-    for t in 0..tiles {
-        let i = t * MR;
-        let iw = MR.min(nrows - i);
-        let blk = &mut apack[t * k * MR..(t + 1) * k * MR];
-        for p in 0..k {
-            blk[p * MR..p * MR + iw].copy_from_slice(&ad[p * m + row0 + i..p * m + row0 + i + iw]);
-        }
-    }
-    let mut bpack = vec![0.0f32; k * NR];
-    let mut j0 = 0;
-    while j0 < n {
-        let jw = NR.min(n - j0);
-        pack_b_panel(bd, &mut bpack, j0, jw, k, n);
-        for t in 0..tiles {
-            let i = t * MR;
-            let iw = MR.min(nrows - i);
-            let acc = microkernel(&apack[t * k * MR..(t + 1) * k * MR], &bpack, k);
+            let acc = microkernel(blk, &bpack, k);
             store_tile(chunk, &acc, i, j0, iw, jw, n);
         }
         j0 += jw;
@@ -329,7 +316,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             small_matmul(ad, bd, &mut out, m, k, n);
         } else {
             pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                matmul_rows(ad, bd, chunk, row0, k, n);
+                blocked_rows::<false, false>(ad, bd, chunk, row0, k, m, n);
             });
         }
     }
@@ -356,7 +343,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             small_matmul_at_b(ad, bd, &mut out, k, m, n);
         } else {
             pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                matmul_at_b_rows(ad, bd, chunk, row0, k, m, n);
+                blocked_rows::<true, false>(ad, bd, chunk, row0, k, m, n);
             });
         }
     }
@@ -364,9 +351,9 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 /// `A (m x k) * B^T (n x k)^T -> (m x n)`; used for input gradients
-/// (`dX = dY * W^T`). B is transposed once into a scratch buffer so the
-/// multiply runs the column-contiguous blocked kernel; the reduction
-/// order per output element is unchanged.
+/// (`dX = dY * W^T`) and for logits against an embedding table. Each
+/// B panel is packed straight from `NR` contiguous rows of B, so no
+/// transpose is materialized and each row of B is read once per chunk.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k) = matrix(a, "matmul_a_bt lhs")?;
     let (n, k2) = matrix(b, "matmul_a_bt rhs")?;
@@ -384,10 +371,8 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         if m * k * n <= SMALL_PRODUCTS {
             small_matmul_a_bt(ad, bd, &mut out, m, k, n);
         } else {
-            let mut bt = vec![0.0f32; k * n];
-            transpose_into(bd, &mut bt, n, k);
             pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                matmul_rows(ad, &bt, chunk, row0, k, n);
+                blocked_rows::<false, true>(ad, bd, chunk, row0, k, m, n);
             });
         }
     }

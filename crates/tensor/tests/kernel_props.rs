@@ -8,11 +8,19 @@
 //! 2. The worker pool changes only wall-clock time: running a kernel at
 //!    any thread count yields exactly the serial result, because work is
 //!    only ever split over disjoint output rows.
+//!
+//! The kernels take a plain loop at or below `PACKED_THRESHOLD`
+//! products (`m * k * n`) and the packed, pool-split kernels above it,
+//! so each invariant is checked on both sides of that line.
 
 use proptest::prelude::*;
 
 use parallax_tensor::ops::{self, matmul::naive};
 use parallax_tensor::{pool, DetRng, Tensor};
+
+/// The product count at or below which the kernels skip packing
+/// (`SMALL_PRODUCTS` in `ops::matmul`).
+const PACKED_THRESHOLD: usize = 128 * 1024;
 
 fn tensor_from(seed: u64, rows: usize, cols: usize) -> Tensor {
     Tensor::randn([rows, cols], 1.0, &mut DetRng::seed(seed))
@@ -27,6 +35,55 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor) -> std::result::Result<(), TestCaseErr
         prop_assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
     }
     Ok(())
+}
+
+/// All three product orientations at output `m x n` and inner `k`
+/// equal the scalar reference bit for bit at 1, 2 and 3 threads.
+fn check_orientations(
+    m: usize,
+    k: usize,
+    n: usize,
+    seed: u64,
+) -> std::result::Result<(), TestCaseError> {
+    let a = tensor_from(seed, m, k);
+    let b = tensor_from(seed + 1, k, n);
+    let at = tensor_from(seed + 2, k, m);
+    let bt = tensor_from(seed + 3, n, k);
+    let ab = naive::matmul(&a, &b).unwrap();
+    let atb = naive::matmul_at_b(&at, &b).unwrap();
+    let abt = naive::matmul_a_bt(&a, &bt).unwrap();
+    for threads in [1usize, 2, 3] {
+        pool::configure_threads(threads);
+        assert_bits_eq(&ops::matmul(&a, &b).unwrap(), &ab)?;
+        assert_bits_eq(&ops::matmul_at_b(&at, &b).unwrap(), &atb)?;
+        assert_bits_eq(&ops::matmul_a_bt(&a, &bt).unwrap(), &abt)?;
+    }
+    pool::configure_threads(1);
+    Ok(())
+}
+
+/// The packed kernels on the shapes the benchmark workloads run:
+/// dense-ar's layers at batch 32 (forward and input gradients at
+/// `32 x k x n`, weight gradients at `in x 32 x out`), and lm-serve's
+/// logits of 8 hidden states against a 20,000 x 32 output embedding.
+#[test]
+fn packed_kernels_match_naive_on_workload_shapes() {
+    for (seed, (m, k, n)) in [
+        (32, 256, 256),
+        (32, 256, 64),
+        (32, 64, 256),
+        (32, 32, 256),
+        (256, 32, 256),
+        (256, 32, 64),
+        (64, 32, 256),
+        (8, 32, 20_000),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert!(m * k * n > PACKED_THRESHOLD);
+        check_orientations(m, k, n, 10 * seed as u64).unwrap();
+    }
 }
 
 proptest! {
@@ -79,16 +136,39 @@ proptest! {
         let a = tensor_from(seed, m, k);
         let b = tensor_from(seed + 1, k, n);
         let at = tensor_from(seed + 2, k, m);
+        let bt = tensor_from(seed + 3, n, k);
 
         pool::configure_threads(1);
         let serial_ab = ops::matmul(&a, &b).unwrap();
         let serial_atb = ops::matmul_at_b(&at, &b).unwrap();
+        let serial_abt = ops::matmul_a_bt(&a, &bt).unwrap();
 
         for threads in [2usize, 3, 7] {
             pool::configure_threads(threads);
             assert_bits_eq(&ops::matmul(&a, &b).unwrap(), &serial_ab)?;
             assert_bits_eq(&ops::matmul_at_b(&at, &b).unwrap(), &serial_atb)?;
+            assert_bits_eq(&ops::matmul_a_bt(&a, &bt).unwrap(), &serial_abt)?;
         }
         pool::configure_threads(1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Above the threshold: the packed kernels in all three
+    /// orientations equal the scalar reference bit for bit, at every
+    /// thread count. `n` is derived so `m * k * n` always exceeds the
+    /// threshold; `m` reaches past three pool chunks of 8 rows.
+    #[test]
+    fn packed_kernels_match_naive_at_any_thread_count(
+        m in 1usize..72,
+        k in 1usize..72,
+        extra in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        let n = PACKED_THRESHOLD / (m * k) + extra;
+        prop_assert!(m * k * n > PACKED_THRESHOLD);
+        check_orientations(m, k, n, seed)?;
     }
 }
