@@ -138,8 +138,8 @@ fn measure_index(alpha: f64, rows: usize, rng: &mut DetRng) -> IndexRow {
     indices.dedup();
     let encoded = wire::encode_indices(&indices);
     assert_eq!(
-        wire::decode_indices(&encoded, indices.len()),
-        indices,
+        wire::decode_indices(&encoded, indices.len()).as_ref(),
+        Some(&indices),
         "delta+varint index codec must be lossless at alpha {alpha}"
     );
     assert_eq!(
@@ -280,6 +280,7 @@ pub fn run(path: &str) -> Result<(String, bool), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parallax_trace::json::{self, Value};
 
     #[test]
     fn index_codec_rows_are_lossless_and_shrink() {
@@ -302,29 +303,45 @@ mod tests {
             measure_index(0.1, 10_000, &mut rng),
         ];
         let json = to_json(&wires, &indices);
-        assert!(json.contains("\"wire\""));
-        assert!(json.contains("\"sparse_index\""));
-        assert!(json.contains("\"gates\""));
-        // One document: brackets and braces nest, the top-level object
-        // closes on the last non-blank character, and no list ends in a
-        // trailing comma.
-        let body = json.trim_end();
-        let mut depth = 0i32;
-        for (i, c) in body.char_indices() {
-            match c {
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => continue,
-            }
-            assert!(depth >= 0, "unbalanced close at byte {i}:\n{json}");
-            assert!(
-                depth > 0 || i + 1 == body.len(),
-                "text after the document's close at byte {i}:\n{json}"
+        let doc = json::parse(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        let gates = doc.get("gates").expect("gates");
+        assert_eq!(
+            gates.get("dense_reduction").and_then(Value::as_f64),
+            Some(DENSE_REDUCTION_GATE)
+        );
+        assert_eq!(
+            gates.get("index_shrink").and_then(Value::as_f64),
+            Some(INDEX_SHRINK_GATE)
+        );
+        let wire = doc.get("wire").and_then(Value::as_array).expect("wire");
+        assert_eq!(wire.len(), 1);
+        assert_eq!(wire[0].get("format").and_then(Value::as_str), Some("f32"));
+        assert_eq!(wire[0].get("nccl_bytes").and_then(Value::as_u64), Some(100));
+        assert_eq!(wire[0].get("mpi_bytes").and_then(Value::as_u64), Some(50));
+        assert_eq!(
+            wire[0].get("dense_reduction").and_then(Value::as_f64),
+            Some(1.0)
+        );
+        assert_eq!(
+            wire[0].get("predicted_exact").and_then(Value::as_bool),
+            Some(true)
+        );
+        let rows = doc
+            .get("sparse_index")
+            .and_then(Value::as_array)
+            .expect("sparse_index");
+        assert_eq!(rows.len(), indices.len());
+        for (row, r) in rows.iter().zip(&indices) {
+            assert_eq!(row.get("alpha").and_then(Value::as_f64), Some(r.alpha));
+            assert_eq!(
+                row.get("count").and_then(Value::as_u64),
+                Some(r.count as u64)
+            );
+            assert_eq!(
+                row.get("encoded_bytes").and_then(Value::as_u64),
+                Some(r.encoded_bytes)
             );
         }
-        assert_eq!(depth, 0, "unclosed document:\n{json}");
-        assert!(json.ends_with("  ]\n}\n") && !json.ends_with("  ]\n}\n  ]\n}\n"));
-        assert!(!json.contains(",\n  ]") && !json.contains(",\n}"), "{json}");
     }
 
     /// The byte gates of the full sweep.

@@ -364,6 +364,7 @@ pub fn run(path: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parallax_trace::json::{self, Value};
 
     #[test]
     fn measure_and_render_small() {
@@ -373,9 +374,26 @@ mod tests {
         assert!(m.iter().all(|r| r.vs_a_b(&m).is_finite()));
         assert_eq!(c.len(), COALESCE_ALPHAS.len());
         let json = to_json(&m, &c, 1);
-        assert!(json.contains("\"matmul\""));
-        assert!(json.contains("\"coalesce\""));
-        assert!(json.contains("square_256"));
-        assert!(json.contains("\"op\": \"a_bt\", \"m\": 8, \"k\": 32, \"n\": 20000"));
+        let doc = json::parse(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        assert_eq!(doc.get("reps").and_then(Value::as_u64), Some(1));
+        let matmul = doc.get("matmul").and_then(Value::as_array).expect("matmul");
+        assert_eq!(matmul.len(), rows);
+        for (row, r) in matmul.iter().zip(&m) {
+            assert_eq!(row.get("name").and_then(Value::as_str), Some(r.name));
+            assert_eq!(row.get("op").and_then(Value::as_str), Some(r.op.label()));
+            let dims = ["m", "k", "n"].map(|d| row.get(d).and_then(Value::as_u64));
+            assert_eq!(dims, [r.m, r.k, r.n].map(|d| Some(d as u64)));
+            let vs_a_b = row.get("vs_a_b").and_then(Value::as_f64);
+            assert!(vs_a_b.is_some_and(f64::is_finite));
+        }
+        assert_eq!(m[0].name, "square_256");
+        assert!(m
+            .iter()
+            .any(|r| r.op.label() == "a_bt" && (r.m, r.k, r.n) == (8, 32, 20_000)));
+        let coalesce = doc
+            .get("coalesce")
+            .and_then(Value::as_array)
+            .expect("coalesce");
+        assert_eq!(coalesce.len(), COALESCE_ALPHAS.len());
     }
 }

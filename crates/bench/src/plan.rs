@@ -235,7 +235,7 @@ mod tests {
         assert!(report.contains("hybrid"), "{report}");
         assert!(report.contains("searched"), "{report}");
         let json = std::fs::read_to_string(format!("{dir}PLAN_lm.json")).expect("plan json");
-        parallax_trace::export::validate_json(&json).expect("valid JSON");
+        parallax_trace::json::parse(&json).expect("valid JSON");
         assert!(json.contains("parallax-plan-search-v1"));
     }
 

@@ -476,6 +476,7 @@ pub fn run(model: Option<&str>, path: &str) -> Result<(String, bool), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parallax_trace::json::{self, Value};
 
     #[test]
     fn lm_serving_passes_gates() {
@@ -522,8 +523,21 @@ mod tests {
             mean_batch: 2.5,
         }];
         let json = to_json(&rows);
-        assert!(json.contains("\"gates\""));
-        assert!(json.contains("\"models\""));
-        assert!(json.contains("\"qps\": 200.0"));
+        let doc = json::parse(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        let gates = doc.get("gates").expect("gates");
+        assert_eq!(
+            gates.get("bitwise_equal").and_then(Value::as_bool),
+            Some(true)
+        );
+        let models = doc.get("models").and_then(Value::as_array).expect("models");
+        assert_eq!(models.len(), 1);
+        let row = &models[0];
+        assert_eq!(row.get("model").and_then(Value::as_str), Some("lm"));
+        assert_eq!(
+            row.get("snapshot_load_us").and_then(Value::as_u64),
+            Some(120)
+        );
+        assert_eq!(row.get("qps").and_then(Value::as_f64), Some(200.0));
+        assert_eq!(row.get("mean_batch").and_then(Value::as_f64), Some(2.5));
     }
 }

@@ -18,7 +18,7 @@ use parallax_models::lm::{LmConfig, LmModel};
 use parallax_models::nmt::{NmtConfig, NmtModel};
 use parallax_tensor::ops::{self};
 use parallax_tensor::{DetRng, Tensor};
-use parallax_trace::{export, SpanCat, TraceConfig};
+use parallax_trace::{export, json, SpanCat, TraceConfig};
 
 /// Machines in the traced topology (1 GPU each, so machine boundaries —
 /// and therefore stragglers and network phases — actually exist).
@@ -138,11 +138,11 @@ pub fn run(preset: &str, iters: usize, out_dir: &str) -> std::io::Result<String>
     out.push_str(&export::straggler_report(&dump));
 
     let chrome = export::chrome_trace(&dump);
-    export::validate_json(&chrome).expect("chrome trace is valid JSON");
+    json::parse(&chrome).expect("chrome trace is valid JSON");
     let summary = export::summary_json(&dump);
-    export::validate_json(&summary).expect("trace summary is valid JSON");
+    json::parse(&summary).expect("trace summary is valid JSON");
     let cal = CalibrationProfile::from_dump(&dump, MACHINES, iters as u64).to_json();
-    export::validate_json(&cal).expect("calibration profile is valid JSON");
+    json::parse(&cal).expect("calibration profile is valid JSON");
     let chrome_path = format!("{out_dir}TRACE_{preset}.chrome.json");
     let summary_path = format!("{out_dir}TRACE_{preset}.json");
     let cal_path = format!("{out_dir}TRACE_{preset}.cal.json");
@@ -325,7 +325,7 @@ mod tests {
         assert!(o.plain_secs > 0.0 && o.spanned_secs > 0.0);
         assert!(o.disabled_span_ns >= 0.0);
         let json = o.to_json();
-        export::validate_json(&json).expect("overhead json validates");
+        json::parse(&json).expect("overhead json validates");
         assert!(json.contains("overhead_pct"));
     }
 
@@ -342,11 +342,11 @@ mod tests {
         assert!(report.contains("breakdown"), "report: {report}");
         let chrome =
             std::fs::read_to_string(format!("{dir}TRACE_lm.chrome.json")).expect("chrome file");
-        export::validate_json(&chrome).expect("chrome json validates");
+        json::parse(&chrome).expect("chrome json validates");
         assert!(chrome.contains("\"machine0\""));
         assert!(chrome.contains("sim (modelled)"));
         let summary = std::fs::read_to_string(format!("{dir}TRACE_lm.json")).expect("summary");
-        export::validate_json(&summary).expect("summary validates");
+        json::parse(&summary).expect("summary validates");
         assert!(summary.contains("parallax-trace-summary-v1"));
         let cal = std::fs::read_to_string(format!("{dir}TRACE_lm.cal.json")).expect("calibration");
         let parsed = CalibrationProfile::from_json(&cal).expect("calibration parses");

@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 
 use parallax_trace::export::COMPUTE_PHASE_SPANS;
+use parallax_trace::json::{self, Value};
 use parallax_trace::{SpanCat, TraceDump, SIM_LANE, UNTRACKED_MACHINE};
 
 use crate::hardware::CpuModel;
@@ -287,49 +288,44 @@ impl CalibrationProfile {
     /// Parses a profile serialized by [`CalibrationProfile::to_json`].
     /// Every per-machine vector must have exactly `machines` entries,
     /// every figure must be finite and non-negative, and `machines` and
-    /// `iterations` must be whole numbers.
+    /// `iterations` must be unsigned integers.
     pub fn from_json(text: &str) -> crate::Result<Self> {
         let bad = |what: &str| crate::SpecError::Invalid(format!("calibration JSON: {what}"));
-        if !text.contains("\"schema\":\"parallax-calibration-v1\"") {
+        let doc = json::parse(text).map_err(|e| bad(&format!("invalid value: {e}")))?;
+        if doc.get("schema").and_then(Value::as_str) != Some("parallax-calibration-v1") {
             return Err(bad("missing schema parallax-calibration-v1"));
         }
-        let figure = |key: &str, x: f64| -> crate::Result<f64> {
-            if x.is_finite() && x >= 0.0 {
-                Ok(x)
-            } else {
-                Err(bad(&format!("{key} has invalid value {x}")))
-            }
+        let invalid = |key: &str, v: &Value| match v {
+            Value::Number(text) => bad(&format!("{key} has invalid value {text}")),
+            _ => bad(&format!("{key} has invalid value: not a number")),
         };
-        let number = |key: &str| -> crate::Result<f64> {
-            let x = scan_number(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
-            figure(key, x)
+        let field = |key: &str| doc.get(key).ok_or_else(|| bad(&format!("missing {key}")));
+        let figure = |key: &str, v: &Value| match v.as_f64() {
+            Some(x) if x.is_finite() && x >= 0.0 => Ok(x),
+            _ => Err(invalid(key, v)),
         };
-        // Counts must be whole and within f64's exact-integer range, so
-        // the casts below neither truncate nor saturate.
-        let count = |key: &str| -> crate::Result<u64> {
-            let x = number(key)?;
-            if x.fract() == 0.0 && x <= (1u64 << 53) as f64 {
-                Ok(x as u64)
-            } else {
-                Err(bad(&format!("{key} has invalid value {x}")))
-            }
+        let count = |key: &str| {
+            let v = field(key)?;
+            v.as_u64().ok_or_else(|| invalid(key, v))
         };
         let machines = count("machines")?;
         let machines = usize::try_from(machines)
             .map_err(|_| bad(&format!("machines has invalid value {machines}")))?;
         let iterations = count("iterations")?;
         let vec_field = |key: &str| -> crate::Result<Vec<f64>> {
-            let v = scan_array(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
-            if v.len() != machines {
+            let items = field(key)?
+                .as_array()
+                .ok_or_else(|| bad(&format!("{key} is not an array")))?;
+            if items.len() != machines {
                 return Err(bad(&format!(
                     "{key} has {} entries, expected {machines}",
-                    v.len()
+                    items.len()
                 )));
             }
-            v.into_iter().map(|x| figure(key, x)).collect()
+            items.iter().map(|v| figure(key, v)).collect()
         };
-        let wait_mean_s = match scan_number(text, "wait_mean_s") {
-            Some(x) => figure("wait_mean_s", x)?,
+        let wait_mean_s = match doc.get("wait_mean_s") {
+            Some(v) => figure("wait_mean_s", v)?,
             None => 0.0,
         };
         Ok(CalibrationProfile {
@@ -344,33 +340,6 @@ impl CalibrationProfile {
             wait_mean_s,
         })
     }
-}
-
-/// Scans `"key":<number>` out of flat JSON text (the fixed
-/// `parallax-calibration-v1` schema; no nested objects share key names).
-fn scan_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Scans `"key":[n,n,...]` out of flat JSON text.
-fn scan_array(text: &str, key: &str) -> Option<Vec<f64>> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = text[start..].trim_start().strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    let mut out = Vec::new();
-    for item in body.split(',') {
-        let t = item.trim();
-        if t.is_empty() {
-            continue;
-        }
-        out.push(t.parse().ok()?);
-    }
-    Some(out)
 }
 
 #[cfg(test)]

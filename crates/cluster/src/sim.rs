@@ -133,32 +133,6 @@ impl PsQueueModel {
         }
         crate::des::fifo_replay(&mut requests)
     }
-
-    /// A queue-model-driven setting for the server's apply-sharding
-    /// knob (`ParallaxConfig::ps_apply_min_rows`): the minimum parameter
-    /// rows per pool chunk when server machine `m` row-shards optimizer
-    /// applies across `threads` compute threads. The replayed FIFO queue
-    /// splits the server's iteration into busy time and idle gaps
-    /// (`total_wait`, the modelled `ps.wait_ns`): a server that is busy
-    /// at least as long as it idles has requests backing up behind its
-    /// applies, so fine-grained chunks (64 rows) pay for their dispatch
-    /// overhead; a mostly-idle server keeps chunks coarse (256 rows).
-    /// `threads <= 1` yields `0` (serial applies; there is nothing to
-    /// shard across).
-    pub fn recommended_apply_rows(&self, m: usize, threads: usize, compute_ready: &[f64]) -> usize {
-        if threads <= 1 {
-            return 0;
-        }
-        let stats = self.replay(m, compute_ready);
-        if stats.requests == 0 || stats.done <= 0.0 {
-            return 256;
-        }
-        if stats.total_busy >= stats.total_wait {
-            64
-        } else {
-            256
-        }
-    }
 }
 
 /// Recovery-time accounting for checkpointed fault-tolerant training
@@ -468,28 +442,6 @@ mod tests {
         let mut m = ClusterModel::paper_testbed();
         m.comm_overlap = 0.0;
         m
-    }
-
-    #[test]
-    fn recommended_apply_rows_tracks_queue_pressure() {
-        let busy = PsQueueModel {
-            early_requests: vec![40.0],
-            late_requests: vec![40.0],
-            mean_service: vec![0.01],
-        };
-        // 80 requests at 10 ms each all arriving early: heavy queueing,
-        // so shard finely.
-        assert_eq!(busy.recommended_apply_rows(0, 8, &[0.0]), 64);
-        // Requests trickling in far apart: the queue never backs up,
-        // so keep chunks coarse.
-        let idle = PsQueueModel {
-            early_requests: vec![1.0],
-            late_requests: vec![1.0],
-            mean_service: vec![0.0001],
-        };
-        assert_eq!(idle.recommended_apply_rows(0, 8, &[10.0]), 256);
-        // A single compute thread has nothing to shard across.
-        assert_eq!(busy.recommended_apply_rows(0, 1, &[0.0]), 0);
     }
 
     #[test]

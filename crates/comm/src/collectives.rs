@@ -152,16 +152,6 @@ pub fn ring_allreduce(
     Ok(())
 }
 
-/// Ring AllReduce over a tensor's buffer.
-pub fn ring_allreduce_tensor(
-    ep: &mut Endpoint,
-    ranks: &[usize],
-    tag: u64,
-    tensor: &mut Tensor,
-) -> Result<()> {
-    ring_allreduce(ep, ranks, tag, tensor.data_mut())
-}
-
 /// Ring AllReduce with a selectable [`WireFormat`]: chunks travel as
 /// 16-bit wire words under f16/bf16, halving dense exchange bytes.
 ///

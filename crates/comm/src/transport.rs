@@ -63,13 +63,6 @@ impl PeerHealth {
     pub fn first_dead(&self) -> Option<usize> {
         self.dead.lock().iter().min().copied()
     }
-
-    /// All dead ranks, sorted.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.dead.lock().iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// A typed message payload.
@@ -171,14 +164,6 @@ impl Payload {
         match self {
             Payload::Packed(p) => Ok(p),
             _ => Err(CommError::PayloadKind { expected: "packed" }),
-        }
-    }
-
-    /// Unwraps a tensor without materializing an owned copy.
-    pub fn into_shared_tensor(self) -> Result<Arc<Tensor>> {
-        match self {
-            Payload::Tensor(t) => Ok(t),
-            _ => Err(CommError::PayloadKind { expected: "tensor" }),
         }
     }
 

@@ -216,38 +216,12 @@ pub fn encode_indices(indices: &[usize]) -> Vec<u8> {
     out
 }
 
-/// Decodes `count` indices from [`encode_indices`] output.
-///
-/// Panics on a malformed stream: the encoder lives in this process, so
-/// corruption is a bug, not an input condition.
-pub fn decode_indices(bytes: &[u8], count: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(count);
-    let mut prev = 0i64;
-    let mut it = bytes.iter();
-    for _ in 0..count {
-        let mut z = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = *it.next().expect("truncated packed index stream");
-            z |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        prev += unzigzag(z);
-        out.push(prev as usize);
-    }
-    debug_assert!(it.next().is_none(), "trailing bytes in packed index stream");
-    out
-}
-
-/// Fallible [`decode_indices`]: returns `None` instead of panicking on
-/// a truncated stream, trailing bytes, an over-long varint, or a delta
-/// run that goes negative. The frame codec in `parallax-net` decodes
-/// *untrusted* bytes (a socket peer, possibly corrupted), where
-/// malformed input is an input condition, not a bug.
-pub fn checked_decode_indices(bytes: &[u8], count: usize) -> Option<Vec<usize>> {
+/// Decodes `count` indices from [`encode_indices`] output. Returns
+/// `None` on a truncated stream, trailing bytes, an over-long varint,
+/// or a delta run that goes negative: the frame codec in
+/// `parallax-net` decodes *untrusted* bytes (a socket peer, possibly
+/// corrupted), where malformed input is an input condition, not a bug.
+pub fn decode_indices(bytes: &[u8], count: usize) -> Option<Vec<usize>> {
     // Every index takes at least one byte, so a larger count is
     // malformed; rejecting it first keeps an untrusted count from
     // sizing the allocation below.
@@ -351,7 +325,7 @@ impl PackedSlices {
         count: usize,
         dense_rows: usize,
     ) -> crate::Result<PackedSlices> {
-        let indices = checked_decode_indices(&index_bytes, count).ok_or_else(|| {
+        let indices = decode_indices(&index_bytes, count).ok_or_else(|| {
             crate::CommError::InvalidConfig("malformed packed index stream".into())
         })?;
         // Validate shape and bounds in place, then keep the *original*
@@ -390,7 +364,8 @@ impl PackedSlices {
     /// Restores the original slice set (exact: the index codec is
     /// lossless and values were never transformed).
     pub fn unpack(&self) -> IndexedSlices {
-        let indices = decode_indices(&self.index_bytes, self.count);
+        let indices = decode_indices(&self.index_bytes, self.count)
+            .expect("packed index bytes were encoded here or validated by from_wire");
         IndexedSlices::new(indices, self.values.clone(), self.dense_rows)
             .expect("packed slices decode to the slices they were packed from")
     }
@@ -614,7 +589,7 @@ mod tests {
         for indices in cases {
             let bytes = encode_indices(&indices);
             assert_eq!(bytes.len(), encoded_index_len(&indices));
-            assert_eq!(decode_indices(&bytes, indices.len()), indices);
+            assert_eq!(decode_indices(&bytes, indices.len()), Some(indices));
         }
     }
 

@@ -147,14 +147,6 @@ pub struct ParallaxConfig {
     /// byte-equality crosschecks stay exact under every format.
     /// Parameter-server traffic is never compressed.
     pub wire_format: parallax_comm::WireFormat,
-    /// Row-parallelism for parameter-server applies: the minimum number
-    /// of parameter rows per pool chunk when a server shards an
-    /// optimizer apply across the shared compute pool. `0` disables
-    /// sharding (fully serial applies, the pre-compression behavior).
-    /// Results are bitwise identical for every setting; only `ps.wait`
-    /// changes. See `parallax_cluster::PsQueueModel::recommended_apply_rows`
-    /// for a queue-model-driven choice.
-    pub ps_apply_min_rows: usize,
     /// Per-machine straggler injection: machine `m`'s workers busy-wait
     /// after each backward pass so their compute phase takes
     /// `machine_slowdown[m]` times as long as it measured. Machines past
@@ -223,7 +215,6 @@ impl Default for ParallaxConfig {
             alpha_dense_threshold: 0.95,
             compute_threads: None,
             wire_format: parallax_comm::WireFormat::F32,
-            ps_apply_min_rows: 64,
             machine_slowdown: Vec::new(),
             checkpoint_path: None,
             checkpoint_interval: 0,

@@ -823,7 +823,6 @@ impl Runner {
             serve_aggregates: self.config.trace_gradients,
             seed: self.config.seed,
             lr_schedule: self.config.lr_schedule,
-            apply_min_rows: self.config.ps_apply_min_rows,
         }
     }
 

@@ -180,12 +180,6 @@ pub fn profile_from_parts(parts: Vec<(VarId, bool, f64, usize, usize)>) -> Spars
     SparsityProfile { vars }
 }
 
-/// A provider wrapper is unnecessary for estimation, but downstream code
-/// sometimes needs the store back; expose it for reuse.
-pub fn estimation_store(graph: &Graph, seed: u64) -> VarStore {
-    VarStore::init(graph, &mut DetRng::seed(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

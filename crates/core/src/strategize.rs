@@ -465,7 +465,7 @@ mod tests {
         )
         .unwrap();
         let json = report.to_json();
-        parallax_trace::export::validate_json(&json).expect("valid JSON");
+        parallax_trace::json::parse(&json).expect("valid JSON");
         assert!(json.contains("parallax-plan-search-v1"));
         assert!(json.contains("seed_strategy"));
     }

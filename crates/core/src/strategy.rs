@@ -87,14 +87,6 @@ pub struct StrategyPlan {
     pub plan: DistributedPlan,
 }
 
-impl StrategyPlan {
-    /// One short label per variable naming its active strategy, in
-    /// variable-index order — for topology listings and `repro check`.
-    pub fn decision_labels(&self) -> Vec<String> {
-        self.plan.decisions.iter().map(decision_label).collect()
-    }
-}
-
 /// Short human-readable label for a synchronization decision.
 pub fn decision_label(d: &SyncDecision) -> String {
     match d {

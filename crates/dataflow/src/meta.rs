@@ -6,8 +6,6 @@
 //! module plays that role: a static analysis of the graph yielding, for
 //! every variable, its gradient kind and the nodes that produce it.
 
-use std::collections::HashMap;
-
 use crate::graph::{Graph, NodeId, VarId};
 
 /// Whether a variable's gradient is dense or an `IndexedSlices`.
@@ -89,15 +87,6 @@ impl MetaGraph {
             .collect()
     }
 
-    /// Variables with dense gradients.
-    pub fn dense_vars(&self) -> Vec<VarId> {
-        self.metas
-            .iter()
-            .filter(|m| m.kind == GradKind::Dense)
-            .map(|m| m.var)
-            .collect()
-    }
-
     /// Counts elements per gradient kind: `(dense_elements, sparse_elements)`
     /// — the "# Elements" columns of Table 1.
     pub fn element_counts(&self, graph: &Graph) -> (usize, usize) {
@@ -111,15 +100,6 @@ impl MetaGraph {
             }
         }
         (dense, sparse)
-    }
-
-    /// Kind counts as a map (for reporting).
-    pub fn kind_histogram(&self) -> HashMap<GradKind, usize> {
-        let mut h = HashMap::new();
-        for m in &self.metas {
-            *h.entry(m.kind).or_insert(0) += 1;
-        }
-        h
     }
 }
 

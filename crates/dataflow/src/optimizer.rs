@@ -10,9 +10,8 @@
 //! parameter is large enough: every update rule here is elementwise (or
 //! row-local for sparse gradients), so splitting the parameter into
 //! disjoint row chunks changes nothing about the per-element arithmetic
-//! order and results stay bitwise identical at every thread count. The
-//! granularity knob is [`Optimizer::set_apply_min_rows`]; `0` forces
-//! fully serial applies.
+//! order and results stay bitwise identical at every thread count.
+//! Each chunk holds at least [`APPLY_MIN_ROWS`] rows.
 
 use std::collections::HashMap;
 
@@ -20,8 +19,8 @@ use parallax_tensor::{ops, pool, sparse::Grad, IndexedSlices, Tensor};
 
 use crate::Result;
 
-/// Default minimum parameter rows per pool chunk for sharded applies.
-pub const DEFAULT_APPLY_MIN_ROWS: usize = 64;
+/// Minimum parameter rows per pool chunk for sharded applies.
+pub const APPLY_MIN_ROWS: usize = 64;
 
 /// Rows of a parameter as the sharder counts them (rank-0 scalars and
 /// rank-1 vectors are a single row).
@@ -36,21 +35,16 @@ fn param_rows(param: &Tensor) -> usize {
 /// Splits `param` (and `state`, when present — always the same shape)
 /// into the same disjoint row chunks and runs `body(param_chunk,
 /// state_chunk, grad_chunk)` for each, across the pool when worthwhile.
-/// All three buffers have identical length; `min_rows == 0` stays
-/// serial.
+/// All three buffers have identical length.
 fn sharded_dense(
     param: &mut [f32],
     state: Option<&mut [f32]>,
     grad: &[f32],
     rows: usize,
-    min_rows: usize,
     body: impl Fn(&mut [f32], Option<&mut [f32]>, &[f32]) + Sync,
 ) {
     debug_assert_eq!(param.len(), grad.len());
-    // `min_rows == 0` disables sharding entirely.
-    let chunks = rows
-        .checked_div(min_rows)
-        .map_or(1, |per| pool::effective_threads().min(per).max(1));
+    let chunks = pool::effective_threads().min(rows / APPLY_MIN_ROWS).max(1);
     if chunks <= 1 || param.is_empty() {
         body(param, state, grad);
         return;
@@ -89,15 +83,11 @@ fn sharded_sparse(
     param: &mut Tensor,
     state: Option<&mut Tensor>,
     merged: &IndexedSlices,
-    min_rows: usize,
     body: impl Fn(&mut [f32], Option<&mut [f32]>, &[f32]) + Sync,
 ) -> Result<()> {
     let k = merged.indices().len();
     let cols = merged.cols();
-    // `min_rows == 0` disables sharding entirely.
-    let chunks = k
-        .checked_div(min_rows)
-        .map_or(1, |per| pool::effective_threads().min(per).max(1));
+    let chunks = pool::effective_threads().min(k / APPLY_MIN_ROWS).max(1);
     let prows = param_rows(param);
     let disjoint = merged.indices().windows(2).all(|w| w[0] < w[1])
         && merged.indices().last().is_none_or(|&i| i < prows)
@@ -203,11 +193,6 @@ pub trait Optimizer: Send {
     /// Updates the learning rate (schedules re-set it per iteration).
     fn set_learning_rate(&mut self, lr: f32);
 
-    /// Sets the minimum parameter rows per pool chunk for row-sharded
-    /// applies; `0` forces fully serial applies. Results are bitwise
-    /// identical for every setting. Stateless default: ignore.
-    fn set_apply_min_rows(&mut self, _rows: usize) {}
-
     /// Name of this optimizer's per-parameter state ("velocity",
     /// "accum"), or `None` for stateless rules. Checkpoints use it to
     /// tag serialized slot tensors.
@@ -230,16 +215,12 @@ pub trait Optimizer: Send {
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
-    apply_min_rows: usize,
 }
 
 impl Sgd {
     /// Creates an SGD optimizer.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            apply_min_rows: DEFAULT_APPLY_MIN_ROWS,
-        }
+        Sgd { lr }
     }
 }
 
@@ -252,25 +233,18 @@ impl Optimizer for Sgd {
         }
         let lr = self.lr;
         let rows = param_rows(param);
-        sharded_dense(
-            param.data_mut(),
-            None,
-            grad.data(),
-            rows,
-            self.apply_min_rows,
-            |p, _, g| {
-                for (d, s) in p.iter_mut().zip(g) {
-                    *d += -lr * s;
-                }
-            },
-        );
+        sharded_dense(param.data_mut(), None, grad.data(), rows, |p, _, g| {
+            for (d, s) in p.iter_mut().zip(g) {
+                *d += -lr * s;
+            }
+        });
         Ok(())
     }
 
     fn apply_sparse(&mut self, _slot: u64, param: &mut Tensor, grad: &IndexedSlices) -> Result<()> {
         let merged = grad.coalesce();
         let lr = self.lr;
-        sharded_sparse(param, None, &merged, self.apply_min_rows, |dst, _, src| {
+        sharded_sparse(param, None, &merged, |dst, _, src| {
             for (d, s) in dst.iter_mut().zip(src) {
                 *d -= lr * s;
             }
@@ -284,10 +258,6 @@ impl Optimizer for Sgd {
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
-
-    fn set_apply_min_rows(&mut self, rows: usize) {
-        self.apply_min_rows = rows;
-    }
 }
 
 /// SGD with classical momentum.
@@ -298,7 +268,6 @@ pub struct Momentum {
     /// Momentum coefficient.
     pub mu: f32,
     velocity: HashMap<u64, Tensor>,
-    apply_min_rows: usize,
 }
 
 impl Momentum {
@@ -308,7 +277,6 @@ impl Momentum {
             lr,
             mu,
             velocity: HashMap::new(),
-            apply_min_rows: DEFAULT_APPLY_MIN_ROWS,
         }
     }
 }
@@ -331,7 +299,6 @@ impl Optimizer for Momentum {
             Some(v.data_mut()),
             grad.data(),
             rows,
-            self.apply_min_rows,
             |p, v, g| {
                 let v = v.expect("velocity chunk");
                 for (vi, gi) in v.iter_mut().zip(g.iter()) {
@@ -354,21 +321,15 @@ impl Optimizer for Momentum {
             .entry(slot)
             .or_insert_with(|| Tensor::zeros(param.shape().clone()));
         let (lr, mu) = (self.lr, self.mu);
-        sharded_sparse(
-            param,
-            Some(v),
-            &merged,
-            self.apply_min_rows,
-            |prow, vrow, src| {
-                let vrow = vrow.expect("velocity row");
-                for (vi, gi) in vrow.iter_mut().zip(src) {
-                    *vi = mu * *vi + gi;
-                }
-                for (p, vi) in prow.iter_mut().zip(vrow.iter()) {
-                    *p -= lr * vi;
-                }
-            },
-        )
+        sharded_sparse(param, Some(v), &merged, |prow, vrow, src| {
+            let vrow = vrow.expect("velocity row");
+            for (vi, gi) in vrow.iter_mut().zip(src) {
+                *vi = mu * *vi + gi;
+            }
+            for (p, vi) in prow.iter_mut().zip(vrow.iter()) {
+                *p -= lr * vi;
+            }
+        })
     }
 
     fn learning_rate(&self) -> f32 {
@@ -377,10 +338,6 @@ impl Optimizer for Momentum {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
-    }
-
-    fn set_apply_min_rows(&mut self, rows: usize) {
-        self.apply_min_rows = rows;
     }
 
     fn state_name(&self) -> Option<&'static str> {
@@ -405,7 +362,6 @@ pub struct Adagrad {
     /// Numerical-stability floor.
     pub eps: f32,
     accum: HashMap<u64, Tensor>,
-    apply_min_rows: usize,
 }
 
 impl Adagrad {
@@ -415,7 +371,6 @@ impl Adagrad {
             lr,
             eps: 1e-8,
             accum: HashMap::new(),
-            apply_min_rows: DEFAULT_APPLY_MIN_ROWS,
         }
     }
 }
@@ -436,7 +391,6 @@ impl Optimizer for Adagrad {
             Some(acc.data_mut()),
             grad.data(),
             rows,
-            self.apply_min_rows,
             |p, a, g| {
                 let a = a.expect("accumulator chunk");
                 for ((pi, ai), gi) in p.iter_mut().zip(a.iter_mut()).zip(g.iter()) {
@@ -455,19 +409,13 @@ impl Optimizer for Adagrad {
             .entry(slot)
             .or_insert_with(|| Tensor::zeros(param.shape().clone()));
         let (lr, eps) = (self.lr, self.eps);
-        sharded_sparse(
-            param,
-            Some(acc),
-            &merged,
-            self.apply_min_rows,
-            |prow, arow, src| {
-                let arow = arow.expect("accumulator row");
-                for ((p, a), g) in prow.iter_mut().zip(arow.iter_mut()).zip(src) {
-                    *a += g * g;
-                    *p -= lr * (g / (a.sqrt() + eps));
-                }
-            },
-        )
+        sharded_sparse(param, Some(acc), &merged, |prow, arow, src| {
+            let arow = arow.expect("accumulator row");
+            for ((p, a), g) in prow.iter_mut().zip(arow.iter_mut()).zip(src) {
+                *a += g * g;
+                *p -= lr * (g / (a.sqrt() + eps));
+            }
+        })
     }
 
     fn learning_rate(&self) -> f32 {
@@ -476,10 +424,6 @@ impl Optimizer for Adagrad {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
-    }
-
-    fn set_apply_min_rows(&mut self, rows: usize) {
-        self.apply_min_rows = rows;
     }
 
     fn state_name(&self) -> Option<&'static str> {
@@ -604,8 +548,10 @@ mod tests {
 
     #[test]
     fn sharded_applies_are_bitwise_identical_to_serial() {
-        parallax_tensor::pool::configure_threads(4);
-        let rows = 97usize;
+        // 400 rows: at 4 threads the dense apply splits into four
+        // chunks of 100 rows and the sparse one (267 touched rows) into
+        // four of at least `APPLY_MIN_ROWS`; one thread stays serial.
+        let rows = 400usize;
         let cols = 5usize;
         let dense_grad = Tensor::new(
             [rows, cols],
@@ -615,6 +561,7 @@ mod tests {
         )
         .unwrap();
         let touched: Vec<usize> = (0..rows).filter(|r| r % 3 != 1).collect();
+        assert!(touched.len() >= 4 * APPLY_MIN_ROWS);
         let sparse_grad = IndexedSlices::new(
             touched.clone(),
             Tensor::new(
@@ -634,15 +581,15 @@ mod tests {
         ];
         for build in builders {
             let mut serial = build();
-            serial.set_apply_min_rows(0);
             let mut sharded = build();
-            sharded.set_apply_min_rows(1);
             let mut p_serial = Tensor::full([rows, cols], 1.0);
             let mut p_sharded = p_serial.clone();
             for step in 0..3 {
+                parallax_tensor::pool::configure_threads(1);
                 serial.apply_dense(7, &mut p_serial, &dense_grad).unwrap();
-                sharded.apply_dense(7, &mut p_sharded, &dense_grad).unwrap();
                 serial.apply_sparse(7, &mut p_serial, &sparse_grad).unwrap();
+                parallax_tensor::pool::configure_threads(4);
+                sharded.apply_dense(7, &mut p_sharded, &dense_grad).unwrap();
                 sharded
                     .apply_sparse(7, &mut p_sharded, &sparse_grad)
                     .unwrap();

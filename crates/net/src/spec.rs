@@ -8,13 +8,17 @@
 //! Every process parses the same file and derives the same
 //! deterministic plan; the spec never carries the plan itself.
 //!
-//! The format is the same flat JSON the calibration profiles use
-//! (`parallax_cluster::costmodel`): scalar fields scanned by key, no
-//! external JSON dependency. Written by the launcher, read by
-//! `repro dist` roles. Decoding fails closed: counts, the seed and the
+//! The format is one flat JSON object, written by the launcher and
+//! read by `repro dist` roles through the workspace's strict reader
+//! ([`parallax_trace::json`]), so every process decodes the same file
+//! the same way. Decoding fails closed: malformed JSON (trailing
+//! bytes, duplicate keys, bad escapes) and a field of the wrong type
+//! are [`NetError::Spec`] errors, and counts, the seed and the
 //! deadline parse exactly as unsigned integers and ports as `u16`, so
-//! a fraction, sign, exponent or out-of-range value is a
-//! [`NetError::Spec`], never a silent truncation.
+//! a fraction, sign, exponent or out-of-range value is rejected, never
+//! silently truncated.
+
+use parallax_trace::json::{self, Value};
 
 use crate::error::{NetError, Result};
 
@@ -212,7 +216,7 @@ impl ClusterSpec {
             ("checkpoint", &self.checkpoint),
             ("snapshot", &self.snapshot),
         ] {
-            let _ = write!(out, ",\"{key}\":\"{}\"", escape(val));
+            let _ = write!(out, ",\"{key}\":\"{}\"", json::escape(val));
         }
         for (key, val) in [
             ("machines", self.machines as u64),
@@ -232,156 +236,76 @@ impl ClusterSpec {
     }
 
     /// Parses a [`ClusterSpec::to_json`] document and validates it.
+    /// String fields may be missing (empty; `host` then defaults to
+    /// `127.0.0.1`, and [`ClusterSpec::validate`] rejects an empty
+    /// `preset`), as may `max_recoveries` (1).
+    /// `validate_protocol` takes a JSON boolean as well as the 0/1
+    /// number `to_json` writes, since hand-written specs naturally use
+    /// `true`/`false`.
     pub fn from_json(text: &str) -> Result<ClusterSpec> {
-        let bad = |what: &str| NetError::Spec(what.to_string());
-        if scan_string(text, "schema").as_deref() != Some(SCHEMA) {
-            return Err(bad("missing schema parallax-cluster-v1"));
+        let doc = json::parse(text).map_err(|e| NetError::Spec(format!("invalid JSON: {e}")))?;
+        if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
+            return Err(NetError::Spec(format!("missing schema {SCHEMA}")));
         }
+        let field = |key: &str| {
+            doc.get(key)
+                .ok_or_else(|| NetError::Spec(format!("missing {key}")))
+        };
         let num = |key: &str| {
-            let token = scan_token(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
-            parse_uint(token).ok_or_else(|| bad(&format!("{key} is not an unsigned integer")))
+            field(key)?
+                .as_u64()
+                .ok_or_else(|| NetError::Spec(format!("{key} is not an unsigned integer")))
         };
         let count = |key: &str| -> Result<usize> {
-            usize::try_from(num(key)?).map_err(|_| bad(&format!("{key} out of range")))
+            usize::try_from(num(key)?).map_err(|_| NetError::Spec(format!("{key} out of range")))
         };
-        let string = |key: &str| scan_string(text, key).unwrap_or_default();
+        let string = |key: &str| {
+            doc.get(key)
+                .map_or(Some(""), Value::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| NetError::Spec(format!("{key} is not a string")))
+        };
         let mut ports = Vec::new();
-        for p in scan_array(text, "ports").ok_or_else(|| bad("missing ports"))? {
-            match parse_uint::<u16>(p) {
+        for p in field("ports")?
+            .as_array()
+            .ok_or_else(|| NetError::Spec("ports is not an array".into()))?
+        {
+            match p.as_u64().and_then(|p| u16::try_from(p).ok()) {
                 Some(port) if port != 0 => ports.push(port),
-                _ => return Err(bad("ports must be integers in 1..=65535")),
+                _ => return Err(NetError::Spec("ports must be integers in 1..=65535".into())),
             }
         }
+        let flag = field("validate_protocol")?;
         let spec = ClusterSpec {
-            preset: scan_string(text, "preset").ok_or_else(|| bad("missing preset"))?,
+            preset: string("preset")?,
             machines: count("machines")?,
             gpus_per_machine: count("gpus_per_machine")?,
             iterations: count("iterations")?,
             seed: num("seed")?,
-            wire_format: string("wire_format"),
-            host: {
-                let h = string("host");
-                if h.is_empty() {
-                    "127.0.0.1".to_string()
-                } else {
-                    h
-                }
+            wire_format: string("wire_format")?,
+            host: match string("host")? {
+                h if h.is_empty() => "127.0.0.1".to_string(),
+                h => h,
             },
             ports,
-            artifact_dir: string("artifact_dir"),
+            artifact_dir: string("artifact_dir")?,
             recv_deadline_ms: num("recv_deadline_ms")?,
-            fault_spec: string("fault_spec"),
-            checkpoint: string("checkpoint"),
-            snapshot: string("snapshot"),
+            fault_spec: string("fault_spec")?,
+            checkpoint: string("checkpoint")?,
+            snapshot: string("snapshot")?,
             checkpoint_interval: count("checkpoint_interval")?,
-            max_recoveries: match scan_token(text, "max_recoveries") {
+            max_recoveries: match doc.get("max_recoveries") {
                 Some(_) => count("max_recoveries")?,
                 None => 1,
             },
-            validate_protocol: scan_flag(text, "validate_protocol")
-                .ok_or_else(|| bad("missing or malformed validate_protocol"))?,
+            validate_protocol: flag
+                .as_bool()
+                .or_else(|| flag.as_u64().map(|v| v != 0))
+                .ok_or_else(|| NetError::Spec("malformed validate_protocol".into()))?,
         };
         spec.validate()?;
         Ok(spec)
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(n) = chars.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Finds `"key": <token>` in a flat JSON document: the scalar up to the
-/// next `,`, `}`, `]` or whitespace.
-fn scan_token<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let rest = after_key(text, key)?;
-    let end = rest
-        .find(|c: char| matches!(c, ',' | '}' | ']') || c.is_whitespace())
-        .unwrap_or(rest.len());
-    Some(&rest[..end])
-}
-
-/// Parses an unsigned decimal integer made of digits only: no sign,
-/// fraction or exponent, and an out-of-range value is `None` rather
-/// than a saturated or truncated one.
-fn parse_uint<T: std::str::FromStr>(token: &str) -> Option<T> {
-    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    token.parse().ok()
-}
-
-/// Finds `"key": <flag>` in a flat JSON document, accepting JSON
-/// booleans as well as the 0/1 numbers [`ClusterSpec::to_json`] emits
-/// (hand-written specs naturally use `true`/`false`).
-fn scan_flag(text: &str, key: &str) -> Option<bool> {
-    let rest = after_key(text, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        parse_uint::<u64>(scan_token(text, key)?).map(|v| v != 0)
-    }
-}
-
-/// Finds `"key": "<string>"` in a flat JSON document (supports `\"`
-/// and `\\` escapes).
-fn scan_string(text: &str, key: &str) -> Option<String> {
-    let rest = after_key(text, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut end = None;
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => {
-                end = Some(i);
-                break;
-            }
-            _ => i += 1,
-        }
-    }
-    Some(unescape(&rest[..end?]))
-}
-
-/// Finds `"key": [n, n, ...]` in a flat JSON document and returns its
-/// items, trimmed.
-fn scan_array<'a>(text: &'a str, key: &str) -> Option<Vec<&'a str>> {
-    let rest = after_key(text, key)?;
-    let rest = rest.strip_prefix('[')?;
-    let close = rest.find(']')?;
-    let inner = rest[..close].trim();
-    if inner.is_empty() {
-        return Some(Vec::new());
-    }
-    Some(inner.split(',').map(str::trim).collect())
-}
-
-/// Positions after `"key"` and its colon, whitespace on either side of
-/// the colon skipped. An occurrence of `"key"` not followed by a colon
-/// (a string value) is passed over.
-fn after_key<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    text.match_indices(&pat).find_map(|(at, _)| {
-        let value = text[at + pat.len()..].trim_start().strip_prefix(':')?;
-        Some(value.trim_start())
-    })
 }
 
 #[cfg(test)]

@@ -216,18 +216,6 @@ impl ShardingPlan {
         }
         out
     }
-
-    /// Machines hosting any shard of `var`, deduplicated and sorted.
-    pub fn servers_of_var(&self, var: VarId) -> Result<Vec<usize>> {
-        let mut machines = match self.placement(var)? {
-            VarPlacement::AllReduce => vec![],
-            VarPlacement::PsDense { server } => vec![*server],
-            VarPlacement::PsSparse { servers, .. } => servers.clone(),
-        };
-        machines.sort_unstable();
-        machines.dedup();
-        Ok(machines)
-    }
 }
 
 #[cfg(test)]

@@ -66,11 +66,6 @@ pub struct ServerConfig {
     /// value (`FetchShard`), and the server must count those messages in
     /// its drain loop. `0` disables checkpointing.
     pub checkpoint_interval: usize,
-    /// Minimum parameter rows per pool chunk when the server shards an
-    /// optimizer apply across the shared compute pool (`0` keeps applies
-    /// fully serial). Results are bitwise identical for every setting;
-    /// only the time spent inside `ps.apply` changes.
-    pub apply_min_rows: usize,
 }
 
 impl Default for ServerConfig {
@@ -86,7 +81,6 @@ impl Default for ServerConfig {
             lr_schedule: LrSchedule::Constant,
             start_iteration: 0,
             checkpoint_interval: 0,
-            apply_min_rows: parallax_dataflow::optimizer::DEFAULT_APPLY_MIN_ROWS,
         }
     }
 }
@@ -156,9 +150,8 @@ impl Server {
         topo: PsTopology,
         endpoint: Endpoint,
         config: ServerConfig,
-        mut optimizer: Box<dyn Optimizer>,
+        optimizer: Box<dyn Optimizer>,
     ) -> Result<Self> {
-        optimizer.set_apply_min_rows(config.apply_min_rows);
         let machine = topo
             .machine_of(endpoint.rank())
             .map_err(|_| PsError::Protocol("server endpoint has no machine".into()))?;

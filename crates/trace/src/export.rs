@@ -1,13 +1,14 @@
 //! Exporters for [`TraceDump`]: Chrome-trace JSON, per-iteration
 //! breakdown tables, straggler reports, and a machine-readable summary.
 //!
-//! All JSON is emitted by hand (the workspace carries no serde); the
-//! [`validate_json`] checker lets tests assert the output is
-//! well-formed JSON that `chrome://tracing` / Perfetto will load.
+//! All JSON is emitted by hand (the workspace carries no serde), with
+//! strings escaped by [`json::escape`]; tests read it back with
+//! [`json::parse`] to show `chrome://tracing` / Perfetto will load it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json;
 use crate::tracer::{FlowPoint, SpanCat, SpanRecord, TraceDump, SIM_LANE, UNTRACKED_MACHINE};
 
 /// Name of the per-iteration phase span the runner opens around each
@@ -21,24 +22,6 @@ pub const ITERATION_SPAN: &str = "iteration";
 pub const COMPUTE_PHASE_SPANS: [&str; 3] = ["phase.forward", "phase.backward", "phase.straggle"];
 
 // ----------------------------------------------------------------- helpers
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1000.0
@@ -140,7 +123,7 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
             format!(
                 "{{\"ph\":\"M\",\"pid\":{machine},\"tid\":{lane},\
                  \"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                esc(label)
+                json::escape(label)
             ),
         );
     }
@@ -164,7 +147,7 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
                 r.lane,
                 us(r.start_ns),
                 us(r.dur_ns),
-                esc(r.name),
+                json::escape(r.name),
                 r.cat.as_str(),
                 r.iter,
                 r.bytes
@@ -561,7 +544,7 @@ pub fn summary_json(dump: &TraceDump) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{v}", esc(name));
+        let _ = write!(out, "\"{}\":{v}", json::escape(name));
     }
     out.push('}');
 
@@ -574,7 +557,7 @@ pub fn summary_json(dump: &TraceDump) -> String {
             out,
             "\"{}\":{{\"count\":{},\"sum\":{},\"mean\":{:.3},\
              \"p50_ub\":{},\"p99_ub\":{}}}",
-            esc(name),
+            json::escape(name),
             h.count,
             h.sum,
             h.mean(),
@@ -597,181 +580,6 @@ pub fn summary_json(dump: &TraceDump) -> String {
     }
     out.push_str("]}");
     out
-}
-
-// ------------------------------------------------------------ json checker
-
-/// Minimal recursive-descent JSON well-formedness check, so tests can
-/// assert exporter output parses without pulling in a JSON dependency.
-/// Accepts exactly the RFC 8259 grammar (objects, arrays, strings,
-/// numbers, literals); rejects trailing garbage.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl<'a> P<'a> {
-        fn err(&self, msg: &str) -> String {
-            format!("{msg} at byte {}", self.i)
-        }
-        fn ws(&mut self) {
-            while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-                self.i += 1;
-            }
-        }
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{}'", c as char)))
-            }
-        }
-        fn value(&mut self, depth: usize) -> Result<(), String> {
-            if depth > 128 {
-                return Err(self.err("nesting too deep"));
-            }
-            self.ws();
-            match self.peek() {
-                Some(b'{') => self.object(depth),
-                Some(b'[') => self.array(depth),
-                Some(b'"') => self.string(),
-                Some(b't') => self.lit("true"),
-                Some(b'f') => self.lit("false"),
-                Some(b'n') => self.lit("null"),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(self.err("expected a JSON value")),
-            }
-        }
-        fn lit(&mut self, word: &str) -> Result<(), String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{word}'")))
-            }
-        }
-        fn object(&mut self, depth: usize) -> Result<(), String> {
-            self.eat(b'{')?;
-            self.ws();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.ws();
-                self.string()?;
-                self.ws();
-                self.eat(b':')?;
-                self.value(depth + 1)?;
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        fn array(&mut self, depth: usize) -> Result<(), String> {
-            self.eat(b'[')?;
-            self.ws();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.value(depth + 1)?;
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or ']'")),
-                }
-            }
-        }
-        fn string(&mut self) -> Result<(), String> {
-            self.eat(b'"')?;
-            while let Some(c) = self.peek() {
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(()),
-                    b'\\' => {
-                        let e = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                        self.i += 1;
-                        match e {
-                            b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
-                            b'u' => {
-                                for _ in 0..4 {
-                                    let h =
-                                        self.peek().ok_or_else(|| self.err("bad \\u escape"))?;
-                                    if !h.is_ascii_hexdigit() {
-                                        return Err(self.err("bad \\u escape"));
-                                    }
-                                    self.i += 1;
-                                }
-                            }
-                            _ => return Err(self.err("bad escape")),
-                        }
-                    }
-                    0x00..=0x1f => return Err(self.err("raw control char in string")),
-                    _ => {}
-                }
-            }
-            Err(self.err("unterminated string"))
-        }
-        fn number(&mut self) -> Result<(), String> {
-            if self.peek() == Some(b'-') {
-                self.i += 1;
-            }
-            let digits = |p: &mut Self| -> Result<(), String> {
-                let start = p.i;
-                while p.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    p.i += 1;
-                }
-                if p.i == start {
-                    Err(p.err("expected digits"))
-                } else {
-                    Ok(())
-                }
-            };
-            if self.peek() == Some(b'0') {
-                self.i += 1;
-            } else {
-                digits(self)?;
-            }
-            if self.peek() == Some(b'.') {
-                self.i += 1;
-                digits(self)?;
-            }
-            if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-                self.i += 1;
-                if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                    self.i += 1;
-                }
-                digits(self)?;
-            }
-            Ok(())
-        }
-    }
-    let mut p = P {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -848,7 +656,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_rows() {
         let json = chrome_trace(&sample_dump());
-        validate_json(&json).expect("chrome trace must be valid JSON");
+        json::parse(&json).expect("chrome trace must be valid JSON");
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"machine0\""));
@@ -863,7 +671,7 @@ mod tests {
     fn summary_json_is_valid_and_cross_checks_bytes() {
         let d = sample_dump();
         let json = summary_json(&d);
-        validate_json(&json).expect("summary must be valid JSON");
+        json::parse(&json).expect("summary must be valid JSON");
         assert!(json.contains("\"total_span_bytes\":516"));
         assert!(json.contains("\"c\\\"x\":3"));
     }
@@ -980,7 +788,7 @@ mod tests {
         d.records.push(finish);
         assert_eq!(check_flows(&d), Ok(1));
         let json = chrome_trace(&d);
-        validate_json(&json).expect("chrome trace with flows must be valid JSON");
+        json::parse(&json).expect("chrome trace with flows must be valid JSON");
         assert!(json.contains("\"ph\":\"s\""));
         assert!(json.contains("\"ph\":\"f\",\"bp\":\"e\""));
         assert!(json.contains(&format!("\"id\":{}", 0xabc)));
@@ -1000,16 +808,5 @@ mod tests {
         assert_eq!(check_flows(&d), Ok(1));
         d.records.push(orphan);
         assert!(check_flows(&d).is_err());
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        validate_json("{\"a\":[1,2.5,-3e2,true,null,\"s\\n\"]}").unwrap();
-        validate_json(" 42 ").unwrap();
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("[1 2]").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("{} trailing").is_err());
-        assert!(validate_json("01").is_err());
     }
 }

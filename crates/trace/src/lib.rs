@@ -27,9 +27,11 @@
 //! Exporters live in [`export`]: Chrome `chrome://tracing`/Perfetto
 //! JSON (one row per simulated machine/worker), a per-iteration
 //! self-time breakdown table, a straggler report, and a
-//! machine-readable summary.
+//! machine-readable summary. [`json`] is the workspace's one JSON
+//! reader and string escaper.
 
 pub mod export;
+pub mod json;
 mod tracer;
 
 pub use tracer::{

@@ -86,6 +86,6 @@ fn hybrid_run_span_bytes_match_traffic_accountant() {
     assert!(stats.iter().all(|s| s.max_ns >= s.median_ns));
 
     // And the exporters accept it.
-    export::validate_json(&export::chrome_trace(&dump)).unwrap();
-    export::validate_json(&export::summary_json(&dump)).unwrap();
+    trace::json::parse(&export::chrome_trace(&dump)).unwrap();
+    trace::json::parse(&export::summary_json(&dump)).unwrap();
 }
