@@ -6,7 +6,7 @@
 //! repro plan [--model lm|nmt] [--calibrate TRACE.cal.json]
 //! repro trace [--model lm|nmt] [--iters N]
 //! repro trace-overhead
-//! repro straggler [--model lm|nmt] [--iters N] [--factors 1,2,3]
+//! repro straggler [--model lm|nmt] [--machines N] [--iters N] [--factors 1,2,3]
 //! repro chaos [--scenarios name,name,...]
 //! repro compress
 //! repro serve-bench [--model lm|nmt]
@@ -114,7 +114,9 @@ fn main() {
         eprintln!("       repro protocheck [--model lm|nmt]");
         eprintln!("       repro trace [--model lm|nmt] [--iters N]");
         eprintln!("       repro trace-overhead");
-        eprintln!("       repro straggler [--model lm|nmt] [--iters N] [--factors 1,2,3]");
+        eprintln!(
+            "       repro straggler [--model lm|nmt] [--machines N] [--iters N] [--factors 1,2,3]"
+        );
         eprintln!("       repro chaos [--scenarios name,name,...]");
         eprintln!("       repro compress");
         eprintln!("       repro serve-bench [--model lm|nmt]");
@@ -199,6 +201,9 @@ fn main() {
     }
     if which == "straggler" {
         let model = flag_value("--model").unwrap_or_else(|| "lm".to_string());
+        let machines: usize = flag_value("--machines")
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(parallax_bench::straggler::MACHINES);
         let iters: usize = flag_value("--iters")
             .and_then(|s| s.parse().ok())
             .unwrap_or(3);
@@ -207,7 +212,7 @@ fn main() {
             .split(',')
             .filter_map(|s| s.trim().parse().ok())
             .collect();
-        match parallax_bench::straggler::run(&model, &factors, iters) {
+        match parallax_bench::straggler::run(&model, machines, &factors, iters) {
             Ok((report, ok)) => {
                 print!("{report}");
                 if !ok {
@@ -319,7 +324,7 @@ fn dist() {
                     "dist: {} iterations over {} process(es), {} generation(s)",
                     merged.losses.len(),
                     spec.num_endpoints(),
-                    merged.generations
+                    merged.failed_roles.len() + 1
                 );
                 println!(
                     "dist: final loss {:.6}, network traffic {} B (traced {} B)",
@@ -355,8 +360,8 @@ fn dist() {
         }
     };
     if let Err(e) = parallax_bench::dist::role_main(&spec_path, role) {
-        eprintln!("repro dist [{role}]: {e}");
-        std::process::exit(1);
+        eprintln!("repro dist [{role}]: {}", e.message);
+        std::process::exit(e.code);
     }
 }
 

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parallax_comm::protocheck::SessionValidator;
-use parallax_comm::{Endpoint, PeerHealth, TrafficSnapshot, TrafficStats, WireFormat};
+use parallax_comm::{CommError, Endpoint, PeerHealth, TrafficSnapshot, TrafficStats, WireFormat};
 use parallax_core::plancheck::predict_iteration_traffic;
 use parallax_core::runner::TrafficReport;
 use parallax_core::snapshot::{self, Snapshot};
@@ -66,6 +66,27 @@ pub const GENERATION_DEADLINE: Duration = Duration::from_secs(150);
 /// `artifact_dir` (shared by every role, appended before a fault's
 /// verdict is returned, so a SIGKILL cannot lose the record).
 pub const FAULT_LOG: &str = "fault_fired.log";
+
+/// Exit status of a role process whose run ended in
+/// [`CommError::PeerTimeout`]: a peer stayed silent, or stopped reading,
+/// past the endpoint's deadline. Every other failure exits 1.
+pub const EXIT_PEER_TIMEOUT: i32 = 3;
+
+/// Why a role process failed, and the exit status that reports it to
+/// the launcher.
+#[derive(Debug)]
+pub struct RoleFailure {
+    /// [`EXIT_PEER_TIMEOUT`] or 1.
+    pub code: i32,
+    /// The error, for stderr.
+    pub message: String,
+}
+
+impl From<String> for RoleFailure {
+    fn from(message: String) -> Self {
+        RoleFailure { code: 1, message }
+    }
+}
 
 /// A spec-selected model preset plus its corpora.
 enum Preset {
@@ -231,8 +252,9 @@ pub struct RoleArtifact {
     pub norms: Vec<f32>,
     /// Worker forward+backward seconds.
     pub compute_secs: f64,
-    /// Chief replica values in graph variable order (chief only).
-    pub store: Option<Vec<Tensor>>,
+    /// Chief replica values `(var index, value)`: the AllReduce
+    /// variables a worker holds (chief only).
+    pub store: Option<Vec<(u64, Tensor)>>,
     /// Server shard values `((var index, partition), value)`.
     pub shards: Vec<((u64, u64), Tensor)>,
     /// The process's measured traffic by class (sender-side only, so
@@ -304,10 +326,12 @@ fn next_traffic(words: &mut &[u64]) -> Result<TrafficSnapshot, String> {
 
 impl RoleArtifact {
     /// Writes the artifact atomically as a tensor file: role, resume
-    /// point, span bytes, compute seconds, shard keys and traffic as
-    /// header words; losses and norms as untagged entries, the replica
-    /// store and the shards as entries tagged `store` and `shard`.
+    /// point, span bytes, compute seconds, store and shard keys and
+    /// traffic as header words; losses and norms as untagged entries,
+    /// the replica store and the shards as entries tagged `store` and
+    /// `shard`.
     pub fn write(&self, path: &Path) -> Result<(), String> {
+        let store = self.store.as_deref().unwrap_or_default();
         let mut words = vec![
             u64::from(matches!(self.role, Role::Server { .. })),
             self.role.index() as u64,
@@ -315,8 +339,10 @@ impl RoleArtifact {
             self.span_bytes,
             self.compute_secs.to_bits(),
             u64::from(self.store.is_some()),
+            store.len() as u64,
             self.shards.len() as u64,
         ];
+        words.extend(store.iter().map(|&(var, _)| var));
         words.extend(self.shards.iter().flat_map(|&((var, part), _)| [var, part]));
         let t = &self.traffic;
         for class in [&t.nccl, &t.mpi, &t.ps, &t.local_agg, &t.other] {
@@ -324,8 +350,9 @@ impl RoleArtifact {
         }
         let series = |xs: &[f32]| Tensor::new([xs.len()], xs.to_vec()).map_err(|e| e.to_string());
         let (losses, norms) = (series(&self.losses)?, series(&self.norms)?);
-        let store = self.store.iter().flatten().map(|t| ("store", t));
         let tagged: Vec<(&str, &Tensor)> = store
+            .iter()
+            .map(|(_, t)| ("store", t))
             .chain(self.shards.iter().map(|(_, t)| ("shard", t)))
             .collect();
         let names: Vec<String> = (0..tagged.len()).map(|i| i.to_string()).collect();
@@ -345,8 +372,8 @@ impl RoleArtifact {
         let at = |e: parallax_core::CoreError| format!("{}: {e}", path.display());
         let file = Snapshot::open(path).map_err(at)?;
         let mut words = file.words();
-        let [kind, index, start_iter, span_bytes, secs, has_store, n_shards]: [u64; 7] =
-            next_words(&mut words, 7)?.try_into().expect("seven words");
+        let [kind, index, start_iter, span_bytes, secs, has_store, n_store, n_shards]: [u64; 8] =
+            next_words(&mut words, 8)?.try_into().expect("eight words");
         let index = index as usize;
         let role = match kind {
             0 if index == 0 => Role::Chief,
@@ -354,6 +381,7 @@ impl RoleArtifact {
             1 => Role::Server { machine: index },
             other => return Err(format!("bad artifact role kind {other}")),
         };
+        let store_keys = next_words(&mut words, n_store)?;
         let keys = next_words(&mut words, n_shards.saturating_mul(2))?;
         let traffic = TrafficReport {
             nccl: next_traffic(&mut words)?,
@@ -379,6 +407,12 @@ impl RoleArtifact {
         };
         let store = tagged("store")?;
         let shards = tagged("shard")?;
+        if store.len() as u64 != n_store {
+            return Err(format!(
+                "artifact declares {n_store} store entries, holds {}",
+                store.len()
+            ));
+        }
         if shards.len() as u64 != n_shards {
             return Err(format!(
                 "artifact declares {n_shards} shards, holds {}",
@@ -392,7 +426,7 @@ impl RoleArtifact {
             losses: series("losses")?,
             norms: series("norms")?,
             compute_secs: f64::from_bits(secs),
-            store: (has_store != 0).then_some(store),
+            store: (has_store != 0).then(|| store_keys.iter().copied().zip(store).collect()),
             shards: keys
                 .chunks_exact(2)
                 .map(|k| (k[0], k[1]))
@@ -410,7 +444,7 @@ impl RoleArtifact {
 /// Runs one role of a spec's job to completion: join the TCP mesh,
 /// execute [`Runner::run_role`] with tracing live, write the role
 /// artifact. This is the body of `repro dist --role ... --spec ...`.
-pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
+pub fn role_main(spec_path: &Path, role: Role) -> Result<(), RoleFailure> {
     let text = std::fs::read_to_string(spec_path)
         .map_err(|e| format!("read {}: {e}", spec_path.display()))?;
     let spec = ClusterSpec::from_json(&text).map_err(|e| e.to_string())?;
@@ -421,7 +455,8 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
              the launcher-assigned ports (run `repro dist --launch`)",
             spec.ports.len(),
             spec.num_endpoints()
-        ));
+        )
+        .into());
     }
     let job = DistJob::build(&spec)?;
     let runner = &job.runner;
@@ -453,7 +488,8 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
                 return Err(format!(
                     "server machine {machine} outside {} machines",
                     topo.num_machines()
-                ));
+                )
+                .into());
             }
             (
                 RoleAssignment::Server { machine },
@@ -527,7 +563,13 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
     );
     parallax_trace::disable();
     let dump = parallax_trace::drain();
-    let output = result.map_err(|e| format!("{role}: {e}"))?;
+    let output = result.map_err(|e| RoleFailure {
+        code: match e.comm() {
+            Some(CommError::PeerTimeout { .. }) => EXIT_PEER_TIMEOUT,
+            _ => 1,
+        },
+        message: format!("{role}: {e}"),
+    })?;
 
     let chief_rank = topo.worker_ranks()[0];
     let artifact = match output {
@@ -543,7 +585,12 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
             losses,
             norms,
             compute_secs,
-            store: (rank == chief_rank).then(|| store.values().to_vec()),
+            store: (rank == chief_rank).then(|| {
+                store
+                    .held()
+                    .map(|(var, t)| (var.index() as u64, t.clone()))
+                    .collect()
+            }),
             shards: Vec::new(),
             traffic: class_report(&traffic),
         },
@@ -562,7 +609,7 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
             traffic: class_report(&traffic),
         },
     };
-    artifact.write(&artifact_dir.join(artifact_name(role)))
+    Ok(artifact.write(&artifact_dir.join(artifact_name(role)))?)
 }
 
 /// Snapshots a process's accumulator into a per-class report.
@@ -600,8 +647,10 @@ pub struct MergedRun {
     /// Sum of every process's traced span bytes (must equal the merged
     /// ledger's `total_network_bytes`, asserted at merge time).
     pub traced_span_bytes: u64,
-    /// Process generations spawned (1 = no recovery needed).
-    pub generations: usize,
+    /// For each lost generation, the role whose nonzero exit ended it
+    /// and its exit code (the launcher then killed the rest, wedged
+    /// processes included). `failed_roles.len() + 1` generations ran.
+    pub failed_roles: Vec<(String, Option<i32>)>,
 }
 
 /// Every role of a spec, chief first, in stable launch order.
@@ -629,8 +678,9 @@ pub fn launch(
         .map_err(|e| format!("create {}: {e}", artifact_dir.display()))?;
     let job = DistJob::build(spec)?;
     let roles = roles_of(spec);
-    let mut generation = 0usize;
+    let mut failed_roles = Vec::new();
     loop {
+        let generation = failed_roles.len();
         spec.ports =
             free_local_ports(spec.num_endpoints()).map_err(|e| format!("port alloc: {e}"))?;
         let spec_path = artifact_dir.join("CLUSTER.json");
@@ -657,7 +707,7 @@ pub fn launch(
             .collect();
         let mut fleet = Fleet::spawn(cmds).map_err(|e| format!("spawn fleet: {e}"))?;
         match fleet.wait_all(deadline) {
-            FleetOutcome::AllOk => return merge(&job, spec, generation + 1),
+            FleetOutcome::AllOk => return merge(&job, spec, failed_roles),
             FleetOutcome::Failed { label, code } => {
                 if spec.checkpoint.is_empty() || generation >= spec.max_recoveries {
                     return Err(format!(
@@ -669,7 +719,7 @@ pub fn launch(
                     "[parallax-net] generation {generation}: {label} exited with code \
                      {code:?}; respawning fleet from latest checkpoint"
                 );
-                generation += 1;
+                failed_roles.push((label, code));
             }
             FleetOutcome::DeadlineExpired { still_running } => {
                 return Err(format!(
@@ -684,7 +734,11 @@ pub fn launch(
 
 /// Reads every role artifact of the successful generation and folds
 /// them exactly the way `run_attempt`'s thread scope does.
-fn merge(job: &DistJob, spec: &ClusterSpec, generations: usize) -> Result<MergedRun, String> {
+fn merge(
+    job: &DistJob,
+    spec: &ClusterSpec,
+    failed_roles: Vec<(String, Option<i32>)>,
+) -> Result<MergedRun, String> {
     let artifact_dir = PathBuf::from(&spec.artifact_dir);
     let artifacts: Vec<RoleArtifact> = roles_of(spec)
         .into_iter()
@@ -711,7 +765,12 @@ fn merge(job: &DistJob, spec: &ClusterSpec, generations: usize) -> Result<Merged
         .store
         .clone()
         .ok_or("chief artifact carries no replica store")?;
-    let chief = VarStore::from_values(chief_values);
+    let mut chief = VarStore::empty(job.graph().variables().len());
+    for (var, value) in chief_values {
+        chief
+            .set(VarId::from_index(var as usize), value)
+            .map_err(|e| format!("chief artifact: {e}"))?;
+    }
     let shard_values: Vec<((VarId, usize), Tensor)> = artifacts
         .iter()
         .flat_map(|a| {
@@ -757,7 +816,7 @@ fn merge(job: &DistJob, spec: &ClusterSpec, generations: usize) -> Result<Merged
         host_compute_per_iter,
         final_model,
         traced_span_bytes,
-        generations,
+        failed_roles,
     })
 }
 
@@ -976,7 +1035,10 @@ mod tests {
             losses: vec![1.5, -0.25],
             norms: vec![0.5],
             compute_secs: 1.25,
-            store: Some(vec![Tensor::zeros([2, 2]), Tensor::full([3], 7.0)]),
+            store: Some(vec![
+                (0, Tensor::zeros([2, 2])),
+                (2, Tensor::full([3], 7.0)),
+            ]),
             shards: vec![((4, 1), Tensor::full([2], -1.0))],
             traffic: TrafficReport {
                 nccl: snap(10),
@@ -1010,8 +1072,10 @@ mod tests {
         assert_eq!(b.compute_secs, a.compute_secs);
         let store = b.store.unwrap();
         assert_eq!(store.len(), 2);
-        assert_eq!(store[0].shape().dims(), &[2, 2]);
-        assert_eq!(store[1].data(), &[7.0, 7.0, 7.0]);
+        assert_eq!(store[0].0, 0);
+        assert_eq!(store[0].1.shape().dims(), &[2, 2]);
+        assert_eq!(store[1].0, 2);
+        assert_eq!(store[1].1.data(), &[7.0, 7.0, 7.0]);
         assert_eq!(b.shards.len(), 1);
         assert_eq!(b.shards[0].0, (4, 1));
         let classes =

@@ -23,8 +23,20 @@ use parallax_models::nmt::{NmtConfig, NmtModel};
 use parallax_tensor::DetRng;
 use parallax_trace::{export, TraceConfig, TraceDump};
 
-/// Default machine count (1 GPU each, so machine boundaries exist).
+/// Default machine count of `repro straggler` (1 GPU each, so machine
+/// boundaries exist).
 pub const MACHINES: usize = 4;
+
+/// Measured runs per slowdown factor: a case compares the prediction
+/// with the median of each measured figure across them. On a host with
+/// fewer cores than modelled machines, a whole run now and then
+/// measures a skew ratio near half the injected factor (1.2-1.6 at
+/// factor 3, in about one nmt run in ten on 2 vCPUs), likely because
+/// the scheduler favours the straggler, which sleeps the most, and the
+/// nominal machines time-share what is left. More iterations do not
+/// help, since the bias holds for the whole run; the median of
+/// independent runs does.
+pub const STRAGGLER_RUNS: usize = 5;
 
 /// Relative tolerance on the compute-skew ratio: the prediction must
 /// land within `REL * measured + ABS` of the measured ratio. The
@@ -105,6 +117,26 @@ pub struct Measured {
     pub apply_s: f64,
     /// Matched push->serve flow pairs in the trace.
     pub flow_pairs: usize,
+}
+
+impl Measured {
+    /// The median of each figure across `runs` (non-empty); `flow_pairs`
+    /// is the fewest any run paired.
+    fn median(runs: &[Measured]) -> Measured {
+        let median = |figure: fn(&Measured) -> f64| {
+            let mut v: Vec<f64> = runs.iter().map(figure).collect();
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        Measured {
+            skew_ratio: median(|m| m.skew_ratio),
+            mean_wait_s: median(|m| m.mean_wait_s),
+            p99_wait_s: median(|m| m.p99_wait_s),
+            exchange_s: median(|m| m.exchange_s),
+            apply_s: median(|m| m.apply_s),
+            flow_pairs: runs.iter().map(|m| m.flow_pairs).min().unwrap_or(0),
+        }
+    }
 }
 
 /// Runs `iters` traced iterations of `preset` (`"lm"` or `"nmt"`) on
@@ -318,11 +350,14 @@ impl ConformanceCase {
 }
 
 /// Evaluates one slowdown factor: predicts the straggler run from the
-/// homogeneous baseline's calibration, then measures the real thing.
+/// homogeneous baseline's calibration, then measures the real thing
+/// [`STRAGGLER_RUNS`] times and takes the median of each figure.
+/// Returns the case and the measured runs.
 ///
 /// `baseline` must be a homogeneous run of the same preset/topology;
-/// `cal` its distilled profile. When `factor == 1.0` the baseline
-/// itself is the measured run (no second execution).
+/// `cal` its distilled profile. At `factor == 1.0` the measured runs
+/// are fresh homogeneous runs, so a stall inside the baseline cannot
+/// also be what the prediction is held to.
 pub fn conformance_case(
     preset: &str,
     machines: usize,
@@ -330,7 +365,7 @@ pub fn conformance_case(
     factor: f64,
     baseline: &TracedRun,
     cal: &CalibrationProfile,
-) -> Result<(ConformanceCase, TracedRun), String> {
+) -> Result<(ConformanceCase, Vec<TracedRun>), String> {
     let cluster = ClusterModel::paper_testbed().with_straggler(0, factor);
     let sim = baseline.report.calibrated_iteration_sim(&cluster, cal);
     let predicted_ratio = sim.compute_skew_ratio();
@@ -365,12 +400,10 @@ pub fn conformance_case(
             / scaled.len() as f64
     };
     let predicted_apply_s = cal.apply_per_iter.iter().sum();
-    let straggler = if factor == 1.0 {
-        None
-    } else {
-        Some(traced_run(preset, machines, iters, &[factor])?)
-    };
-    let measured = measure(straggler.as_ref().unwrap_or(baseline))?;
+    let runs: Vec<TracedRun> = (0..STRAGGLER_RUNS)
+        .map(|_| traced_run(preset, machines, iters, &[factor]))
+        .collect::<Result<_, _>>()?;
+    let measured = Measured::median(&runs.iter().map(measure).collect::<Result<Vec<_>, _>>()?);
     let case = ConformanceCase {
         factor,
         predicted_ratio,
@@ -384,31 +417,37 @@ pub fn conformance_case(
         predicted_apply_s,
         measured_apply_s: measured.apply_s,
     };
-    Ok((
-        case,
-        straggler.unwrap_or_else(|| TracedRun {
-            report: baseline.report.clone(),
-            dump: baseline.dump.clone(),
-        }),
-    ))
+    Ok((case, runs))
 }
 
-/// Runs the full conformance suite for one preset: a homogeneous
-/// baseline, then one straggler run per factor, printing the
-/// predicted-vs-measured table. Returns the report and whether every
-/// case stayed inside its bands.
-pub fn run(preset: &str, factors: &[f64], iters: usize) -> Result<(String, bool), String> {
-    let baseline = traced_run(preset, MACHINES, iters, &[])?;
+/// Runs the full conformance suite for one preset on `machines`
+/// machines: a homogeneous baseline, then [`STRAGGLER_RUNS`] measured
+/// runs per factor, printing the predicted-vs-measured table. Returns
+/// the report and whether every case stayed inside its bands. This
+/// release gate is where the timing bands are checked;
+/// `tests/sim_conformance.rs` keeps only the timing-free run-health
+/// checks in `cargo test`.
+pub fn run(
+    preset: &str,
+    machines: usize,
+    factors: &[f64],
+    iters: usize,
+) -> Result<(String, bool), String> {
+    let baseline = traced_run(preset, machines, iters, &[])?;
     // Level the baseline's per-machine compute: the run is nominally
     // homogeneous, so machine differences are noise that a straggler
     // scale must not amplify.
-    let cal = CalibrationProfile::from_dump(&baseline.dump, MACHINES, iters as u64).homogenized();
+    let cal = CalibrationProfile::from_dump(&baseline.dump, machines, iters as u64).homogenized();
     let base_measure = measure(&baseline)?;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "== Straggler conformance: {preset} on {MACHINES} machines x 1 GPU, {iters} iterations =="
+        "== Straggler conformance: {preset} on {machines} machines x 1 GPU, {iters} iterations =="
+    );
+    let _ = writeln!(
+        out,
+        "measured figures: median of {STRAGGLER_RUNS} runs per factor"
     );
     let _ = writeln!(
         out,
@@ -451,7 +490,7 @@ pub fn run(preset: &str, factors: &[f64], iters: usize) -> Result<(String, bool)
     );
     let mut all_ok = true;
     for &factor in factors {
-        let (case, _) = conformance_case(preset, MACHINES, iters, factor, &baseline, &cal)?;
+        let (case, _) = conformance_case(preset, machines, iters, factor, &baseline, &cal)?;
         all_ok &= case.ok();
         let _ = writeln!(
             out,

@@ -58,7 +58,12 @@ fn build(kind: &str, path: &Path) -> Vec<u8> {
             losses: vec![2.5, 2.25],
             norms: vec![0.75],
             compute_secs: 0.125,
-            store: Some(store.values().to_vec()),
+            store: Some(
+                store
+                    .held()
+                    .map(|(var, t)| (var.index() as u64, t.clone()))
+                    .collect(),
+            ),
             shards: vec![((0, 1), Tensor::full([3, 4], 1.5))],
             traffic: TrafficReport::default(),
         }

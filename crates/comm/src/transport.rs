@@ -7,8 +7,8 @@
 //! concurrent protocols (collectives, PS pulls, chief notifications) can
 //! interleave safely on one channel.
 //!
-//! Failure semantics: receives are deadline-bounded
-//! ([`Endpoint::set_recv_deadline`]) and surface typed
+//! Failure semantics: receives (and, over sockets, sends) are
+//! deadline-bounded ([`Endpoint::set_recv_deadline`]) and surface typed
 //! [`CommError::PeerTimeout`] / [`CommError::PeerDead`] errors instead of
 //! blocking forever. Peer death is tracked by a shared [`PeerHealth`]
 //! registry (every endpoint marks itself dead on drop, so a crashed
@@ -256,6 +256,13 @@ pub trait Transport: Send {
     /// Blocks up to `timeout` for the next arrival, in delivery order.
     fn recv(&mut self, timeout: Duration) -> std::result::Result<Envelope, RecvError>;
 
+    /// Bounds how long one `send` may wait for a peer to make room (the
+    /// TCP transport returns [`CommError::PeerTimeout`] at the deadline).
+    /// [`Endpoint`] forwards its deadline here, so one deadline covers
+    /// both directions. The default is a no-op: the channel transport's
+    /// sends never block.
+    fn set_deadline(&mut self, _deadline: Duration) {}
+
     /// Releases transport resources gracefully (the TCP transport sends
     /// FIN frames; the channel transport has nothing to do). Called from
     /// [`Endpoint`]'s `Drop`; must be idempotent.
@@ -411,15 +418,18 @@ impl Endpoint {
     /// Builds a single endpoint over an external [`Transport`] — the
     /// multi-process entry point, where each OS process owns exactly one
     /// rank. The caller supplies the health registry because the
-    /// transport's reader threads share it (a socket EOF marks the peer
-    /// dead there, and this endpoint's deadline classification observes
-    /// it here). Traffic accounting is sender-side only, so each
-    /// process's accumulator covers exactly its own rank's sends and
-    /// per-process snapshots merge disjointly.
+    /// transport shares it (a socket EOF marks the peer dead there, and
+    /// this endpoint's deadline classification observes it here).
+    /// Traffic accounting is sender-side only, so each process's
+    /// accumulator covers exactly its own rank's sends and per-process
+    /// snapshots merge disjointly. The endpoint's deadline
+    /// ([`DEFAULT_RECV_DEADLINE`] until [`Endpoint::set_recv_deadline`])
+    /// is forwarded to the transport, so it bounds sends as well as
+    /// receives.
     pub fn from_transport(
         topology: Topology,
         rank: usize,
-        transport: Box<dyn Transport>,
+        mut transport: Box<dyn Transport>,
         traffic: Arc<TrafficStats>,
         health: Arc<PeerHealth>,
         faults: Option<Arc<FaultInjector>>,
@@ -427,6 +437,7 @@ impl Endpoint {
         if rank >= topology.num_workers() {
             return Err(CommError::UnknownRank(rank));
         }
+        transport.set_deadline(DEFAULT_RECV_DEADLINE);
         Ok(Endpoint {
             rank,
             topology,
@@ -470,8 +481,11 @@ impl Endpoint {
     /// Bounds how long [`Endpoint::recv`] / [`Endpoint::recv_any`] block
     /// before returning [`CommError::PeerTimeout`] /
     /// [`CommError::PeerDead`]. This is the failure-detection deadline.
+    /// It is forwarded to the transport ([`Transport::set_deadline`]),
+    /// so it also bounds a send blocked on a peer that stopped reading.
     pub fn set_recv_deadline(&mut self, deadline: Duration) {
         self.deadline = deadline;
+        self.transport.set_deadline(deadline);
     }
 
     /// Installs a session-machine validator on the send path: every

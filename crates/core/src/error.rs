@@ -42,6 +42,17 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+impl CoreError {
+    /// The transport error behind this failure, when it kept its type
+    /// (directly, or through the Parameter Server layer).
+    pub fn comm(&self) -> Option<&CommError> {
+        match self {
+            CoreError::Comm(e) | CoreError::Ps(PsError::Comm(e)) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 impl From<TensorError> for CoreError {
     fn from(e: TensorError) -> Self {
         CoreError::Tensor(e)

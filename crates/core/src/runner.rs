@@ -109,7 +109,8 @@ pub enum RoleOutput {
         norms: Vec<f32>,
         /// Total measured forward+backward seconds.
         compute_secs: f64,
-        /// The replica's final variable values.
+        /// The replica's final values: the AllReduce variables only (a
+        /// worker holds no copy of the PS variables).
         store: VarStore,
     },
     /// A server's final shard values, `((variable, partition), value)`.
@@ -884,9 +885,8 @@ impl Runner {
                     }
                 }
                 server.set_faults(Arc::clone(injector));
-                let shards = server
-                    .run()
-                    .map_err(|e| CoreError::Worker(format!("server {m}: {e}")))?;
+                // Typed, so a role process can report a peer timeout.
+                let shards = server.run().map_err(CoreError::Ps)?;
                 Ok(RoleOutput::Server { shards })
             }
             RoleAssignment::Worker { index } => {
@@ -989,7 +989,8 @@ impl Runner {
     /// For the checkpoint, optimizer slot state rides along: AllReduce
     /// slots from the chief's own `optimizer` (replicas are identical),
     /// PS slots piggybacked on the shard fetches and stitched like the
-    /// values. The snapshot takes weights only.
+    /// values. The snapshot takes weights only. The store written is
+    /// the chief's AllReduce variables plus the fetched shards.
     fn publish_artifacts(
         &self,
         endpoint: &mut Endpoint,
@@ -1009,7 +1010,7 @@ impl Runner {
                 .map_err(CoreError::Ps)?
             {
                 Some((fetched, state)) => {
-                    *store.get_mut(var)? = fetched.reshape(def_shape.clone())?;
+                    store.set(var, fetched.reshape(def_shape.clone())?)?;
                     if let (Some(kind), Some(state)) = (kind, state) {
                         slots.insert((name, kind.to_string()), state.reshape(def_shape)?);
                     }
@@ -1080,11 +1081,15 @@ impl Runner {
             &format!("worker{widx} (rank {rank})"),
         );
         let client = PsClient::new(Arc::new(self.plan.plan.clone()), self.topo.clone());
-        // Resuming replicas start from the restored checkpoint instead of
-        // the seeded initializer — bitwise what the chief saved.
+        // The replica holds only the AllReduce variables: the context
+        // serves PS variables from the servers, so a worker never reads
+        // its own copy of them. Resuming replicas start from the restored
+        // checkpoint instead of the seeded initializer — bitwise what
+        // the chief saved.
+        let held = |var: VarId| ar_vars.contains(&var);
         let local = match restore {
-            Some(rp) => rp.store.clone(),
-            None => VarStore::init(&self.graph, &mut DetRng::seed(self.config.seed)),
+            Some(rp) => rp.store.subset(held),
+            None => VarStore::init_held(&self.graph, &mut DetRng::seed(self.config.seed), held),
         };
         let mut ctx = PsWorkerContext::new(endpoint, client, local);
         let mut optimizer = self.config.optimizer.build(self.config.learning_rate);
@@ -1138,7 +1143,14 @@ impl Runner {
             let t0 = Instant::now();
             {
                 let _fwd = parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.forward");
-                session.forward_into(&feed, &mut ctx, &mut acts)?;
+                // A failed pull reaches us as provider text; report its
+                // typed cause (a peer timeout stays a peer timeout).
+                session
+                    .forward_into(&feed, &mut ctx, &mut acts)
+                    .map_err(|e| match ctx.take_failed_pull() {
+                        Some(cause) => CoreError::Ps(cause),
+                        None => e.into(),
+                    })?;
             }
             let mut grads = {
                 let _bwd = parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.backward");
@@ -1180,6 +1192,7 @@ impl Runner {
                 endpoint,
                 client,
                 local,
+                ..
             } = &mut ctx;
 
             // AllReduce path: dense via ring AllReduce, sparse via

@@ -13,6 +13,9 @@ pub enum DataflowError {
     UnknownNode(usize),
     /// A variable id referenced a variable that does not exist.
     UnknownVariable(usize),
+    /// The variable exists, but this store does not hold it: a role
+    /// store keeps only the variables its role owns.
+    VariableNotHeld(usize),
     /// A placeholder was not fed at run time.
     MissingFeed(String),
     /// A feed had the wrong value kind (float tensor vs index list).
@@ -38,6 +41,9 @@ impl fmt::Display for DataflowError {
             DataflowError::Tensor(e) => write!(f, "tensor error: {e}"),
             DataflowError::UnknownNode(id) => write!(f, "unknown node id {id}"),
             DataflowError::UnknownVariable(id) => write!(f, "unknown variable id {id}"),
+            DataflowError::VariableNotHeld(id) => {
+                write!(f, "variable {id} is not held by this store")
+            }
             DataflowError::MissingFeed(name) => write!(f, "placeholder '{name}' was not fed"),
             DataflowError::FeedKindMismatch(name) => {
                 write!(f, "feed for '{name}' has the wrong kind")

@@ -37,7 +37,6 @@
 //! [`FrameError`] — never a panic, never an allocation larger than the
 //! (capped, already-read) body.
 
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 use parallax_comm::wire::PackedSlices;
@@ -402,8 +401,8 @@ fn verify_body(body: &[u8], expected: u32) -> Result<Frame, FrameError> {
 }
 
 /// Decodes one whole frame (header + body) from a byte slice — the
-/// codec's pure entry point; [`read_frame`] applies the same header
-/// and CRC checks to a stream.
+/// codec's pure entry point; `FrameBuf` applies the same header and
+/// CRC checks to a stream's bytes as they arrive.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
     let header = bytes
         .first_chunk::<HEADER_LEN>()
@@ -415,36 +414,91 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
     verify_body(body, expected)
 }
 
-/// Writes one already-encoded frame to a stream.
-pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
-    w.write_all(frame)?;
-    w.flush()
+/// Smallest read a [`FrameBuf`] offers: a burst of small frames lands
+/// in one read call.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// One link's inbound bytes, decoded in place as whole frames arrive.
+///
+/// The socket owner reads into [`FrameBuf::spare`], reports the count
+/// with [`FrameBuf::filled`], then takes frames with
+/// [`FrameBuf::next_frame`] until it returns `Ok(None)` (the front frame
+/// is still incomplete). The buffer grows only to hold the frame at its
+/// front, and only after that frame's header has passed the
+/// [`MAX_FRAME_BODY`] check, so a hostile length cannot drive an
+/// allocation.
+#[derive(Debug, Default)]
+pub(crate) struct FrameBuf {
+    /// Zero-initialized storage; `start..end` are received bytes not yet
+    /// decoded.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
-/// Reads one frame from a stream. `Ok(None)` is a clean EOF *between*
-/// frames (the peer closed without FIN — a crash, which the caller
-/// reports as peer death); EOF *inside* a frame is
-/// [`FrameError::Truncated`].
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Result<Option<Frame>, FrameError>> {
-    let mut header = [0u8; HEADER_LEN];
-    match r.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(Ok(None)),
-        Err(e) => return Err(e),
+impl FrameBuf {
+    /// An empty buffer; storage is allocated on the first read.
+    pub(crate) fn new() -> Self {
+        FrameBuf::default()
     }
-    let (len, expected) = match parse_header(&header) {
-        Ok(h) => h,
-        Err(e) => return Ok(Err(e)),
-    };
-    let mut body = vec![0u8; len];
-    match r.read_exact(&mut body) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            return Ok(Err(FrameError::Truncated))
+
+    /// Room to read into, never empty: enough for the whole frame at the
+    /// front once its header is buffered, and at least `READ_CHUNK`.
+    /// Fails with [`FrameError::Oversize`] when that header declares a
+    /// body above the cap.
+    pub(crate) fn spare(&mut self) -> Result<&mut [u8], FrameError> {
+        if self.start > 0 {
+            // At most one copy per partial frame: after it, `start` stays
+            // 0 until that frame is decoded.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
         }
-        Err(e) => return Err(e),
+        let front = match self.buf[..self.end].first_chunk::<HEADER_LEN>() {
+            Some(header) => HEADER_LEN + parse_header(header)?.0,
+            None => HEADER_LEN,
+        };
+        let len = front.max(self.end + 1).max(READ_CHUNK);
+        if self.buf.len() < len {
+            self.buf.resize(len, 0);
+        }
+        Ok(&mut self.buf[self.end..])
     }
-    Ok(verify_body(&body, expected).map(Some))
+
+    /// Records that the first `n` bytes of the last [`FrameBuf::spare`]
+    /// now hold received data.
+    pub(crate) fn filled(&mut self, n: usize) {
+        self.end = (self.end + n).min(self.buf.len());
+    }
+
+    /// Decodes the next whole frame: `Ok(None)` while the front frame is
+    /// incomplete (read more), a typed error for a bad header or body.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        let bytes = &self.buf[self.start..self.end];
+        let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
+            return Ok(None);
+        };
+        let (len, expected) = parse_header(header)?;
+        let Some(body) = bytes.get(HEADER_LEN..HEADER_LEN + len) else {
+            return Ok(None);
+        };
+        let frame = verify_body(body, expected)?;
+        self.start += HEADER_LEN + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(frame))
+    }
+
+    /// Checks the buffer at end of stream: EOF between frames is clean,
+    /// EOF inside one is [`FrameError::Truncated`].
+    pub(crate) fn finish(&self) -> Result<(), FrameError> {
+        if self.start == self.end {
+            Ok(())
+        } else {
+            Err(FrameError::Truncated)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -616,23 +670,84 @@ mod tests {
         }
     }
 
+    /// Feeds `bytes` into `buf` the way a socket read would: through
+    /// `spare`/`filled`, at most `step` bytes (and never more than the
+    /// offered room) per read, collecting every frame decoded on the way.
+    fn feed(buf: &mut FrameBuf, mut bytes: &[u8], step: usize) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        while !bytes.is_empty() {
+            let spare = buf.spare().unwrap();
+            let n = step.min(spare.len()).min(bytes.len());
+            spare[..n].copy_from_slice(&bytes[..n]);
+            buf.filled(n);
+            bytes = &bytes[n..];
+            while let Some(f) = buf.next_frame().unwrap() {
+                frames.push(f);
+            }
+        }
+        frames
+    }
+
     #[test]
-    fn stream_reader_distinguishes_eof_between_and_inside_frames() {
+    fn in_place_decoder_waits_for_whole_frames_and_types_eof() {
         let bytes = encode_msg(1, &Payload::Control(2));
-        // Clean EOF between frames.
-        let mut empty: &[u8] = &[];
-        assert!(matches!(read_frame(&mut empty), Ok(Ok(None))));
-        // EOF mid-frame.
-        let mut cut: &[u8] = &bytes[..bytes.len() - 2];
-        assert!(matches!(
-            read_frame(&mut cut),
-            Ok(Err(FrameError::Truncated))
-        ));
-        // Whole frame.
-        let mut whole: &[u8] = &bytes;
-        assert!(matches!(
-            read_frame(&mut whole),
-            Ok(Ok(Some(Frame::Msg { tag: 1, .. })))
-        ));
+        // Nothing buffered: EOF here is clean.
+        let mut buf = FrameBuf::new();
+        assert_eq!(buf.next_frame().unwrap().map(|_| ()), None);
+        assert_eq!(buf.finish(), Ok(()));
+        // A partial frame waits for more bytes; EOF inside it is Truncated.
+        let cut = bytes.len() - 2;
+        assert!(feed(&mut buf, &bytes[..cut], cut).is_empty());
+        assert_eq!(buf.finish(), Err(FrameError::Truncated));
+        // The rest completes it, exactly once, and leaves nothing behind.
+        let got = feed(&mut buf, &bytes[cut..], 2);
+        assert!(matches!(got[..], [Frame::Msg { tag: 1, .. }]));
+        assert_eq!(buf.next_frame().unwrap().map(|_| ()), None);
+        assert_eq!(buf.finish(), Ok(()));
+    }
+
+    #[test]
+    fn in_place_decoder_splits_back_to_back_frames_at_any_read_size() {
+        let big = Payload::Floats(Arc::new((0..40_000).map(|i| i as f32).collect()));
+        let mut stream = Vec::new();
+        for tag in 0..3u64 {
+            stream.extend(encode_msg(tag, &Payload::Control(tag)));
+            stream.extend(encode_msg(tag + 10, &big));
+        }
+        stream.extend(encode_fin());
+        for step in [1, 7, 4096, stream.len()] {
+            let mut buf = FrameBuf::new();
+            let frames = feed(&mut buf, &stream, step);
+            let tags: Vec<Option<u64>> = frames
+                .iter()
+                .map(|f| match f {
+                    Frame::Msg { tag, .. } => Some(*tag),
+                    Frame::Fin => None,
+                })
+                .collect();
+            assert_eq!(
+                tags,
+                [0, 10, 1, 11, 2, 12]
+                    .map(Some)
+                    .into_iter()
+                    .chain([None])
+                    .collect::<Vec<_>>(),
+                "read size {step}"
+            );
+            assert_eq!(buf.finish(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn in_place_decoder_rejects_oversize_header_before_growing() {
+        let mut buf = FrameBuf::new();
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let spare = buf.spare().unwrap();
+        spare[..HEADER_LEN].copy_from_slice(&header);
+        buf.filled(HEADER_LEN);
+        assert!(matches!(buf.next_frame(), Err(FrameError::Oversize { .. })));
+        assert!(matches!(buf.spare(), Err(FrameError::Oversize { .. })));
+        assert_eq!(buf.buf.len(), READ_CHUNK);
     }
 }

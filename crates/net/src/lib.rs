@@ -3,7 +3,7 @@
 //! Real multi-process socket transport behind the Parallax router.
 //!
 //! The in-process reproduction runs every worker and server as a
-//! thread over crossbeam channels. This crate implements the same
+//! thread over in-memory channels. This crate implements the same
 //! [`parallax_comm::Transport`] seam over OS processes and TCP
 //! sockets, so the *identical* planner / ledger / trace / fault stack
 //! runs across a genuine distribution boundary:
@@ -12,11 +12,15 @@
 //!   existing `comm::wire` payload encodings unchanged (f16/bf16 words
 //!   and varint-packed sparse indices travel byte-for-byte as
 //!   accounted), with typed decode errors and capped allocations for
-//!   untrusted input.
+//!   untrusted input, decoded in place as a link's bytes arrive.
 //! * [`tcp`] — the mesh: one verified full-duplex connection per rank
-//!   pair, bounded connect retry with exponential backoff, per-link
-//!   reader threads, FIN-based graceful shutdown, and peer-death
-//!   reporting through the shared `PeerHealth` registry.
+//!   pair, bounded connect retry with exponential backoff, and no
+//!   threads of its own: the owning rank thread `poll(2)`s its
+//!   nonblocking links and decodes frames in place into a local inbox,
+//!   keeps draining inbound links while a send waits on a full socket,
+//!   and gives up on a peer that stops reading at the endpoint's one
+//!   deadline. FIN-based graceful shutdown and peer-death reporting go
+//!   through the shared `PeerHealth` registry.
 //! * [`spec`] — static `CLUSTER.json` cluster descriptions and the
 //!   `chief`/`worker`/`server` role vocabulary of `repro dist`.
 //! * [`launcher`] — chief-side local process fleets for test

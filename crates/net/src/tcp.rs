@@ -8,29 +8,55 @@
 //! verified by a magic/rank handshake in both directions before any
 //! frame moves.
 //!
-//! Per-link reader threads decode frames ([`crate::frame`]) into one
-//! merged channel, preserving per-link delivery order — the same
-//! semantics the in-process `ChannelTransport` provides. A reader that
-//! sees FIN (graceful peer shutdown), EOF (peer crash), a frame error,
-//! or an I/O error marks its peer dead in the shared
-//! [`PeerHealth`] registry and stops, which is exactly how the
-//! endpoint's deadline classification distinguishes `PeerDead` from
-//! `PeerTimeout` across the process boundary.
+//! No thread reads on the transport's behalf: the rank thread that owns
+//! it does all of its socket I/O, and every link is nonblocking.
+//! `recv` pops the next envelope from a local inbox; when the inbox is
+//! empty it `poll(2)`s every open link, reads each readable one into
+//! that link's buffer, and decodes whole frames in place
+//! (`frame::FrameBuf`). Per-link delivery order is the
+//! socket's byte order — the same semantics the in-process
+//! `ChannelTransport` provides — and the kernel's socket buffers are
+//! the inbound queue. Self-sends go straight to the inbox.
+//!
+//! `send` writes nonblocking. While the target's socket is full it keeps
+//! draining every inbound link into the inbox, so two ranks exchanging
+//! payloads larger than their socket buffers cannot deadlock. One
+//! deadline ([`Transport::set_deadline`]) bounds the wait: a peer that
+//! stops reading surfaces as `PeerTimeout`, and the link closes, since
+//! its stream now holds a partial frame.
+//!
+//! FIN (graceful peer shutdown), EOF (peer crash), a frame error, or a
+//! reset marks the peer dead in the shared [`PeerHealth`] registry when
+//! the owner next drives the transport. The endpoint consults the
+//! registry only after a `recv` that polled every link, so this is
+//! exactly how its deadline classification distinguishes `PeerDead`
+//! from `PeerTimeout` across the process boundary.
 
-use std::io::{Read, Write};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parallax_comm::{CommError, Envelope, Payload, PeerHealth, RecvError, Transport};
-use parking_lot::Mutex;
+use parallax_comm::{
+    CommError, Envelope, Payload, PeerHealth, RecvError, Transport, DEFAULT_RECV_DEADLINE,
+};
 
 use crate::error::{NetError, Result};
-use crate::frame::{self, Frame};
+use crate::frame::{self, Frame, FrameBuf};
 
 /// Link handshake magic.
 const MAGIC: &[u8; 8] = b"PLXNET1\n";
+
+/// Dial attempts per lower-ranked peer (~25 s of patience with the
+/// backoff below, so a slow sibling process can't miss the mesh).
+const CONNECT_ATTEMPTS: u32 = 60;
+/// First dial retry delay; doubles per attempt, capped at 400 ms.
+const CONNECT_BASE_DELAY: Duration = Duration::from_millis(10);
+/// How long to wait for every higher-ranked peer to dial in.
+const MESH_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Mesh-construction parameters.
 #[derive(Debug, Clone)]
@@ -39,38 +65,25 @@ pub struct TcpConfig {
     pub rank: usize,
     /// Listen address (`host:port`) of every rank, in rank order.
     pub addrs: Vec<String>,
-    /// Bounded connect retry: how many dial attempts per peer.
-    pub connect_attempts: u32,
-    /// First retry delay; doubles per attempt, capped at 400 ms.
-    pub connect_base_delay: Duration,
-    /// How long to wait for all inbound links.
-    pub mesh_deadline: Duration,
 }
 
 impl TcpConfig {
-    /// Defaults tuned for same-host test topologies: ~25 s of dialing
-    /// patience so a slow sibling process can't miss the mesh.
+    /// The mesh of `addrs` as seen from `rank`.
     pub fn new(rank: usize, addrs: Vec<String>) -> Self {
-        TcpConfig {
-            rank,
-            addrs,
-            connect_attempts: 60,
-            connect_base_delay: Duration::from_millis(10),
-            mesh_deadline: Duration::from_secs(30),
-        }
+        TcpConfig { rank, addrs }
     }
 }
 
 /// A fully-connected socket mesh for one rank.
 pub struct TcpTransport {
     rank: usize,
-    /// Writer half per peer rank (`None` for self).
-    writers: Vec<Option<Mutex<TcpStream>>>,
-    /// Merged inbound deliveries from all reader threads.
-    rx: Receiver<Envelope>,
-    /// Loopback sender for self-sends (mirrors the in-process router,
-    /// which lets a rank send to itself through its own channel).
-    loopback: Sender<Envelope>,
+    /// Bounds a blocked send, and all FIN writes at shutdown together.
+    deadline: Duration,
+    health: Arc<PeerHealth>,
+    /// All socket state. `send(&self)` drains inbound links while it
+    /// waits, so the read side sits behind a `RefCell`: one thread owns
+    /// the transport (it is `Send`, not `Sync`).
+    io: RefCell<Io>,
     shut: bool,
 }
 
@@ -78,9 +91,29 @@ impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpTransport")
             .field("rank", &self.rank)
-            .field("peers", &(self.writers.len() - 1))
+            .field("peers", &(self.io.borrow().links.len() - 1))
             .finish()
     }
+}
+
+/// One link to a peer.
+struct Link {
+    stream: TcpStream,
+    frames: FrameBuf,
+    /// False once the peer's stream ended (FIN, EOF, frame error, reset).
+    reading: bool,
+}
+
+/// A transport's socket state, driven only by its owning thread.
+struct Io {
+    /// One link per peer rank; `None` for self and for a link closed
+    /// after a send timed out.
+    links: Vec<Option<Link>>,
+    /// Decoded arrivals (and self-sends) not yet returned by `recv`.
+    inbox: VecDeque<Envelope>,
+    /// The poll set and the peer of each entry, reused across polls.
+    fds: Vec<sys::PollFd>,
+    polled: Vec<usize>,
 }
 
 fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> NetError {
@@ -132,12 +165,12 @@ fn read_hello(s: &mut TcpStream) -> Result<(usize, usize)> {
 
 impl TcpTransport {
     /// Builds the mesh for `cfg.rank`: bind, dial lower ranks, accept
-    /// higher ranks, verify every handshake, then spawn one reader
-    /// thread per link feeding the merged inbound channel.
+    /// higher ranks, verify every handshake, then switch every link to
+    /// nonblocking I/O driven by the owning thread.
     ///
     /// `health` is shared with the endpoint built on top
-    /// ([`parallax_comm::Endpoint::from_transport`]): reader threads
-    /// mark peers dead there.
+    /// ([`parallax_comm::Endpoint::from_transport`]): the transport
+    /// marks peers dead there.
     pub fn connect_mesh(cfg: &TcpConfig, health: Arc<PeerHealth>) -> Result<TcpTransport> {
         let n = cfg.addrs.len();
         let rank = cfg.rank;
@@ -154,11 +187,7 @@ impl TcpTransport {
         // before dialing anyone, so pending connections queue in their
         // accept backlog and sequential dialing cannot deadlock.
         for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
-            let mut s = connect_with_retry(
-                &cfg.addrs[peer],
-                cfg.connect_attempts,
-                cfg.connect_base_delay,
-            )?;
+            let mut s = connect_with_retry(&cfg.addrs[peer], CONNECT_ATTEMPTS, CONNECT_BASE_DELAY)?;
             s.set_nodelay(true).map_err(io_err("set_nodelay"))?;
             s.set_read_timeout(Some(Duration::from_secs(10)))
                 .map_err(io_err("set_read_timeout"))?;
@@ -169,13 +198,11 @@ impl TcpTransport {
                     "dialed rank {peer} but {theirs} (expecting {expect}) answered"
                 )));
             }
-            s.set_read_timeout(None)
-                .map_err(io_err("set_read_timeout"))?;
             *slot = Some(s);
         }
         // Accept every higher rank.
         let mut missing = n - 1 - rank;
-        let deadline = Instant::now() + cfg.mesh_deadline;
+        let deadline = Instant::now() + MESH_DEADLINE;
         while missing > 0 {
             match listener.accept() {
                 Ok((mut s, _)) => {
@@ -194,12 +221,10 @@ impl TcpTransport {
                         return Err(NetError::Handshake(format!("duplicate link from {theirs}")));
                     }
                     send_hello(&mut s, rank, theirs)?;
-                    s.set_read_timeout(None)
-                        .map_err(io_err("set_read_timeout"))?;
                     streams[theirs] = Some(s);
                     missing -= 1;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
                         return Err(NetError::MeshDeadline { missing });
                     }
@@ -209,88 +234,202 @@ impl TcpTransport {
             }
         }
 
-        let (tx, rx) = unbounded();
-        let mut writers: Vec<Option<Mutex<TcpStream>>> = Vec::with_capacity(n);
-        for (peer, slot) in streams.into_iter().enumerate() {
-            let Some(stream) = slot else {
-                writers.push(None);
-                continue;
-            };
-            let reader = stream.try_clone().map_err(io_err("clone stream"))?;
-            writers.push(Some(Mutex::new(stream)));
-            let tx = tx.clone();
-            let health = Arc::clone(&health);
-            std::thread::Builder::new()
-                .name(format!("net-recv-{rank}-from-{peer}"))
-                .spawn(move || reader_loop(rank, peer, reader, tx, health))
-                .map_err(io_err("spawn reader"))?;
+        let mut links = Vec::with_capacity(n);
+        for stream in streams {
+            links.push(match stream {
+                Some(stream) => {
+                    stream
+                        .set_nonblocking(true)
+                        .map_err(io_err("set_nonblocking"))?;
+                    Some(Link {
+                        stream,
+                        frames: FrameBuf::new(),
+                        reading: true,
+                    })
+                }
+                None => None,
+            });
         }
         Ok(TcpTransport {
             rank,
-            writers,
-            rx,
-            loopback: tx,
+            deadline: DEFAULT_RECV_DEADLINE,
+            health,
+            io: RefCell::new(Io {
+                links,
+                inbox: VecDeque::new(),
+                fds: Vec::with_capacity(n),
+                polled: Vec::with_capacity(n),
+            }),
             shut: false,
         })
     }
 
-    /// Sends FIN on every link and half-closes the write side. Safe to
-    /// call more than once; also runs on drop.
+    /// Sends FIN on every link and half-closes the write side, then
+    /// reads whatever already arrived, so closing the sockets later does
+    /// not answer unread data with RST. The FIN writes share one
+    /// deadline-long budget, so peers that stopped reading cannot hang
+    /// `Drop` for longer than one deadline; once it is spent, a FIN that
+    /// does not fit its socket at once is skipped. Safe to call more
+    /// than once; also runs on drop.
     pub fn shutdown_links(&mut self) {
         if self.shut {
             return;
         }
         self.shut = true;
         let fin = frame::encode_fin();
-        for w in self.writers.iter().flatten() {
-            let mut s = w.lock();
-            let _ = frame::write_frame(&mut *s, &fin);
-            let _ = s.shutdown(Shutdown::Write);
+        let end = Instant::now() + self.deadline;
+        let io = self.io.get_mut();
+        for peer in 0..io.links.len() {
+            let left = end.saturating_duration_since(Instant::now());
+            if io.links[peer].is_some() && io.write_frame(peer, &fin, left, &self.health).is_ok() {
+                if let Some(link) = &io.links[peer] {
+                    let _ = link.stream.shutdown(Shutdown::Write);
+                }
+            }
+        }
+        io.pump(&self.health, Duration::ZERO, None);
+    }
+}
+
+impl Io {
+    /// Polls every link still being read (plus `writer` for POLLOUT) for
+    /// up to `wait`, reads every readable link, and decodes its whole
+    /// frames into the inbox. A writable (or failed) `writer` only ends
+    /// the wait: the caller's next write reports which.
+    fn pump(&mut self, health: &PeerHealth, wait: Duration, writer: Option<usize>) {
+        self.fds.clear();
+        self.polled.clear();
+        for (peer, link) in self.links.iter().enumerate() {
+            let Some(link) = link else { continue };
+            let mut events = if link.reading { sys::POLLIN } else { 0 };
+            if writer == Some(peer) {
+                events |= sys::POLLOUT;
+            }
+            if events != 0 {
+                self.fds.push(sys::PollFd {
+                    fd: link.stream.as_raw_fd(),
+                    events,
+                    revents: 0,
+                });
+                self.polled.push(peer);
+            }
+        }
+        if poll(&mut self.fds, wait) == 0 {
+            return;
+        }
+        for (fd, &peer) in self.fds.iter().zip(&self.polled) {
+            let readable = fd.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0;
+            if let Some(link) = self.links[peer].as_mut().filter(|l| l.reading && readable) {
+                link.read_ready(peer, &mut self.inbox, health);
+            }
+        }
+    }
+
+    /// Writes one encoded frame to `to`, draining inbound links while
+    /// its socket is full. On deadline expiry the link closes: its stream
+    /// holds a partial frame that no later frame could follow.
+    fn write_frame(
+        &mut self,
+        to: usize,
+        bytes: &[u8],
+        deadline: Duration,
+        health: &PeerHealth,
+    ) -> parallax_comm::Result<()> {
+        let end = Instant::now() + deadline;
+        let mut sent = 0;
+        loop {
+            let Some(link) = self.links[to].as_mut() else {
+                return Err(CommError::Disconnected { peer: to });
+            };
+            match link.stream.write(&bytes[sent..]) {
+                Ok(n) => {
+                    sent += n;
+                    if sent == bytes.len() {
+                        return Ok(());
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let now = Instant::now();
+                    if now >= end {
+                        self.links[to] = None;
+                        return Err(CommError::PeerTimeout {
+                            peer: to,
+                            waited_ms: deadline.as_millis() as u64,
+                        });
+                    }
+                    self.pump(health, end - now, Some(to));
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(CommError::Disconnected { peer: to }),
+            }
         }
     }
 }
 
-/// Decodes frames from one link into the merged channel until the link
-/// ends (FIN, EOF, frame error, or I/O error), then marks the peer
-/// dead. Delivery order per link is the socket's byte order, matching
-/// the per-sender FIFO the in-process channels give.
-fn reader_loop(
-    rank: usize,
-    peer: usize,
-    mut stream: TcpStream,
-    tx: Sender<Envelope>,
-    health: Arc<PeerHealth>,
-) {
-    loop {
-        match frame::read_frame(&mut stream) {
-            Ok(Ok(Some(Frame::Msg { tag, payload }))) => {
-                let env = Envelope {
+impl Link {
+    /// Reads a readable link until the read would block (or comes up
+    /// short, which level-triggered polling makes equivalent), decoding
+    /// every whole frame into `inbox` in arrival order. FIN, EOF, a frame
+    /// error, or a read error ends the link's read side and marks the
+    /// peer dead.
+    fn read_ready(&mut self, peer: usize, inbox: &mut VecDeque<Envelope>, health: &PeerHealth) {
+        let ended = loop {
+            let spare = match self.frames.spare() {
+                Ok(spare) => spare,
+                Err(e) => break Some(Err(e)),
+            };
+            let room = spare.len();
+            match self.stream.read(spare) {
+                // EOF: clean between frames (a crash without FIN),
+                // truncated inside one.
+                Ok(0) => break Some(self.frames.finish()),
+                Ok(n) => {
+                    self.frames.filled(n);
+                    if let Some(end) = self.decode(peer, inbox) {
+                        break Some(end);
+                    }
+                    if n < room {
+                        break None;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break None,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    if e.kind() != ErrorKind::ConnectionReset {
+                        eprintln!("[parallax-net] read from {peer} failed: {e}");
+                    }
+                    break Some(Ok(()));
+                }
+            }
+        };
+        if let Some(end) = ended {
+            if let Err(e) = end {
+                eprintln!("[parallax-net] bad frame from {peer}: {e}");
+            }
+            self.reading = false;
+            health.mark_dead(peer);
+        }
+    }
+
+    /// Moves every whole buffered frame into `inbox`; `Some` once the
+    /// stream has ended (FIN, or a frame error).
+    fn decode(
+        &mut self,
+        peer: usize,
+        inbox: &mut VecDeque<Envelope>,
+    ) -> Option<std::result::Result<(), crate::FrameError>> {
+        loop {
+            match self.frames.next_frame() {
+                Ok(Some(Frame::Msg { tag, payload })) => inbox.push_back(Envelope {
                     from: peer,
                     tag,
                     payload,
-                };
-                if tx.send(env).is_err() {
-                    // Our own endpoint is gone; nothing left to deliver to.
-                    return;
-                }
-            }
-            Ok(Ok(Some(Frame::Fin))) | Ok(Ok(None)) => {
-                // Graceful FIN or clean EOF: the peer is done (the
-                // in-process analog is its endpoint's Drop).
-                health.mark_dead(peer);
-                return;
-            }
-            Ok(Err(e)) => {
-                eprintln!("[parallax-net] rank {rank}: bad frame from {peer}: {e}");
-                health.mark_dead(peer);
-                return;
-            }
-            Err(e) => {
-                if e.kind() != std::io::ErrorKind::ConnectionReset {
-                    eprintln!("[parallax-net] rank {rank}: read from {peer} failed: {e}");
-                }
-                health.mark_dead(peer);
-                return;
+                }),
+                // The peer is done (the in-process analog is its
+                // endpoint's Drop); nothing after FIN is read.
+                Ok(Some(Frame::Fin)) => return Some(Ok(())),
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e)),
             }
         }
     }
@@ -298,35 +437,44 @@ fn reader_loop(
 
 impl Transport for TcpTransport {
     fn send(&self, to: usize, tag: u64, payload: Payload) -> parallax_comm::Result<()> {
-        if to >= self.writers.len() {
+        let mut io = self.io.borrow_mut();
+        if to >= io.links.len() {
             return Err(CommError::UnknownRank(to));
         }
         if to == self.rank {
-            return self
-                .loopback
-                .send(Envelope {
-                    from: self.rank,
-                    tag,
-                    payload,
-                })
-                .map_err(|_| CommError::Disconnected { peer: to });
+            io.inbox.push_back(Envelope {
+                from: self.rank,
+                tag,
+                payload,
+            });
+            return Ok(());
         }
-        let Some(w) = &self.writers[to] else {
-            return Err(CommError::UnknownRank(to));
-        };
         let bytes = frame::encode_msg(tag, &payload);
-        let mut s = w.lock();
-        frame::write_frame(&mut *s, &bytes).map_err(|_| CommError::Disconnected { peer: to })
+        io.write_frame(to, &bytes, self.deadline, &self.health)
     }
 
     fn recv(&mut self, timeout: Duration) -> std::result::Result<Envelope, RecvError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(env),
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(RecvError::Disconnected { peer: usize::MAX })
+        let io = self.io.get_mut();
+        let end = Instant::now() + timeout;
+        loop {
+            if let Some(env) = io.inbox.pop_front() {
+                return Ok(env);
+            }
+            // At least one poll, so `recv(Duration::ZERO)` is a
+            // nonblocking drain of whatever already arrived.
+            io.pump(
+                &self.health,
+                end.saturating_duration_since(Instant::now()),
+                None,
+            );
+            if io.inbox.is_empty() && Instant::now() >= end {
+                return Err(RecvError::Timeout);
             }
         }
+    }
+
+    fn set_deadline(&mut self, deadline: Duration) {
+        self.deadline = deadline;
     }
 
     fn shutdown(&mut self) {
@@ -337,6 +485,41 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown_links();
+    }
+}
+
+/// Waits up to `wait` (rounded up to whole milliseconds) for any entry
+/// of `fds` to become ready, returning how many are; an interrupted or
+/// failed poll counts as none ready.
+fn poll(fds: &mut [sys::PollFd], wait: Duration) -> usize {
+    let ms = wait.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+    // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)` pollfd
+    // records whose length is passed alongside it; the kernel writes
+    // only their `revents` fields and keeps no pointer past the call.
+    let ready = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ms) };
+    usize::try_from(ready).unwrap_or(0)
+}
+
+mod sys {
+    use std::ffi::{c_int, c_short, c_ulong};
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+    pub const POLLERR: c_short = 0x008;
+    pub const POLLHUP: c_short = 0x010;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    // std already links libc on unix; declaring the one call we need
+    // avoids a vendored libc crate, as `core::snapshot` does for mmap.
+    extern "C" {
+        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 }
 
@@ -407,16 +590,51 @@ mod tests {
             (j0.join().unwrap(), j1.join().unwrap())
         });
         drop(t0); // graceful: sends FIN
-                  // Rank 1 observes death via its health registry.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !h1.is_dead(0) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(h1.is_dead(0), "FIN should mark peer 0 dead");
+        assert!(!h1.is_dead(0), "nothing reads on rank 1's behalf");
+        // Rank 1 sees the FIN when it next drives its transport: the
+        // receive times out, and the peer is marked dead by then.
         assert!(matches!(
             t1.recv(Duration::from_millis(50)),
             Err(RecvError::Timeout)
         ));
+        assert!(h1.is_dead(0), "FIN should mark peer 0 dead");
+    }
+
+    #[test]
+    fn shutdown_shares_one_deadline_across_stalled_peers() {
+        let mut ts = mesh(4);
+        let deadline = Duration::from_millis(300);
+        ts[0].set_deadline(deadline);
+        // Fill rank 0's socket to every peer: none of them reads, so
+        // each FIN write would block for a whole deadline on its own.
+        // Loopback keeps taking bytes for a while after a refused write
+        // (the peer compacts its queue and reopens its window), and a
+        // small write can fit where a large one was refused, so every
+        // link gets shrinking writes until a whole pass, after a pause
+        // longer than that reopening takes, adds nothing.
+        let junk = vec![0u8; 64 * 1024];
+        let mut links: Vec<&mut Link> = ts[0].io.get_mut().links.iter_mut().flatten().collect();
+        loop {
+            let mut wrote = false;
+            for link in links.iter_mut() {
+                for size in [64 * 1024, 1024, 1] {
+                    while link.stream.write(&junk[..size]).is_ok() {
+                        wrote = true;
+                    }
+                }
+            }
+            if !wrote {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        let start = Instant::now();
+        ts[0].shutdown_links();
+        let took = start.elapsed();
+        assert!(
+            took < deadline + Duration::from_millis(250),
+            "three stalled peers held shutdown for {took:?}"
+        );
     }
 
     #[test]

@@ -475,6 +475,9 @@ pub struct PsWorkerContext {
     pub client: PsClient,
     /// Local replica storage (authoritative for AllReduce variables).
     pub local: VarStore,
+    /// The typed cause of the last failed pull: the executor sees a
+    /// provider failure only as [`DataflowError::Provider`] text.
+    failed_pull: Option<PsError>,
 }
 
 impl PsWorkerContext {
@@ -484,12 +487,25 @@ impl PsWorkerContext {
             endpoint,
             client,
             local,
+            failed_pull: None,
         }
     }
 
     /// Starts an iteration (clears pull caches).
     pub fn begin_iteration(&mut self, iter: u64) {
         self.client.begin_iteration(iter);
+    }
+
+    /// Takes the typed error behind the last provider failure of a pull.
+    pub fn take_failed_pull(&mut self) -> Option<PsError> {
+        self.failed_pull.take()
+    }
+
+    /// Keeps a failed pull's typed error and hands the executor its text.
+    fn pull_failed(&mut self, e: PsError) -> DataflowError {
+        let err = provider_err(e.clone());
+        self.failed_pull = Some(e);
+        err
     }
 }
 
@@ -510,7 +526,7 @@ impl VarProvider for PsWorkerContext {
             VarPlacement::PsDense { .. } => self
                 .client
                 .pull_dense(&mut self.endpoint, var)
-                .map_err(provider_err),
+                .map_err(|e| self.pull_failed(e)),
             VarPlacement::PsSparse { .. } => Err(DataflowError::Provider(format!(
                 "dense read of partitioned sparse variable '{}'",
                 def.name
@@ -539,13 +555,13 @@ impl VarProvider for PsWorkerContext {
                 let whole = self
                     .client
                     .pull_dense(&mut self.endpoint, var)
-                    .map_err(provider_err)?;
+                    .map_err(|e| self.pull_failed(e))?;
                 Ok(parallax_tensor::ops::gather_rows(&whole, ids)?)
             }
             VarPlacement::PsSparse { .. } => self
                 .client
                 .pull_sparse(&mut self.endpoint, var, ids)
-                .map_err(provider_err),
+                .map_err(|e| self.pull_failed(e)),
         }
     }
 }

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use parallax_comm::{Endpoint, Payload};
 use parallax_dataflow::optimizer::LrSchedule;
+use parallax_dataflow::varstore::init_rows;
 use parallax_dataflow::{Graph, Optimizer, VarId, VarStore};
 use parallax_tensor::{ops, sparse::Grad, DetRng, Tensor};
 use parallax_trace::{span, span_with_flow, FlowPoint, SpanCat};
@@ -162,7 +163,6 @@ impl Server {
                 machine
             )));
         }
-        let store = VarStore::init(graph, &mut DetRng::seed(config.seed));
         let workers = topo.num_workers();
         let machines = topo.num_machines();
         // Accumulator shapes. Dense shards always take one push per
@@ -183,16 +183,27 @@ impl Server {
             SparseAccumulator::grouped(machine_of)
         };
 
+        // Only this machine's shard rows are materialized. Every
+        // variable's initializer still draws its whole random stream in
+        // order, so the rows are bitwise those a full initialization
+        // would slice out.
+        let owned = plan.shards_of_machine(machine);
+        let mut rng = DetRng::seed(config.seed);
+        let mut values = Vec::with_capacity(owned.len());
+        for (i, def) in graph.variables().iter().enumerate() {
+            let rows: Vec<Range<usize>> = owned
+                .iter()
+                .filter(|(var, ..)| var.index() == i)
+                .map(|(.., rows)| rows.clone())
+                .collect();
+            values.extend(init_rows(def, &mut rng, &rows)?);
+        }
         let mut shards = Vec::new();
         let mut index = HashMap::new();
-        for (var, part, rows) in plan.shards_of_machine(machine) {
-            let full = store.get(var)?;
+        // `owned` lists shards in variable order, partitions ascending:
+        // the order `values` was filled in.
+        for ((var, part, rows), value) in owned.into_iter().zip(values) {
             let sparse = rows != (0..usize::MAX);
-            let value = if sparse {
-                full.slice_rows(rows.start, rows.end)?
-            } else {
-                full.clone()
-            };
             let gathers = graph.gather_nodes_of(var).len().max(1);
             let pulls_expected = if sparse { workers * gathers } else { workers };
             index.insert((var.index(), part), shards.len());

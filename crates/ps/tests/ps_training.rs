@@ -454,3 +454,34 @@ fn sparse_ps_traffic_tracks_alpha() {
         "server out bytes {measured_out} vs formula {expected_out} (ratio {ratio})"
     );
 }
+
+#[test]
+fn a_pull_nobody_answers_keeps_its_typed_timeout() {
+    use parallax_comm::CommError;
+    use parallax_dataflow::{DataflowError, VarProvider};
+    use parallax_ps::PsError;
+
+    let (graph, _loss) = build_model();
+    let topo = PsTopology::uniform(1, 1).unwrap();
+    let decisions = naive_ps_decisions(&graph, 1);
+    let plan = Arc::new(build_plan(&graph, &decisions, 1, PlacementStrategy::Balanced).unwrap());
+    let (mut endpoints, _traffic) = Router::build(topo.comm().clone());
+    // The server's endpoint stays open but nothing serves it, so the
+    // worker's pull waits out its deadline.
+    let mut endpoint = endpoints.swap_remove(topo.worker_ranks()[0]);
+    endpoint.set_recv_deadline(std::time::Duration::from_millis(50));
+    let client = PsClient::new(plan, topo.clone());
+    let local = VarStore::empty(graph.variables().len());
+    let mut ctx = PsWorkerContext::new(endpoint, client, local);
+    let emb = graph.find_variable("emb").unwrap();
+    let def = graph.var_def(emb).unwrap().clone();
+    // The executor sees only the provider's text ...
+    let err = ctx.fetch_sparse_rows(emb, &def, &[1, 2]).unwrap_err();
+    assert!(matches!(err, DataflowError::Provider(_)), "{err:?}");
+    // ... and the context keeps the typed cause, once.
+    assert!(matches!(
+        ctx.take_failed_pull(),
+        Some(PsError::Comm(CommError::PeerTimeout { .. }))
+    ));
+    assert_eq!(ctx.take_failed_pull(), None);
+}

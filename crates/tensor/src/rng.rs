@@ -31,16 +31,21 @@ impl DetRng {
     }
 
     /// Uniform `f32` in `[0, 1)`.
+    // The per-element draws of every initializer: inlined into each
+    // caller's loop wherever the caller's codegen unit lands.
+    #[inline]
     pub fn uniform(&mut self) -> f32 {
         self.inner.gen::<f32>()
     }
 
     /// Uniform `f32` in `[lo, hi)`.
+    #[inline]
     pub fn uniform_range(&mut self, lo: f32, hi: f32) -> f32 {
         lo + (hi - lo) * self.uniform()
     }
 
     /// Standard normal sample via Box-Muller.
+    #[inline]
     pub fn normal(&mut self) -> f32 {
         // Box-Muller transform; reject u1 == 0 to keep ln finite.
         let mut u1 = self.uniform();

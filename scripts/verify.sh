@@ -76,9 +76,15 @@ fi
 
 # Sim-vs-measured conformance gate: the calibrated IterationSim must
 # predict real injected-straggler runs within the documented tolerance
-# bands (exits nonzero on any band violation; runs in well under a
-# minute).
+# bands (exits nonzero on any band violation; each run takes well under
+# a minute). The bands live here, in release builds, not in `cargo
+# test` (tests/sim_conformance.rs keeps only the timing-free run-health
+# checks): lm and nmt on the default 4 machines, plus a 3-machine lm
+# cluster with its own server set and median position. The nmt and
+# 3-machine cases run the 4 iterations they ran as tests.
 cargo run --release -q -p parallax-bench --bin repro -- straggler --model lm
+cargo run --release -q -p parallax-bench --bin repro -- straggler --model nmt --iters 4
+cargo run --release -q -p parallax-bench --bin repro -- straggler --model lm --machines 3 --factors 1,2.5 --iters 4
 
 # Fault-injection gate (smoke subset of the chaos matrix): one kill, one
 # dropped message, one duplicate, plus the unfaulted baseline — each must
