@@ -24,10 +24,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use parallax_comm::protocheck::{
-    MsgEvent, Phase, SessionSpec, WireKind, KIND_CHIEF_UPDATE, KIND_FETCH_SHARD, KIND_PULL_SPARSE,
-    KIND_PUSH_SPARSE, KIND_UPDATE_DONE, MAX_HEADER_VARS,
-};
+use parallax_comm::protocheck::{MsgEvent, Phase, SessionSpec, WireKind};
+use parallax_comm::tag::{ReqKind, MAX_VARS};
 use parallax_core::sparsity::estimate_profile;
 use parallax_core::{
     check_fault_plan, check_session, derive_session, get_runner, ParallaxConfig, Runner,
@@ -141,7 +139,7 @@ fn find(spec: &SessionSpec, kind: WireKind) -> usize {
     spec.events()
         .iter()
         .position(|e| e.kind == kind)
-        .unwrap_or_else(|| panic!("derived session has no {} event", kind.describe()))
+        .unwrap_or_else(|| panic!("derived session has no {kind:?} event"))
 }
 
 fn defects() -> Vec<Defect> {
@@ -150,7 +148,7 @@ fn defects() -> Vec<Defect> {
             label: "skewed push multiplicity",
             code: DiagCode::C001,
             tamper: |spec| {
-                let i = find(spec, WireKind::Request(KIND_PUSH_SPARSE));
+                let i = find(spec, WireKind::Request(ReqKind::PushSparse));
                 spec.events_mut()[i].sends += 1;
             },
         },
@@ -158,7 +156,7 @@ fn defects() -> Vec<Defect> {
             label: "mis-paired FetchShard reply",
             code: DiagCode::C002,
             tamper: |spec| {
-                let i = find(spec, WireKind::Response(KIND_FETCH_SHARD));
+                let i = find(spec, WireKind::Response(ReqKind::FetchShard));
                 let wrong = *spec
                     .workers
                     .iter()
@@ -171,7 +169,7 @@ fn defects() -> Vec<Defect> {
             label: "dropped UpdateDone notification",
             code: DiagCode::C002,
             tamper: |spec| {
-                let i = find(spec, WireKind::Response(KIND_UPDATE_DONE));
+                let i = find(spec, WireKind::Response(ReqKind::UpdateDone));
                 spec.events_mut().remove(i);
             },
         },
@@ -179,7 +177,7 @@ fn defects() -> Vec<Defect> {
             label: "cross-phase identity leak",
             code: DiagCode::C003,
             tamper: |spec| {
-                let i = find(spec, WireKind::Request(KIND_PULL_SPARSE));
+                let i = find(spec, WireKind::Request(ReqKind::PullSparse));
                 let mut leak = spec.events()[i].clone();
                 leak.phase = Phase::TraceRead;
                 leak.label = "leaked clone".into();
@@ -198,13 +196,13 @@ fn defects() -> Vec<Defect> {
         Defect {
             label: "unguarded non-idempotent kind",
             code: DiagCode::C005,
-            tamper: |spec| spec.tamper_unguard(KIND_CHIEF_UPDATE),
+            tamper: |spec| spec.tamper_unguard(ReqKind::ChiefUpdate),
         },
         Defect {
             label: "out-of-phase snapshot publish",
             code: DiagCode::C007,
             tamper: |spec| {
-                let i = find(spec, WireKind::Request(KIND_FETCH_SHARD));
+                let i = find(spec, WireKind::Request(ReqKind::FetchShard));
                 spec.events_mut()[i].boundary_only = false;
             },
         },
@@ -216,8 +214,8 @@ fn defects() -> Vec<Defect> {
                     phase: Phase::Push,
                     from: 0,
                     to: 0,
-                    kind: WireKind::Request(KIND_PUSH_SPARSE),
-                    var: MAX_HEADER_VARS + 1,
+                    kind: WireKind::Request(ReqKind::PushSparse),
+                    var: MAX_VARS + 1,
                     part: 0,
                     sends: 0,
                     recvs: 1,

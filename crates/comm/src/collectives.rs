@@ -1,5 +1,5 @@
-//! Collective communication: ring AllReduce, AllGatherv, broadcast,
-//! reduce and barrier.
+//! Collective communication: ring AllReduce, AllGatherv, and the
+//! reduce/gather to a root behind local aggregation.
 //!
 //! Every participant calls the same function concurrently with its own
 //! endpoint and the same participant list and tag. Ring collectives only
@@ -426,34 +426,6 @@ pub fn allgatherv_slices_parts_wire(
         .collect())
 }
 
-/// Broadcast from `root`: the root's tensor is delivered to every
-/// participant (used to seed replicas with identical initial variables).
-pub fn broadcast(
-    ep: &mut Endpoint,
-    ranks: &[usize],
-    tag: u64,
-    root: usize,
-    value: Option<Tensor>,
-) -> Result<Tensor> {
-    let _span = span(SpanCat::Collective, "broadcast");
-    position(ep, ranks)?;
-    if ep.rank() == root {
-        let t = value
-            .ok_or_else(|| CommError::InvalidConfig("broadcast root must supply a value".into()))?;
-        // One shared allocation for every peer instead of a copy each;
-        // the root pays at most one clone when unwrapping at the end.
-        let shared = Arc::new(t);
-        for &r in ranks {
-            if r != root {
-                ep.send(r, tag, Payload::Tensor(Arc::clone(&shared)))?;
-            }
-        }
-        Ok(unwrap_shared(shared))
-    } else {
-        ep.recv(root, tag)?.into_tensor()
-    }
-}
-
 /// Reduce (sum) to `root`: the root returns the elementwise sum of all
 /// contributions, others return `None`. This is the primitive behind
 /// Parallax's *local aggregation* — a machine's local chief sums its
@@ -519,25 +491,6 @@ pub fn gather_slices_to(
         ep.send(root, tag, Payload::Slices(Arc::new(data)))?;
         Ok(None)
     }
-}
-
-/// Barrier across the participant list (star through the first rank).
-pub fn barrier(ep: &mut Endpoint, ranks: &[usize], tag: u64) -> Result<()> {
-    let _span = span(SpanCat::Collective, "barrier");
-    position(ep, ranks)?;
-    let hub = ranks[0];
-    if ep.rank() == hub {
-        for &r in &ranks[1..] {
-            ep.recv(r, tag)?.into_control()?;
-        }
-        for &r in &ranks[1..] {
-            ep.send(r, tag, Payload::Control(0))?;
-        }
-    } else {
-        ep.send(hub, tag, Payload::Control(0))?;
-        ep.recv(hub, tag)?.into_control()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -668,19 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_distributes_root_value() {
-        use parallax_tensor::Tensor;
-        let topo = Topology::uniform(2, 2).unwrap();
-        let (results, _) = run_all(topo, |ep, ranks| {
-            let value = (ep.rank() == 0).then(|| Tensor::full([3], 7.0));
-            broadcast(ep, ranks, 4, 0, value).unwrap()
-        });
-        for t in &results {
-            assert_eq!(t.data(), &[7.0, 7.0, 7.0]);
-        }
-    }
-
-    #[test]
     fn reduce_to_sums_at_root_only() {
         let topo = Topology::uniform(1, 3).unwrap();
         let (results, _) = run_all(topo, |ep, ranks| {
@@ -702,13 +642,6 @@ mod tests {
         let root = results[0].as_ref().unwrap();
         assert_eq!(root.indices(), &[0, 1]);
         assert!(results[1].is_none());
-    }
-
-    #[test]
-    fn barrier_completes() {
-        let topo = Topology::uniform(2, 3).unwrap();
-        let (results, _) = run_all(topo, |ep, ranks| barrier(ep, ranks, 7).is_ok());
-        assert!(results.iter().all(|&ok| ok));
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub mod collectives;
 pub mod error;
 pub mod predict;
 pub mod protocheck;
+pub mod tag;
 pub mod topology;
 pub mod traffic;
 pub mod transport;

@@ -53,7 +53,7 @@ impl StaticLedger {
 
     /// Charges one message from rank `src` to rank `dst` under `tag`,
     /// exactly as `Endpoint::send` would: bytes go to the class named by
-    /// the tag's top nibble and are split intra/inter by the machines
+    /// the tag's namespace and are split intra/inter by the machines
     /// hosting the two ranks.
     pub fn charge(&self, src: usize, dst: usize, tag: u64, bytes: u64) -> Result<()> {
         let src_machine = self.topo.machine_of(src)?;
@@ -159,23 +159,6 @@ pub fn replay_reduce_to(
     Ok(())
 }
 
-/// Replays a broadcast from `root`: one payload of `bytes` to every
-/// other participant.
-pub fn replay_broadcast(
-    ledger: &StaticLedger,
-    ranks: &[usize],
-    tag: u64,
-    root: usize,
-    bytes: u64,
-) -> Result<()> {
-    for &dst in ranks {
-        if dst != root {
-            ledger.charge(root, dst, tag, bytes)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,8 +187,9 @@ mod tests {
         let topo = Topology::new(vec![2, 1]).unwrap();
         let ledger = StaticLedger::new(topo.clone());
         // rank 0 -> rank 2 crosses machines; rank 0 -> rank 1 stays local.
-        ledger.charge(0, 2, 0x8000_0000_0000_0000, 100).unwrap();
-        ledger.charge(0, 1, 0x8000_0000_0000_0000, 40).unwrap();
+        let req = crate::tag::request_tag(0);
+        ledger.charge(0, 2, req, 100).unwrap();
+        ledger.charge(0, 1, req, 40).unwrap();
         let ps = ledger.class_snapshot(TrafficClass::Ps);
         assert_eq!(ps.out_bytes, vec![100, 0]);
         assert_eq!(ps.in_bytes, vec![0, 100]);
@@ -378,23 +362,6 @@ mod tests {
         assert_eq!(
             ledger.class_snapshot(TrafficClass::LocalAgg),
             measured.class_snapshot(TrafficClass::LocalAgg)
-        );
-    }
-
-    #[test]
-    fn broadcast_replay_matches_execution_exactly() {
-        let topo = Topology::new(vec![1, 2]).unwrap();
-        let tag = 0u64;
-        let measured = run_all(topo.clone(), |ep, ranks| {
-            let value = (ep.rank() == 0).then(|| Tensor::full([5], 1.0));
-            crate::collectives::broadcast(ep, ranks, tag, 0, value).unwrap();
-        });
-        let ledger = StaticLedger::new(topo.clone());
-        let ranks: Vec<usize> = (0..topo.num_workers()).collect();
-        replay_broadcast(&ledger, &ranks, tag, 0, 20).unwrap();
-        assert_eq!(
-            ledger.class_snapshot(TrafficClass::Default),
-            measured.class_snapshot(TrafficClass::Default)
         );
     }
 

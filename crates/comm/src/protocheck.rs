@@ -1,7 +1,7 @@
 //! Typed per-link session machine for the training wire protocol.
 //!
 //! The parameter-server protocol and the collective schedules are
-//! correct today by *convention*: `ps::protocol` packs headers, the
+//! correct today by *convention*: the PS client packs headers, the
 //! runner picks tags, and every send has a hand-written receive
 //! somewhere else that must agree on link, tag and multiplicity. This
 //! module lifts that convention into data: a [`SessionSpec`] describes,
@@ -31,127 +31,15 @@
 //! duplicated, delayed or replayed-after-recovery messages carry the
 //! same identity as their originals and stay accepted.
 //!
-//! Tag layout is mirrored from `ps::protocol` (`kind:6 | var:14 |
-//! part:14 | iter:30`, namespace in the top nibble); `parallax-ps`
-//! carries a cross-crate test asserting both crates agree bit for bit.
+//! Tags are built and decoded by [`crate::tag`], the codec every
+//! producer shares.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::error::CommError;
-
-/// `PullDense` request-kind discriminant (mirrors `ps::protocol`).
-pub const KIND_PULL_DENSE: u8 = 1;
-/// `PullSparse` request-kind discriminant.
-pub const KIND_PULL_SPARSE: u8 = 2;
-/// `PushDense` request-kind discriminant.
-pub const KIND_PUSH_DENSE: u8 = 3;
-/// `PushSparse` request-kind discriminant.
-pub const KIND_PUSH_SPARSE: u8 = 4;
-/// `ChiefUpdate` request-kind discriminant.
-pub const KIND_CHIEF_UPDATE: u8 = 5;
-/// `UpdateDone` notification-kind discriminant.
-pub const KIND_UPDATE_DONE: u8 = 6;
-/// `ReadAgg` request-kind discriminant.
-pub const KIND_READ_AGG: u8 = 7;
-/// `FetchShard` request-kind discriminant.
-pub const KIND_FETCH_SHARD: u8 = 8;
-
-const VAR_BITS: u64 = 14;
-const PART_BITS: u64 = 14;
-const ITER_BITS: u64 = 30;
-const KIND_SHIFT: u64 = VAR_BITS + PART_BITS + ITER_BITS;
-
-/// Maximum variable index representable in a wire header.
-pub const MAX_HEADER_VARS: usize = (1 << VAR_BITS) - 1;
-/// Maximum partition index representable in a wire header.
-pub const MAX_HEADER_PARTS: usize = (1 << PART_BITS) - 1;
-
-/// Namespace marker of AllReduce collective tags (top nibble `0x1`).
-pub const NS_COLLECTIVE: u64 = 0x1000_0000_0000_0000;
-/// Namespace marker of intra-machine local-aggregation tags (`0x2`).
-pub const NS_LOCAL_AGG: u64 = 0x2000_0000_0000_0000;
-/// Namespace marker of AllGatherv collective tags (`0x3`).
-pub const NS_GATHERV: u64 = 0x3000_0000_0000_0000;
-/// Namespace marker of the per-iteration request tag (`0x4`).
-pub const NS_REQUEST: u64 = 0x4000_0000_0000_0000;
-/// Namespace marker of response/notification tags (bit 63).
-pub const NS_RESPONSE: u64 = 0x8000_0000_0000_0000;
-
-/// What a wire tag says about the message travelling under it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TagClass {
-    /// Ring-AllReduce traffic for `var` in `iter`.
-    Collective {
-        /// Variable index from the tag's header bits.
-        var: usize,
-        /// Iteration from the tag's low bits.
-        iter: u64,
-    },
-    /// Intra-machine local-aggregation traffic for `var` in `iter`.
-    LocalAgg {
-        /// Variable index from the tag's header bits.
-        var: usize,
-        /// Iteration from the tag's low bits.
-        iter: u64,
-    },
-    /// Ring-AllGatherv traffic for `var` in `iter`.
-    Gatherv {
-        /// Variable index from the tag's header bits.
-        var: usize,
-        /// Iteration from the tag's low bits.
-        iter: u64,
-    },
-    /// A worker→server request of `iter`; the kind/target live in the
-    /// packet header, not the tag.
-    Request {
-        /// Iteration from the tag's low bits.
-        iter: u64,
-    },
-    /// A server→worker response or notification.
-    Response {
-        /// Request-kind discriminant (`KIND_*`).
-        kind: u8,
-        /// Target variable index.
-        var: usize,
-        /// Target partition index.
-        part: usize,
-        /// Iteration from the tag's low bits.
-        iter: u64,
-    },
-    /// No known namespace claims this tag.
-    Unknown,
-}
-
-/// Decodes the namespace, identity and iteration of a wire tag.
-pub fn classify_tag(tag: u64) -> TagClass {
-    let iter = tag & ((1 << ITER_BITS) - 1);
-    let var = ((tag >> (PART_BITS + ITER_BITS)) & ((1 << VAR_BITS) - 1)) as usize;
-    let part = ((tag >> ITER_BITS) & ((1 << PART_BITS) - 1)) as usize;
-    if tag & NS_RESPONSE != 0 {
-        // Response tags are `0x8... | pack(kind, ...)`; kind bits 58..64
-        // carry *into* the namespace nibble (FetchShard = 8 lands the
-        // tag in 0xA...), so the kind is recovered by clearing bit 63.
-        let kind = ((tag & !NS_RESPONSE) >> KIND_SHIFT) as u8;
-        if (1..=KIND_FETCH_SHARD).contains(&kind) {
-            return TagClass::Response {
-                kind,
-                var,
-                part,
-                iter,
-            };
-        }
-        return TagClass::Unknown;
-    }
-    match tag >> 60 {
-        0x4 => TagClass::Request { iter },
-        0x1 => TagClass::Collective { var, iter },
-        0x2 => TagClass::LocalAgg { var, iter },
-        0x3 => TagClass::Gatherv { var, iter },
-        _ => TagClass::Unknown,
-    }
-}
+use crate::tag::{self, ReqKind, TagClass};
 
 /// The identity of a session-machine message, independent of iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,51 +50,25 @@ pub enum WireKind {
     Gatherv,
     /// Intra-machine reduce/gather leg toward the local chief.
     LocalAgg,
-    /// A worker→server request of the given kind (`KIND_*`).
-    Request(u8),
+    /// A worker→server request of the given kind.
+    Request(ReqKind),
     /// A server→worker response/notification of the given kind.
-    Response(u8),
+    Response(ReqKind),
 }
 
 impl WireKind {
-    /// Human-readable name, e.g. `"Request(PushSparse)"`.
-    pub fn describe(self) -> String {
-        let kind_name = |k: u8| match k {
-            KIND_PULL_DENSE => "PullDense",
-            KIND_PULL_SPARSE => "PullSparse",
-            KIND_PUSH_DENSE => "PushDense",
-            KIND_PUSH_SPARSE => "PushSparse",
-            KIND_CHIEF_UPDATE => "ChiefUpdate",
-            KIND_UPDATE_DONE => "UpdateDone",
-            KIND_READ_AGG => "ReadAgg",
-            KIND_FETCH_SHARD => "FetchShard",
-            _ => "?",
-        };
+    /// The request kind when this is a request whose server-side effect
+    /// is not idempotent (applying the message twice corrupts state
+    /// unless deduplicated).
+    pub fn non_idempotent_request(self) -> Option<ReqKind> {
         match self {
-            WireKind::Collective => "Collective".into(),
-            WireKind::Gatherv => "Gatherv".into(),
-            WireKind::LocalAgg => "LocalAgg".into(),
-            WireKind::Request(k) => format!("Request({})", kind_name(k)),
-            WireKind::Response(k) => format!("Response({})", kind_name(k)),
-        }
-    }
-
-    /// True for request kinds whose server-side effect is not idempotent
-    /// (applying the message twice corrupts state unless deduplicated).
-    pub fn non_idempotent_request(self) -> Option<u8> {
-        match self {
-            WireKind::Request(k)
-                if matches!(
-                    k,
-                    KIND_PUSH_DENSE
-                        | KIND_PUSH_SPARSE
-                        | KIND_CHIEF_UPDATE
-                        | KIND_READ_AGG
-                        | KIND_FETCH_SHARD
-                ) =>
-            {
-                Some(k)
-            }
+            WireKind::Request(
+                k @ (ReqKind::PushDense
+                | ReqKind::PushSparse
+                | ReqKind::ChiefUpdate
+                | ReqKind::ReadAgg
+                | ReqKind::FetchShard),
+            ) => Some(k),
             _ => None,
         }
     }
@@ -311,7 +173,7 @@ pub struct SessionSpec {
     /// error rather than silently skewing the barrier).
     pub pull_exact_count: bool,
     /// Request kinds covered by the server's at-most-once dedup guard.
-    pub dedup_guarded: Vec<u8>,
+    pub dedup_guarded: Vec<ReqKind>,
     /// The session events.
     pub events: Vec<MsgEvent>,
 }
@@ -346,7 +208,7 @@ impl SessionSpec {
     /// Removes a request kind from the dedup guard (negative-path
     /// tests).
     #[doc(hidden)]
-    pub fn tamper_unguard(&mut self, kind: u8) {
+    pub fn tamper_unguard(&mut self, kind: ReqKind) {
         self.dedup_guarded.retain(|&k| k != kind);
     }
 }
@@ -367,11 +229,11 @@ impl fmt::Display for SessionSpec {
         for (i, e) in self.events.iter().enumerate() {
             writeln!(
                 f,
-                "  [{i:3}] {:?} {} -> {} {} var {} part {} x{}{}{}",
+                "  [{i:3}] {:?} {} -> {} {:?} var {} part {} x{}{}{}",
                 e.phase,
                 e.from,
                 e.to,
-                e.kind.describe(),
+                e.kind,
                 e.var,
                 e.part,
                 e.sends,
@@ -383,23 +245,9 @@ impl fmt::Display for SessionSpec {
     }
 }
 
-/// Identity key of the runtime allowed-set: `(from, to, namespace+kind,
-/// var, part)`.
-type LinkKey = (usize, usize, u8, u32, u32);
-
-fn key_of(from: usize, to: usize, kind: WireKind, var: usize, part: usize) -> LinkKey {
-    // Namespace-qualified kind byte: collectives/local-agg get codes
-    // above the request-kind range; requests/responses keep their
-    // discriminant with the response bit in 0x80.
-    let code = match kind {
-        WireKind::Collective => 0x41,
-        WireKind::Gatherv => 0x43,
-        WireKind::LocalAgg => 0x42,
-        WireKind::Request(k) => k,
-        WireKind::Response(k) => 0x80 | k,
-    };
-    (from, to, code, var as u32, part as u32)
-}
+/// Identity key of the runtime allowed-set, as [`MsgEvent::identity`]
+/// returns it: `(from, to, kind, var, part)`.
+type Identity = (usize, usize, WireKind, usize, usize);
 
 /// Compiled, stateless runtime assertion of a [`SessionSpec`]: accepts
 /// exactly the messages some event allows, with boundary-only events
@@ -409,8 +257,8 @@ fn key_of(from: usize, to: usize, kind: WireKind, var: usize, part: usize) -> Li
 pub struct SessionValidator {
     ranks: usize,
     interval: usize,
-    steady: HashSet<LinkKey>,
-    boundary: HashSet<LinkKey>,
+    steady: HashSet<Identity>,
+    boundary: HashSet<Identity>,
 }
 
 impl SessionValidator {
@@ -419,11 +267,10 @@ impl SessionValidator {
         let mut steady = HashSet::new();
         let mut boundary = HashSet::new();
         for e in &spec.events {
-            let key = key_of(e.from, e.to, e.kind, e.var, e.part);
             if e.boundary_only {
-                boundary.insert(key);
+                boundary.insert(e.identity());
             } else {
-                steady.insert(key);
+                steady.insert(e.identity());
             }
         }
         Arc::new(SessionValidator {
@@ -461,7 +308,7 @@ impl SessionValidator {
                 format!("rank outside the session's {} ranks", self.ranks),
             ));
         }
-        let (kind, var, part, iter) = match classify_tag(tag) {
+        let (kind, var, part, iter) = match tag::classify(tag) {
             TagClass::Collective { var, iter } => (WireKind::Collective, var, 0, iter),
             TagClass::Gatherv { var, iter } => (WireKind::Gatherv, var, 0, iter),
             TagClass::LocalAgg { var, iter } => (WireKind::LocalAgg, var, 0, iter),
@@ -480,18 +327,14 @@ impl SessionValidator {
                         "request-tagged message without a packet header".into(),
                     ));
                 };
-                let kind = (h >> KIND_SHIFT) as u8;
-                let hvar = ((h >> (PART_BITS + ITER_BITS)) & ((1 << VAR_BITS) - 1)) as usize;
-                let hpart = ((h >> ITER_BITS) & ((1 << PART_BITS) - 1)) as usize;
-                let hiter = h & ((1 << ITER_BITS) - 1);
-                if !(1..=KIND_FETCH_SHARD).contains(&kind) {
+                let Some((kind, hvar, hpart, hiter)) = tag::unpack(h) else {
                     return Err(self.reject(
                         from,
                         to,
                         tag,
-                        format!("request header carries unknown kind {kind}"),
+                        format!("request header {h:#x} carries unknown kind"),
                     ));
-                }
+                };
                 if hiter != iter {
                     return Err(self.reject(
                         from,
@@ -509,7 +352,7 @@ impl SessionValidator {
                 return Err(self.reject(from, to, tag, "tag in no known namespace".into()));
             }
         };
-        let key = key_of(from, to, kind, var, part);
+        let key = (from, to, kind, var, part);
         if self.steady.contains(&key) {
             return Ok(());
         }
@@ -522,9 +365,8 @@ impl SessionValidator {
                 to,
                 tag,
                 format!(
-                    "{} for var {var} part {part} is boundary-only (interval {}), but \
+                    "{kind:?} for var {var} part {part} is boundary-only (interval {}), but \
                      iteration {iter} is not a checkpoint boundary",
-                    kind.describe(),
                     self.interval
                 ),
             ));
@@ -533,12 +375,7 @@ impl SessionValidator {
             from,
             to,
             tag,
-            format!(
-                "session machine has no event {} -> {} {} var {var} part {part}",
-                from,
-                to,
-                kind.describe()
-            ),
+            format!("session machine has no event {from} -> {to} {kind:?} var {var} part {part}"),
         ))
     }
 }
@@ -558,18 +395,18 @@ mod tests {
             deadline_armed: true,
             pull_exact_count: true,
             dedup_guarded: vec![
-                KIND_PUSH_DENSE,
-                KIND_PUSH_SPARSE,
-                KIND_CHIEF_UPDATE,
-                KIND_READ_AGG,
-                KIND_FETCH_SHARD,
+                ReqKind::PushDense,
+                ReqKind::PushSparse,
+                ReqKind::ChiefUpdate,
+                ReqKind::ReadAgg,
+                ReqKind::FetchShard,
             ],
             events: vec![
                 MsgEvent {
                     phase: Phase::Push,
                     from: 0,
                     to: 2,
-                    kind: WireKind::Request(KIND_PUSH_DENSE),
+                    kind: WireKind::Request(ReqKind::PushDense),
                     var: 1,
                     part: 0,
                     sends: 1,
@@ -585,7 +422,7 @@ mod tests {
                     phase: Phase::Publish,
                     from: 0,
                     to: 2,
-                    kind: WireKind::Request(KIND_FETCH_SHARD),
+                    kind: WireKind::Request(ReqKind::FetchShard),
                     var: 1,
                     part: 0,
                     sends: 1,
@@ -601,66 +438,29 @@ mod tests {
         }
     }
 
-    fn pack(kind: u8, var: usize, part: usize, iter: u64) -> u64 {
-        ((kind as u64) << KIND_SHIFT)
-            | ((var as u64) << (PART_BITS + ITER_BITS))
-            | ((part as u64) << ITER_BITS)
-            | iter
-    }
-
-    #[test]
-    fn classify_covers_every_namespace() {
-        assert_eq!(
-            classify_tag(NS_COLLECTIVE | pack(KIND_PUSH_DENSE, 5, 0, 9)),
-            TagClass::Collective { var: 5, iter: 9 }
-        );
-        assert_eq!(
-            classify_tag(NS_GATHERV | pack(KIND_PUSH_DENSE, 5, 0, 9)),
-            TagClass::Gatherv { var: 5, iter: 9 }
-        );
-        assert_eq!(
-            classify_tag(NS_LOCAL_AGG | pack(KIND_PUSH_DENSE, 2, 0, 3)),
-            TagClass::LocalAgg { var: 2, iter: 3 }
-        );
-        assert_eq!(classify_tag(NS_REQUEST | 7), TagClass::Request { iter: 7 });
-        // FetchShard responses land in the 0xA nibble (kind bits carry
-        // past the response marker) and must still classify.
-        assert_eq!(
-            classify_tag(NS_RESPONSE | pack(KIND_FETCH_SHARD, 3, 1, 4)),
-            TagClass::Response {
-                kind: KIND_FETCH_SHARD,
-                var: 3,
-                part: 1,
-                iter: 4
-            }
-        );
-        assert_eq!(classify_tag(0), TagClass::Unknown);
-        assert_eq!(classify_tag(0x5000_0000_0000_0000), TagClass::Unknown);
-    }
-
     #[test]
     fn validator_accepts_spec_messages_and_rejects_drift() {
         let spec = tiny_spec();
         let v = SessionValidator::from_spec(&spec);
-        let req = NS_REQUEST;
+        let req = tag::request_tag(0);
         // Allowed: the push event, any iteration, any number of times
         // (duplicates carry the same identity — no false positives).
         for _ in 0..3 {
-            v.check(0, 2, req, Some(pack(KIND_PUSH_DENSE, 1, 0, 0)))
+            v.check(0, 2, req, Some(tag::pack(ReqKind::PushDense, 1, 0, 0)))
                 .unwrap();
         }
         // Drift: a push of an unplanned variable.
         let err = v
-            .check(0, 2, req, Some(pack(KIND_PUSH_DENSE, 2, 0, 0)))
+            .check(0, 2, req, Some(tag::pack(ReqKind::PushDense, 2, 0, 0)))
             .unwrap_err();
         assert!(matches!(err, CommError::Protocol { .. }), "{err}");
         // Drift: an unplanned sender.
         assert!(v
-            .check(1, 2, req, Some(pack(KIND_PUSH_DENSE, 1, 0, 0)))
+            .check(1, 2, req, Some(tag::pack(ReqKind::PushDense, 1, 0, 0)))
             .is_err());
         // Drift: header/tag iteration mismatch.
         assert!(v
-            .check(0, 2, req, Some(pack(KIND_PUSH_DENSE, 1, 0, 1)))
+            .check(0, 2, req, Some(tag::pack(ReqKind::PushDense, 1, 0, 1)))
             .is_err());
         // A request without a header cannot be validated.
         assert!(v.check(0, 2, req, None).is_err());
@@ -671,11 +471,12 @@ mod tests {
         let spec = tiny_spec();
         let v = SessionValidator::from_spec(&spec);
         // interval = 2: iterations 1, 3, ... are boundaries.
-        let at = |iter: u64| (NS_REQUEST | iter, Some(pack(KIND_FETCH_SHARD, 1, 0, iter)));
-        let (tag, h) = at(1);
-        v.check(0, 2, tag, h).unwrap();
-        let (tag, h) = at(0);
-        let err = v.check(0, 2, tag, h).unwrap_err();
+        let at = |iter: u64| {
+            let header = tag::pack(ReqKind::FetchShard, 1, 0, iter);
+            v.check(0, 2, tag::request_tag(iter), Some(header))
+        };
+        at(1).unwrap();
+        let err = at(0).unwrap_err();
         assert!(err.to_string().contains("boundary"), "{err}");
     }
 
@@ -683,7 +484,7 @@ mod tests {
     fn out_of_range_ranks_are_rejected() {
         let spec = tiny_spec();
         let v = SessionValidator::from_spec(&spec);
-        assert!(v.check(7, 2, NS_REQUEST, None).is_err());
-        assert!(v.check(0, 9, NS_REQUEST, None).is_err());
+        assert!(v.check(7, 2, tag::request_tag(0), None).is_err());
+        assert!(v.check(0, 9, tag::request_tag(0), None).is_err());
     }
 }

@@ -6,14 +6,14 @@
 //! half of the iteration-time simulation reads them directly.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use parking_lot::Mutex;
+use crate::tag::{self, TagClass};
 
-/// Traffic class of a message, derived from its tag's top nibble by
-/// convention (see `parallax-ps`'s protocol module): collectives, local
-/// aggregation, and Parameter Server RPC are accounted separately so the
-/// iteration-time simulation can apply per-transport efficiency.
+/// Traffic class of a message, derived from its tag's namespace (see
+/// [`crate::tag`]): collectives, local aggregation, and Parameter Server
+/// RPC are accounted separately so the iteration-time simulation can
+/// apply per-transport efficiency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Untagged / miscellaneous traffic.
@@ -43,21 +43,14 @@ impl TrafficClass {
         ]
     }
 
-    /// Classifies a message tag by its top nibble.
-    ///
-    /// PS response tags are `0x8000.. | packed header`, and the packed
-    /// header keeps the request kind in bits 58+, so kinds >= 4
-    /// (PushSparse, ChiefUpdate, UpdateDone, ReadAgg) carry into the
-    /// top nibble and surface as `0x9`, and kind 8 (FetchShard, the
-    /// checkpoint shard fetch) surfaces as `0xA`. All three nibbles are
-    /// PS traffic; no other tag space reaches them.
+    /// Classifies a message by its tag's namespace.
     pub fn from_tag(tag: u64) -> Self {
-        match tag >> 60 {
-            0x1 => TrafficClass::Nccl,
-            0x2 => TrafficClass::LocalAgg,
-            0x3 => TrafficClass::Mpi,
-            0x4 | 0x8 | 0x9 | 0xA => TrafficClass::Ps,
-            _ => TrafficClass::Default,
+        match tag::classify(tag) {
+            TagClass::Collective { .. } => TrafficClass::Nccl,
+            TagClass::LocalAgg { .. } => TrafficClass::LocalAgg,
+            TagClass::Gatherv { .. } => TrafficClass::Mpi,
+            TagClass::Request { .. } | TagClass::Response { .. } => TrafficClass::Ps,
+            TagClass::Unknown => TrafficClass::Default,
         }
     }
 }
@@ -201,6 +194,10 @@ pub struct TrafficStats {
 }
 
 impl TrafficStats {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn empty_snapshot(machines: usize) -> TrafficSnapshot {
         TrafficSnapshot {
             out_bytes: vec![0; machines],
@@ -235,7 +232,7 @@ impl TrafficStats {
         bytes: u64,
         class: TrafficClass,
     ) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let snap = &mut inner.by_class[class as usize];
         if src_machine == dst_machine {
             snap.intra_bytes_per_machine[src_machine] += bytes;
@@ -253,7 +250,7 @@ impl TrafficStats {
 
     /// Takes a snapshot of accumulated traffic, summed over all classes.
     pub fn snapshot(&self) -> TrafficSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let mut total = Self::empty_snapshot(self.machines);
         for snap in &inner.by_class {
             total.add_assign(snap);
@@ -263,13 +260,13 @@ impl TrafficStats {
 
     /// Takes a snapshot of one traffic class.
     pub fn class_snapshot(&self, class: TrafficClass) -> TrafficSnapshot {
-        self.inner.lock().by_class[class as usize].clone()
+        self.lock().by_class[class as usize].clone()
     }
 
     /// Resets all counters (used between measurement windows, e.g. to
     /// discard warm-up iterations).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.by_class = (0..TrafficClass::COUNT)
             .map(|_| Self::empty_snapshot(self.machines))
             .collect();
@@ -352,9 +349,16 @@ mod tests {
             TrafficClass::from_tag(0x4000_0000_0000_0000),
             TrafficClass::Ps
         );
+        // `response_tag(PullDense, 0, 0, 0xabc)`.
+        assert_eq!(
+            TrafficClass::from_tag(0x8400_0000_0000_0abc),
+            TrafficClass::Ps
+        );
+        // The response bit with kind bits naming no request kind: no
+        // constructor produces it, so it is no PS traffic.
         assert_eq!(
             TrafficClass::from_tag(0x8000_0000_0000_0abc),
-            TrafficClass::Ps
+            TrafficClass::Default
         );
         // Response tags for request kinds >= 4 carry the kind bits into
         // the top nibble: 0x8... | (kind << 58) reads back as 0x9....

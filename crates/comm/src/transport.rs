@@ -21,7 +21,7 @@
 //! fault injection.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -45,23 +45,27 @@ pub const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(30);
 /// ([`CommError::PeerDead`]).
 #[derive(Debug, Default)]
 pub struct PeerHealth {
-    dead: parking_lot::Mutex<HashSet<usize>>,
+    dead: Mutex<HashSet<usize>>,
 }
 
 impl PeerHealth {
+    fn dead(&self) -> MutexGuard<'_, HashSet<usize>> {
+        self.dead.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Marks `rank` as dead.
     pub fn mark_dead(&self, rank: usize) {
-        self.dead.lock().insert(rank);
+        self.dead().insert(rank);
     }
 
     /// True when `rank` has been marked dead.
     pub fn is_dead(&self, rank: usize) -> bool {
-        self.dead.lock().contains(&rank)
+        self.dead().contains(&rank)
     }
 
     /// The lowest dead rank, if any.
     pub fn first_dead(&self) -> Option<usize> {
-        self.dead.lock().iter().min().copied()
+        self.dead().iter().min().copied()
     }
 }
 
@@ -299,15 +303,12 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// Builds the mesh of endpoints for a topology.
+/// Builds the in-process mesh of endpoints for a topology.
 #[derive(Debug)]
-pub struct Router {
-    topology: Topology,
-    traffic: Arc<TrafficStats>,
-}
+pub struct Router;
 
 impl Router {
-    /// Creates a router and all endpoints for `topology`.
+    /// Creates all endpoints for `topology`.
     ///
     /// Returns one endpoint per worker rank (move each into its worker
     /// thread) and the shared traffic accumulator.
@@ -316,7 +317,10 @@ impl Router {
     }
 
     /// Like [`Router::build`], with an optional fault injector installed
-    /// on every endpoint's send path. Backed by [`ChannelTransport`]s.
+    /// on every endpoint's send path. Backed by [`ChannelTransport`]s;
+    /// all ranks share one traffic accumulator and one health registry
+    /// (multi-process ranks instead build single endpoints with
+    /// [`Endpoint::from_transport`]).
     pub fn build_with(
         topology: Topology,
         faults: Option<Arc<FaultInjector>>,
@@ -329,39 +333,19 @@ impl Router {
             senders.push(tx);
             receivers.push(rx);
         }
-        let transports: Vec<Box<dyn Transport>> = receivers
+        let traffic = TrafficStats::new(topology.num_machines());
+        let health = Arc::new(PeerHealth::default());
+        let endpoints = receivers
             .into_iter()
             .enumerate()
-            .map(|(rank, rx)| {
-                Box::new(ChannelTransport {
+            .map(|(rank, rx)| Endpoint {
+                rank,
+                topology: topology.clone(),
+                transport: Box::new(ChannelTransport {
                     rank,
                     senders: senders.clone(),
                     rx,
-                }) as Box<dyn Transport>
-            })
-            .collect();
-        Self::build_over(topology, faults, transports)
-    }
-
-    /// The transport-generic mesh builder: one endpoint per rank, each
-    /// wrapping the caller-provided transport at its index. All ranks
-    /// share one traffic accumulator and one health registry (the
-    /// in-process configuration; multi-process ranks instead build
-    /// single endpoints with [`Endpoint::from_transport`]).
-    pub fn build_over(
-        topology: Topology,
-        faults: Option<Arc<FaultInjector>>,
-        transports: Vec<Box<dyn Transport>>,
-    ) -> (Vec<Endpoint>, Arc<TrafficStats>) {
-        let traffic = TrafficStats::new(topology.num_machines());
-        let health = Arc::new(PeerHealth::default());
-        let endpoints = transports
-            .into_iter()
-            .enumerate()
-            .map(|(rank, transport)| Endpoint {
-                rank,
-                topology: topology.clone(),
-                transport,
+                }),
                 pending: HashMap::new(),
                 traffic: Arc::clone(&traffic),
                 health: Arc::clone(&health),
@@ -371,16 +355,6 @@ impl Router {
             })
             .collect();
         (endpoints, traffic)
-    }
-
-    /// The router's topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The router's traffic accumulator.
-    pub fn traffic(&self) -> &Arc<TrafficStats> {
-        &self.traffic
     }
 }
 

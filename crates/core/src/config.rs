@@ -94,8 +94,9 @@ pub struct ParallaxConfig {
     pub optimizer: OptimizerKind,
     /// The learning-rate schedule.
     pub lr_schedule: LrSchedule,
-    /// Synchronous training (the default); asynchronous training applies
-    /// each push immediately (PS architectures only).
+    /// Synchronous training (the default): server updates wait for the
+    /// chief worker's trigger. Asynchronous training applies each push
+    /// immediately (PS architectures only).
     pub synchronous: bool,
     /// Let workers read back aggregated gradients (`RunReport` then
     /// carries per-iteration global gradient norms).
@@ -106,8 +107,6 @@ pub struct ParallaxConfig {
     pub average_sparse: bool,
     /// Aggregate gradients within each machine before pushing.
     pub local_aggregation: bool,
-    /// Gate server updates on the chief worker's trigger.
-    pub chief_triggers_update: bool,
     /// Server placement strategy.
     pub placement: PlacementStrategy,
     /// Architecture selection.
@@ -206,7 +205,6 @@ impl Default for ParallaxConfig {
             average_dense: true,
             average_sparse: true,
             local_aggregation: true,
-            chief_triggers_update: true,
             placement: PlacementStrategy::Balanced,
             arch: ArchChoice::Hybrid,
             sparse_partitions: None,

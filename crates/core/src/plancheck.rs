@@ -22,13 +22,13 @@
 use std::collections::{HashMap, HashSet};
 
 use parallax_comm::predict::{replay_allgatherv, replay_reduce_to, replay_ring_allreduce_wire};
+use parallax_comm::tag::{self, ReqKind};
 use parallax_comm::wire::slices_wire_bytes;
 use parallax_comm::{StaticLedger, TrafficClass};
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::verify::{verify_graph, DiagCode, Diagnostic, VerifyReport};
 use parallax_dataflow::{Feed, Graph, NodeId, Op, Session, VarId, VarStore, VariableDef};
 use parallax_ps::placement::SyncDecision;
-use parallax_ps::protocol::{self, ReqKind};
 use parallax_ps::{PsTopology, VarPlacement};
 use parallax_tensor::{sparse::Grad, DetRng};
 
@@ -621,7 +621,7 @@ pub fn predict_iteration_traffic(
     let session = Session::new(graph);
     let gatherv: HashSet<usize> = plan.gatherv_vars().iter().map(|v| v.index()).collect();
     let iter0 = 0u64;
-    let req = protocol::request_tag(iter0);
+    let req = tag::request_tag(iter0);
 
     // Closed-form accumulators, indexed by `TrafficClass as usize`. These
     // are computed from aggregate formulas (ring totals, id counts), not
@@ -674,7 +674,7 @@ pub fn predict_iteration_traffic(
                         ledger.charge(
                             srv,
                             rank,
-                            protocol::response_tag(ReqKind::PullDense, var.index(), 0, iter0),
+                            tag::response_tag(ReqKind::PullDense, var.index(), 0, iter0),
                             4 * elements,
                         )?;
                         cf[TrafficClass::Ps as usize] += 16 + 4 * elements;
@@ -704,7 +704,7 @@ pub fn predict_iteration_traffic(
                         ledger.charge(
                             srv,
                             rank,
-                            protocol::response_tag(ReqKind::PullSparse, var.index(), p, iter0),
+                            tag::response_tag(ReqKind::PullSparse, var.index(), p, iter0),
                             4 * cnt * cols,
                         )?;
                     }
@@ -746,7 +746,7 @@ pub fn predict_iteration_traffic(
             replay_allgatherv(
                 &ledger,
                 &worker_ranks,
-                crate::runner::mpi_tag(var.index(), iter0),
+                tag::gatherv_tag(var.index(), iter0),
                 &contribs,
             )?;
             if workers > 1 {
@@ -762,7 +762,7 @@ pub fn predict_iteration_traffic(
             replay_ring_allreduce_wire(
                 &ledger,
                 &worker_ranks,
-                protocol::allreduce_tag(var.index(), iter0),
+                tag::allreduce_tag(var.index(), iter0),
                 elems,
                 config.wire_format,
             )?;
@@ -800,7 +800,7 @@ pub fn predict_iteration_traffic(
             for m in 0..machines {
                 let peers = topo.workers_of(m);
                 let chief = topo.local_chief(m);
-                let tag = protocol::local_agg_tag(var.index(), iter0);
+                let tag = tag::local_agg_tag(var.index(), iter0);
                 // Non-chief workers ship their raw gradient to the local
                 // chief: dense as Floats, sparse as Slices — both are
                 // exactly the gradient's byte size.
@@ -895,7 +895,7 @@ pub fn predict_iteration_traffic(
     }
 
     // ---- Chief update triggers and update notifications ---------------
-    if sync && config.chief_triggers_update {
+    if sync {
         let chief = topo.chief();
         for &var in &ps_vars {
             let placement = plan.plan.placement(var).map_err(CoreError::Ps)?;
@@ -904,19 +904,15 @@ pub fn predict_iteration_traffic(
                 cf[TrafficClass::Ps as usize] += 16;
             }
         }
-    }
-    if sync {
         for &var in &ps_vars {
             let placement = plan.plan.placement(var).map_err(CoreError::Ps)?;
             for (m, part) in shard_coords(placement) {
                 let srv = topo.server_rank(m);
-                let tag = protocol::response_tag(ReqKind::UpdateDone, var.index(), part, iter0);
+                let tag = tag::response_tag(ReqKind::UpdateDone, var.index(), part, iter0);
                 for &r in &worker_ranks {
                     ledger.charge(srv, r, tag, 8)?;
                 }
-                // UpdateDone response tags land in the 0x9 nibble (kind
-                // bits carried past the 0x8 response marker), which the
-                // traffic accountant classifies as PS.
+                // Response tags classify as PS traffic.
                 cf[TrafficClass::Ps as usize] += 8 * workers as u64;
             }
         }

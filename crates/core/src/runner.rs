@@ -9,22 +9,20 @@
 //! on the calibrated cluster model.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use parallax_cluster::{
     CalibrationProfile, ClusterModel, IterationSim, Phase, SparseOpCost, Transport,
 };
-use parallax_comm::{collectives, Endpoint, Router, TrafficClass, TrafficSnapshot};
+use parallax_comm::{collectives, tag, Endpoint, Router, TrafficClass, TrafficSnapshot};
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::{Feed, Graph, NodeId, Session, VarId, VarStore};
 use parallax_fault::FaultInjector;
 use parallax_ps::{
-    locally_aggregate, protocol, PsClient, PsTopology, PsWorkerContext, Server, ServerConfig,
-    VarPlacement,
+    locally_aggregate, PsClient, PsTopology, PsWorkerContext, Server, ServerConfig, VarPlacement,
 };
 use parallax_tensor::{sparse::Grad, DetRng, Tensor};
-use parking_lot::Mutex;
 
 use crate::checkpoint::{self, TrainState};
 use crate::config::ParallaxConfig;
@@ -135,9 +133,14 @@ pub fn mean_worker_losses(per_worker: &[Vec<f32>]) -> Vec<f32> {
     mean
 }
 
-/// Tag namespace for AllGatherv collectives (classified as MPI traffic).
-pub(crate) fn mpi_tag(var: usize, iter: u64) -> u64 {
-    0x3000_0000_0000_0000 | protocol::pack(protocol::ReqKind::PushDense, var, 0, iter)
+/// Locks `m`, recovering the data when a panicking thread poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Consumes `m`, recovering the data when a panicking thread poisoned it.
+fn take<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Measured traffic of a run, by transport class.
@@ -692,10 +695,9 @@ impl Runner {
                             injector,
                             feed_fn,
                         ) {
-                            Ok(RoleOutput::Server { shards }) => shard_values.lock().extend(shards),
+                            Ok(RoleOutput::Server { shards }) => lock(shard_values).extend(shards),
                             Ok(RoleOutput::Worker { .. }) => {
-                                failures
-                                    .lock()
+                                lock(failures)
                                     .push(format!("server {m}: role returned worker output"));
                             }
                             Err(e) => {
@@ -707,7 +709,7 @@ impl Runner {
                                     other => format!("server {m}: {other}"),
                                 };
                                 eprintln!("parallax: {msg}");
-                                failures.lock().push(msg)
+                                lock(failures).push(msg)
                             }
                         }
                     });
@@ -739,21 +741,20 @@ impl Runner {
                             compute_secs: my_compute,
                             store,
                         }) => {
-                            losses.lock()[widx] = my_losses;
-                            compute_secs.lock()[widx] = my_compute;
+                            lock(losses)[widx] = my_losses;
+                            lock(compute_secs)[widx] = my_compute;
                             if rank == runner.topo.chief() {
-                                *chief_store.lock() = Some(store);
-                                *chief_norms.lock() = norms;
+                                *lock(chief_store) = Some(store);
+                                *lock(chief_norms) = norms;
                             }
                         }
                         Ok(RoleOutput::Server { .. }) => {
-                            failures
-                                .lock()
+                            lock(failures)
                                 .push(format!("worker {widx}: role returned server output"));
                         }
                         Err(e) => {
                             eprintln!("parallax: worker {widx} failed: {e}");
-                            failures.lock().push(format!("worker {widx}: {e}"))
+                            lock(failures).push(format!("worker {widx}: {e}"))
                         }
                     }
                 });
@@ -771,29 +772,28 @@ impl Runner {
             other: traffic.class_snapshot(TrafficClass::Default),
         });
 
-        let failures = failures.into_inner();
+        let failures = take(failures);
         if let Some(first) = failures.into_iter().next() {
             return Err(CoreError::Worker(first));
         }
 
         // Mean loss per executed iteration across workers.
         let attempt_iters = iterations - start_iter;
-        let mean_losses = mean_worker_losses(&losses.into_inner());
+        let mean_losses = mean_worker_losses(&take(losses));
 
         // Final model: AR variables from the chief replica, PS variables
         // stitched from server shards.
-        let chief = chief_store
-            .into_inner()
-            .ok_or_else(|| CoreError::Worker("chief produced no model".into()))?;
-        let final_model = self.stitch_final_model(&chief, shard_values.into_inner())?;
+        let chief =
+            take(chief_store).ok_or_else(|| CoreError::Worker("chief produced no model".into()))?;
+        let final_model = self.stitch_final_model(&chief, take(shard_values))?;
 
-        let compute = compute_secs.into_inner();
+        let compute = take(compute_secs);
         let host_compute_per_iter =
             compute.iter().copied().fold(0.0, f64::max) / attempt_iters.max(1) as f64;
 
         Ok(RunReport {
             losses: mean_losses,
-            grad_norms: chief_norms.into_inner(),
+            grad_norms: take(chief_norms),
             // The caller (`run`) substitutes the cross-attempt total.
             traffic: TrafficReport::default(),
             iterations,
@@ -819,7 +819,6 @@ impl Runner {
             checkpoint_interval: self.ckpt_interval(),
             average_gradients: self.config.average_sparse,
             local_aggregation: self.config.local_aggregation && self.config.synchronous,
-            chief_triggers_update: self.config.chief_triggers_update && self.config.synchronous,
             synchronous: self.config.synchronous,
             serve_aggregates: self.config.trace_gradients,
             seed: self.config.seed,
@@ -1215,7 +1214,7 @@ impl Runner {
                         collectives::ring_allreduce_tensor_wire(
                             endpoint,
                             &worker_ranks,
-                            protocol::allreduce_tag(var.index(), iter as u64),
+                            tag::allreduce_tag(var.index(), iter as u64),
                             &mut agg,
                             self.config.wire_format,
                         )?;
@@ -1242,7 +1241,7 @@ impl Runner {
                         let parts = collectives::allgatherv_slices_parts_wire(
                             endpoint,
                             &worker_ranks,
-                            mpi_tag(var.index(), iter as u64),
+                            tag::gatherv_tag(var.index(), iter as u64),
                             s,
                             self.config.wire_format,
                         )?;
@@ -1304,7 +1303,7 @@ impl Runner {
                     client.push(endpoint, var, grad).map_err(CoreError::Ps)?;
                 }
             }
-            if sync && self.config.chief_triggers_update && is_global_chief {
+            if sync && is_global_chief {
                 for &var in ps_vars {
                     client.chief_update(endpoint, var).map_err(CoreError::Ps)?;
                 }

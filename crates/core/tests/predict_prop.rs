@@ -71,7 +71,6 @@ proptest! {
         arch_sel in 0u8..4,
         wire_sel in 0u8..3,
         local_agg in any::<bool>(),
-        chief in any::<bool>(),
         seed in 0u64..500,
     ) {
         let workers = machines * gpus;
@@ -82,7 +81,6 @@ proptest! {
             arch: arch_from(arch_sel),
             wire_format: wire_from(wire_sel),
             local_aggregation: local_agg,
-            chief_triggers_update: chief,
             sparse_partitions: Some(partitions),
             ..ParallaxConfig::default()
         };
@@ -124,7 +122,7 @@ proptest! {
 
         let report = runner.run(1, |w, _| feed_for(w)).expect("one iteration");
         let ctx = format!(
-            "{:?} wire={} x {machines}x{gpus} P={partitions} agg={local_agg} chief={chief} \
+            "{:?} wire={} x {machines}x{gpus} P={partitions} agg={local_agg} \
              seed={seed}",
             arch_from(arch_sel),
             wire_from(wire_sel).name(),

@@ -7,10 +7,8 @@
 //! [`parallax_comm::protocheck::SessionSpec`], mirroring the plan
 //! tamper constructors exercised by `plancheck_negative.rs`.
 
-use parallax_comm::protocheck::{
-    MsgEvent, Phase, SessionSpec, WireKind, KIND_CHIEF_UPDATE, KIND_FETCH_SHARD, KIND_PULL_SPARSE,
-    KIND_PUSH_SPARSE, KIND_UPDATE_DONE, MAX_HEADER_VARS,
-};
+use parallax_comm::protocheck::{MsgEvent, Phase, SessionSpec, WireKind};
+use parallax_comm::tag::{ReqKind, MAX_VARS};
 use parallax_core::sparsity::{profile_from_parts, SparsityProfile};
 use parallax_core::transform::{transform, DistributedPlan};
 use parallax_core::{check_fault_plan, check_session, derive_session, ParallaxConfig};
@@ -65,7 +63,7 @@ fn find_event(spec: &SessionSpec, kind: WireKind) -> usize {
     spec.events()
         .iter()
         .position(|e| e.kind == kind)
-        .unwrap_or_else(|| panic!("derived session has no {} event", kind.describe()))
+        .unwrap_or_else(|| panic!("derived session has no {kind:?} event"))
 }
 
 #[test]
@@ -80,7 +78,7 @@ fn skewed_multiplicity_is_c001() {
     let (g, config, topo, plan, mut spec) = session();
     // The sender fires twice per iteration; the receiver still counts
     // one message into its barrier.
-    let idx = find_event(&spec, WireKind::Request(KIND_PUSH_SPARSE));
+    let idx = find_event(&spec, WireKind::Request(ReqKind::PushSparse));
     spec.events_mut()[idx].sends = 2;
     let report = check_session(&g, &config, &topo, &plan, &spec);
     assert!(report.has_code(DiagCode::C001), "{}", report.render());
@@ -92,7 +90,7 @@ fn missing_request_kind_is_c001() {
     // Drop every chief trigger: the servers still gate the update on a
     // ChiefUpdate that never arrives.
     spec.events_mut()
-        .retain(|e| e.kind != WireKind::Request(KIND_CHIEF_UPDATE));
+        .retain(|e| e.kind != WireKind::Request(ReqKind::ChiefUpdate));
     let report = check_session(&g, &config, &topo, &plan, &spec);
     assert!(report.has_code(DiagCode::C001), "{}", report.render());
 }
@@ -102,8 +100,8 @@ fn mispaired_fetch_shard_reply_is_c002() {
     let (g, config, topo, plan, mut spec) = session();
     // Re-address the FetchShard reply to a non-chief worker: the chief
     // blocks forever on a response that went elsewhere.
-    let req = find_event(&spec, WireKind::Request(KIND_FETCH_SHARD));
-    let resp = find_event(&spec, WireKind::Response(KIND_FETCH_SHARD));
+    let req = find_event(&spec, WireKind::Request(ReqKind::FetchShard));
+    let resp = find_event(&spec, WireKind::Response(ReqKind::FetchShard));
     let wrong = *spec
         .workers
         .iter()
@@ -120,7 +118,7 @@ fn truncated_fetch_shard_reply_is_c002() {
     let (g, config, topo, plan, mut spec) = session();
     // A FetchShard reply carries value + optimizer state (two messages
     // under one tag); modeling one starves the checkpoint stitcher.
-    let resp = find_event(&spec, WireKind::Response(KIND_FETCH_SHARD));
+    let resp = find_event(&spec, WireKind::Response(ReqKind::FetchShard));
     spec.events_mut()[resp].tag_uses = 1;
     spec.events_mut()[resp].sends = 1;
     spec.events_mut()[resp].recvs = 1;
@@ -133,7 +131,7 @@ fn partial_update_notification_is_c002() {
     let (g, config, topo, plan, mut spec) = session();
     // Drop one worker's UpdateDone: that worker blocks forever in
     // await_update_done while the rest proceed.
-    let idx = find_event(&spec, WireKind::Response(KIND_UPDATE_DONE));
+    let idx = find_event(&spec, WireKind::Response(ReqKind::UpdateDone));
     spec.events_mut().remove(idx);
     let report = check_session(&g, &config, &topo, &plan, &spec);
     assert!(report.has_code(DiagCode::C002), "{}", report.render());
@@ -144,7 +142,7 @@ fn duplicated_event_identity_is_c003() {
     let (g, config, topo, plan, mut spec) = session();
     // Two distinct events sharing one wire identity: messages of one
     // phase would be accepted as the other.
-    let idx = find_event(&spec, WireKind::Request(KIND_PULL_SPARSE));
+    let idx = find_event(&spec, WireKind::Request(ReqKind::PullSparse));
     let mut leak = spec.events()[idx].clone();
     leak.phase = Phase::TraceRead;
     leak.label = "leaked cross-phase clone".into();
@@ -168,7 +166,7 @@ fn wait_for_cycle_is_c004() {
 #[test]
 fn unguarded_non_idempotent_kind_is_c005() {
     let (g, config, topo, plan, mut spec) = session();
-    spec.tamper_unguard(KIND_PUSH_SPARSE);
+    spec.tamper_unguard(ReqKind::PushSparse);
     let report = check_session(&g, &config, &topo, &plan, &spec);
     assert!(report.has_code(DiagCode::C005), "{}", report.render());
 }
@@ -213,7 +211,7 @@ fn out_of_phase_snapshot_publish_is_c007() {
     let (g, config, topo, plan, mut spec) = session();
     // Strip the boundary gate from a FetchShard: servers would see an
     // unplanned message in every non-boundary iteration's barrier.
-    let req = find_event(&spec, WireKind::Request(KIND_FETCH_SHARD));
+    let req = find_event(&spec, WireKind::Request(ReqKind::FetchShard));
     spec.events_mut()[req].boundary_only = false;
     let report = check_session(&g, &config, &topo, &plan, &spec);
     assert!(report.has_code(DiagCode::C007), "{}", report.render());
@@ -222,7 +220,7 @@ fn out_of_phase_snapshot_publish_is_c007() {
 #[test]
 fn non_chief_publisher_is_c007() {
     let (g, config, topo, plan, mut spec) = session();
-    let req = find_event(&spec, WireKind::Request(KIND_FETCH_SHARD));
+    let req = find_event(&spec, WireKind::Request(ReqKind::FetchShard));
     let wrong = *spec
         .workers
         .iter()
@@ -240,8 +238,8 @@ fn malformed_event_is_c008() {
         phase: Phase::Push,
         from: 0,
         to: 0, // self-loop
-        kind: WireKind::Request(KIND_PUSH_SPARSE),
-        var: MAX_HEADER_VARS + 1, // beyond header capacity
+        kind: WireKind::Request(ReqKind::PushSparse),
+        var: MAX_VARS + 1, // beyond header capacity
         part: 0,
         sends: 0, // zero multiplicity
         recvs: 1,
@@ -266,7 +264,7 @@ fn every_tampered_report_renders_without_panicking() {
     spec.events_mut()[0].sends += 3;
     spec.tamper_disarm_deadline();
     spec.tamper_disable_pull_guard();
-    spec.tamper_unguard(KIND_CHIEF_UPDATE);
+    spec.tamper_unguard(ReqKind::ChiefUpdate);
     let report = check_session(&g, &config, &topo, &plan, &spec);
     assert!(report.has_errors());
     let rendered = report.render();

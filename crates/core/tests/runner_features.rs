@@ -69,7 +69,6 @@ fn async_training_converges_without_barriers() {
         synchronous: false,
         arch: ArchChoice::PsOnly { optimized: false },
         local_aggregation: false,
-        chief_triggers_update: false,
         ..ParallaxConfig::tf_ps_baseline()
     };
     let runner = get_runner(graph.clone(), loss, vec![2, 2], config, profile).unwrap();

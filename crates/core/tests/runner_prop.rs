@@ -82,7 +82,6 @@ proptest! {
         partitions in 1usize..7,
         arch_sel in 0u8..4,
         local_agg in any::<bool>(),
-        chief in any::<bool>(),
         seed in 0u64..500,
     ) {
         let workers = machines * gpus;
@@ -111,7 +110,6 @@ proptest! {
             learning_rate: 0.2,
             arch: arch_from(arch_sel),
             local_aggregation: local_agg,
-            chief_triggers_update: chief,
             sparse_partitions: Some(partitions),
             placement: if seed % 2 == 0 {
                 PlacementStrategy::Balanced
@@ -140,7 +138,7 @@ proptest! {
         let div = store.max_divergence(&distributed);
         prop_assert!(
             div < 1e-4,
-            "{:?} x {machines}x{gpus} P={partitions} agg={local_agg} chief={chief}: \
+            "{:?} x {machines}x{gpus} P={partitions} agg={local_agg}: \
              diverged by {div}",
             arch_from(arch_sel),
         );

@@ -10,13 +10,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use parallax_comm::tag::{self, ReqKind};
 use parallax_comm::{Endpoint, Payload};
 use parallax_dataflow::{DataflowError, VarId, VarProvider, VarStore, VariableDef};
 use parallax_tensor::{sparse::Grad, IndexedSlices, Tensor};
 use parallax_trace::{span, span_with_flow, FlowPoint, SpanCat};
 
 use crate::plan::{RowPartition, ShardingPlan, VarPlacement};
-use crate::protocol::{self, ReqKind};
 use crate::topology::PsTopology;
 use crate::{PsError, Result};
 
@@ -61,10 +61,10 @@ impl PsClient {
         body: Payload,
     ) -> Result<()> {
         let server = self.topo.server_rank(machine);
-        let header = protocol::pack(kind, var, part, self.iter);
+        let header = tag::pack(kind, var, part, self.iter);
         ep.send(
             server,
-            protocol::request_tag(self.iter),
+            tag::request_tag(self.iter),
             Payload::Packet {
                 header,
                 body: Box::new(body),
@@ -100,7 +100,7 @@ impl PsClient {
         let t = ep
             .recv(
                 server,
-                protocol::response_tag(ReqKind::PullDense, var.index(), 0, self.iter),
+                tag::response_tag(ReqKind::PullDense, var.index(), 0, self.iter),
             )?
             .into_tensor()?;
         self.dense_cache.insert(var.index(), t.clone());
@@ -143,7 +143,7 @@ impl PsClient {
             let t = ep
                 .recv(
                     server,
-                    protocol::response_tag(ReqKind::PullSparse, var.index(), p, self.iter),
+                    tag::response_tag(ReqKind::PullSparse, var.index(), p, self.iter),
                 )?
                 .into_tensor()?;
             let (_, c) = t.shape().as_matrix()?;
@@ -171,7 +171,7 @@ impl PsClient {
                 let _req = span_with_flow(
                     SpanCat::Ps,
                     "ps.push_req",
-                    FlowPoint::Start(protocol::flow_id(
+                    FlowPoint::Start(tag::flow_id(
                         ReqKind::PushDense,
                         var.index(),
                         0,
@@ -195,7 +195,7 @@ impl PsClient {
                     let _req = span_with_flow(
                         SpanCat::Ps,
                         "ps.push_req",
-                        FlowPoint::Start(protocol::flow_id(
+                        FlowPoint::Start(tag::flow_id(
                             ReqKind::PushSparse,
                             var.index(),
                             p,
@@ -261,7 +261,7 @@ impl PsClient {
             let server = self.topo.server_rank(machine);
             let payload = ep.recv(
                 server,
-                protocol::response_tag(ReqKind::ReadAgg, var.index(), part, self.iter),
+                tag::response_tag(ReqKind::ReadAgg, var.index(), part, self.iter),
             )?;
             out.push(match payload {
                 // The server may still share the aggregate with other
@@ -324,7 +324,7 @@ impl PsClient {
         let mut states = Vec::with_capacity(targets.len());
         for (machine, part) in targets {
             let server = self.topo.server_rank(machine);
-            let tag = protocol::response_tag(ReqKind::FetchShard, var.index(), part, self.iter);
+            let tag = tag::response_tag(ReqKind::FetchShard, var.index(), part, self.iter);
             tensors.push(ep.recv(server, tag)?.into_tensor()?);
             states.push(match ep.recv(server, tag)? {
                 Payload::Tensor(t) => Some(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone())),
@@ -367,7 +367,7 @@ impl PsClient {
             let server = self.topo.server_rank(machine);
             ep.recv(
                 server,
-                protocol::response_tag(ReqKind::UpdateDone, var.index(), part, self.iter),
+                tag::response_tag(ReqKind::UpdateDone, var.index(), part, self.iter),
             )?
             .into_control()?;
         }
@@ -449,7 +449,7 @@ pub fn locally_aggregate(
     let machine = topo.machine_of(ep.rank())?;
     let peers = topo.workers_of(machine);
     let chief = topo.local_chief(machine);
-    let tag = protocol::local_agg_tag(var.index(), iter);
+    let tag = tag::local_agg_tag(var.index(), iter);
     match grad {
         Grad::Dense(t) => {
             let summed =

@@ -22,7 +22,6 @@ pub mod client;
 pub mod error;
 pub mod placement;
 pub mod plan;
-pub mod protocol;
 pub mod server;
 pub mod topology;
 

@@ -4,14 +4,15 @@
 //! "this colocation works well since workers are GPU-intensive while
 //! servers run lightweight computation", Section 4.3). A server owns the
 //! shards its machine was assigned, serves pulls, accumulates pushes,
-//! and applies updates; with `chief_triggers_update` the update is gated
-//! on the chief worker's trigger and completion is announced to every
+//! and applies updates; in synchronous training the update is gated on
+//! the chief worker's trigger and completion is announced to every
 //! worker — the shared-queue notification of Section 5.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
+use parallax_comm::tag::{self, ReqKind};
 use parallax_comm::{Endpoint, Payload};
 use parallax_dataflow::optimizer::LrSchedule;
 use parallax_dataflow::varstore::init_rows;
@@ -21,7 +22,6 @@ use parallax_trace::{span, span_with_flow, FlowPoint, SpanCat};
 
 use crate::accumulator::{DenseAccumulator, SparseAccumulator};
 use crate::plan::ShardingPlan;
-use crate::protocol::{self, ReqKind};
 use crate::topology::PsTopology;
 use crate::{PsError, Result};
 
@@ -40,14 +40,12 @@ pub struct ServerConfig {
     /// association away from the ring-AllReduce order dense aggregation
     /// replays.
     pub local_aggregation: bool,
-    /// Gate each shard's update on a `ChiefUpdate` trigger from the chief
-    /// worker (the paper's exact mechanism). When false the update fires
-    /// as soon as the accumulator completes.
-    pub chief_triggers_update: bool,
-    /// Synchronous training (the default). When false, every push is
-    /// applied immediately without waiting for the other workers —
-    /// asynchronous SGD, with all the staleness that implies
-    /// (Section 2.1; Parallax supports both modes).
+    /// Synchronous training (the default): each shard's update waits
+    /// for every push and for the chief worker's `ChiefUpdate` trigger
+    /// (the paper's exact mechanism). When false, every push is applied
+    /// immediately without waiting for the other workers — asynchronous
+    /// SGD, with all the staleness that implies (Section 2.1; Parallax
+    /// supports both modes).
     pub synchronous: bool,
     /// Serve `ReadAgg` requests: keep each shard's last aggregated
     /// gradient and let every worker read it (gradient tracing /
@@ -75,7 +73,6 @@ impl Default for ServerConfig {
             iterations: 1,
             average_gradients: true,
             local_aggregation: false,
-            chief_triggers_update: true,
             synchronous: true,
             serve_aggregates: false,
             seed: 0,
@@ -339,7 +336,7 @@ impl Server {
         self.optimizer
             .set_learning_rate(self.config.lr_schedule.at(self.base_lr, iter));
         let sync = self.config.synchronous;
-        let chief_msgs = usize::from(sync && self.config.chief_triggers_update);
+        let chief_msgs = usize::from(sync);
         let readagg_msgs = if sync && self.config.serve_aggregates {
             self.topo.num_workers()
         } else {
@@ -383,12 +380,14 @@ impl Server {
             let t0 = if traced { parallax_trace::now_ns() } else { 0 };
             let (from, payload) = {
                 let _wait = span(SpanCat::Ps, "ps.wait");
-                self.endpoint.recv_any(protocol::request_tag(iter))?
+                self.endpoint.recv_any(tag::request_tag(iter))?
             };
             let t1 = if traced { parallax_trace::now_ns() } else { 0 };
             let (header, body) = payload.into_packet()?;
-            let (kind, var, part, hdr_iter) = protocol::unpack(header)?;
-            if hdr_iter != (iter & ((1 << 30) - 1)) {
+            let (kind, var, part, hdr_iter) = tag::unpack(header).ok_or_else(|| {
+                PsError::Protocol(format!("bad request kind in header {header:#x}"))
+            })?;
+            if hdr_iter != tag::wrap_iter(iter) {
                 return Err(PsError::Protocol(format!(
                     "iteration mismatch: header {hdr_iter}, serving {iter}"
                 )));
@@ -414,7 +413,7 @@ impl Server {
                 // (the sender rank comes from the transport envelope).
                 let flow = match kind {
                     ReqKind::PushDense | ReqKind::PushSparse => {
-                        FlowPoint::Finish(protocol::flow_id(kind, var, part, from, iter))
+                        FlowPoint::Finish(tag::flow_id(kind, var, part, from, iter))
                     }
                     _ => FlowPoint::None,
                 };
@@ -467,7 +466,7 @@ impl Server {
                 let value = shard.value.clone();
                 self.endpoint.send(
                     from,
-                    protocol::response_tag(ReqKind::PullDense, var, part, iter),
+                    tag::response_tag(ReqKind::PullDense, var, part, iter),
                     Payload::Tensor(Arc::new(value)),
                 )?;
             }
@@ -478,7 +477,7 @@ impl Server {
                 let rows = ops::gather_rows(&shard.value, &ids)?;
                 self.endpoint.send(
                     from,
-                    protocol::response_tag(ReqKind::PullSparse, var, part, iter),
+                    tag::response_tag(ReqKind::PullSparse, var, part, iter),
                     Payload::Tensor(Arc::new(rows)),
                 )?;
             }
@@ -555,7 +554,7 @@ impl Server {
                     ));
                 }
                 let value = shard.value.clone();
-                let tag = protocol::response_tag(ReqKind::FetchShard, var, part, iter);
+                let tag = tag::response_tag(ReqKind::FetchShard, var, part, iter);
                 self.endpoint
                     .send(from, tag, Payload::Tensor(Arc::new(value)))?;
                 // Piggyback the optimizer slot state (velocity/accum) on
@@ -591,7 +590,7 @@ impl Server {
                 };
                 self.endpoint.send(
                     from,
-                    protocol::response_tag(ReqKind::ReadAgg, var, part, iter),
+                    tag::response_tag(ReqKind::ReadAgg, var, part, iter),
                     payload,
                 )?;
             }
@@ -613,12 +612,12 @@ impl Server {
         Ok(())
     }
 
-    /// Applies the update for shard `idx` once all pushes (and the chief
-    /// trigger, when enabled) have arrived, then notifies all workers.
+    /// Applies the update for shard `idx` once all pushes and the chief
+    /// trigger have arrived, then notifies all workers.
     fn maybe_apply(&mut self, idx: usize, iter: u64) -> Result<()> {
         let workers = self.topo.num_workers() as f32;
         let shard = &mut self.shards[idx];
-        let gated = self.config.chief_triggers_update && !shard.chief_seen;
+        let gated = self.config.synchronous && !shard.chief_seen;
         if shard.applied || shard.pending.is_none() || gated {
             return Ok(());
         }
@@ -660,7 +659,7 @@ impl Server {
         for w in self.topo.worker_ranks() {
             self.endpoint.send(
                 w,
-                protocol::response_tag(ReqKind::UpdateDone, var, part, iter),
+                tag::response_tag(ReqKind::UpdateDone, var, part, iter),
                 Payload::Control(0),
             )?;
         }

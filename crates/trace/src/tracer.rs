@@ -11,10 +11,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use loom::sync::atomic::AtomicU64;
 #[cfg(not(loom))]
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// Machine id used for threads that never called [`set_thread_track`].
 pub const UNTRACKED_MACHINE: u32 = u32::MAX;
@@ -358,6 +356,11 @@ struct Registry {
     unattributed: AtomicU64,
 }
 
+/// Locks `m`, recovering the data when a panicking thread poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
@@ -408,7 +411,7 @@ fn with_tls<R>(f: impl FnOnce(&mut Tls) -> R) -> R {
                     dropped: 0,
                 }),
             });
-            registry().threads.lock().push(Arc::clone(&shared));
+            lock(&registry().threads).push(Arc::clone(&shared));
             Tls {
                 shared,
                 frames: Vec::new(),
@@ -466,7 +469,7 @@ pub fn set_thread_track(machine: u32, lane: u32, label: &str) {
     with_tls(|tls| {
         tls.machine = machine;
         tls.lane = lane;
-        *tls.shared.info.lock() = ThreadInfo {
+        *lock(&tls.shared.info) = ThreadInfo {
             machine,
             lane,
             label: label.to_string(),
@@ -574,7 +577,7 @@ impl Drop for SpanGuard {
                 flow: frame.flow,
             };
             let cap = registry().capacity.load(Ordering::Relaxed);
-            let mut buf = tls.shared.buf.lock();
+            let mut buf = lock(&tls.shared.buf);
             if buf.records.len() < cap {
                 buf.records.push(record);
             } else {
@@ -590,7 +593,7 @@ impl Drop for SpanGuard {
 /// Returns the counter registered under `name`, creating it on first
 /// use. Cache the handle outside hot loops.
 pub fn counter(name: &str) -> Counter {
-    let mut counters = registry().counters.lock();
+    let mut counters = lock(&registry().counters);
     let arc = counters
         .entry(name.to_string())
         .or_insert_with(|| Arc::new(AtomicU64::new(0)));
@@ -600,7 +603,7 @@ pub fn counter(name: &str) -> Counter {
 /// Returns the histogram registered under `name`, creating it on first
 /// use. Cache the handle outside hot loops.
 pub fn histogram(name: &str) -> HistogramHandle {
-    let mut histograms = registry().histograms.lock();
+    let mut histograms = lock(&registry().histograms);
     let arc = histograms
         .entry(name.to_string())
         .or_insert_with(|| Arc::new(HistogramInner::new()));
@@ -610,7 +613,7 @@ pub fn histogram(name: &str) -> HistogramHandle {
 /// Appends externally produced records (e.g. a *modelled* timeline from
 /// the cluster simulator) so they export alongside measured spans.
 pub fn inject(records: impl IntoIterator<Item = SpanRecord>) {
-    registry().injected.lock().extend(records);
+    lock(&registry().injected).extend(records);
 }
 
 /// Collects everything recorded since the last drain and resets the
@@ -621,8 +624,8 @@ pub fn drain() -> TraceDump {
     let mut records = Vec::new();
     let mut threads = Vec::new();
     let mut dropped = 0u64;
-    for shared in reg.threads.lock().iter() {
-        let mut buf = shared.buf.lock();
+    for shared in lock(&reg.threads).iter() {
+        let mut buf = lock(&shared.buf);
         if buf.records.is_empty() && buf.dropped == 0 {
             continue;
         }
@@ -636,19 +639,15 @@ pub fn drain() -> TraceDump {
         buf.next = 0;
         buf.dropped = 0;
         records.extend(recs);
-        threads.push(shared.info.lock().clone());
+        threads.push(lock(&shared.info).clone());
     }
-    records.extend(std::mem::take(&mut *reg.injected.lock()));
-    let counters: Vec<(String, u64)> = reg
-        .counters
-        .lock()
+    records.extend(std::mem::take(&mut *lock(&reg.injected)));
+    let counters: Vec<(String, u64)> = lock(&reg.counters)
         .iter()
         .map(|(k, v)| (k.clone(), v.swap(0, Ordering::Relaxed)))
         .filter(|(_, v)| *v > 0)
         .collect();
-    let histograms: Vec<(String, HistogramSnapshot)> = reg
-        .histograms
-        .lock()
+    let histograms: Vec<(String, HistogramSnapshot)> = lock(&reg.histograms)
         .iter()
         .map(|(k, v)| {
             let snap = v.snapshot();
@@ -678,9 +677,9 @@ mod tests {
 
     /// The tracer is process-global; tests serialize on this lock so
     /// they do not observe each other's records.
-    pub(crate) fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
+    pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock()
+        lock(LOCK.get_or_init(|| Mutex::new(())))
     }
 
     fn fresh() {

@@ -36,7 +36,6 @@ fn main() {
             synchronous,
             arch: ArchChoice::PsOnly { optimized: false },
             local_aggregation: false,
-            chief_triggers_update: synchronous,
             ..ParallaxConfig::tf_ps_baseline()
         };
         let runner =
