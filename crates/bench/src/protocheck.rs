@@ -218,10 +218,8 @@ fn defects() -> Vec<Defect> {
                     var: MAX_VARS + 1,
                     part: 0,
                     sends: 0,
-                    recvs: 1,
                     tag_uses: 1,
                     boundary_only: false,
-                    blocking: true,
                     reply_of: Some(usize::MAX),
                     deps: vec![usize::MAX],
                     label: "malformed".into(),

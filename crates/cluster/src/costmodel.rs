@@ -64,23 +64,6 @@ impl SparseOpCost {
     }
 }
 
-/// Aggregate compute cost of one training iteration on one worker.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ComputeCost {
-    /// Forward+backward FLOPs per iteration per worker.
-    pub flops: f64,
-}
-
-impl ComputeCost {
-    /// FLOPs for forward+backward given forward FLOPs (backward is
-    /// approximately twice the forward cost).
-    pub fn from_forward_flops(forward: f64) -> Self {
-        ComputeCost {
-            flops: 3.0 * forward,
-        }
-    }
-}
-
 /// A measured calibration profile distilled from a trace dump: the
 /// per-machine timings a calibrated simulation starts from, replacing
 /// the static testbed constants.
@@ -409,12 +392,6 @@ mod tests {
             cols: 10.0,
         };
         assert_eq!(cost.time(&cpu(), 0), cost.time(&cpu(), 1));
-    }
-
-    #[test]
-    fn forward_flops_tripled() {
-        let c = ComputeCost::from_forward_flops(1e9);
-        assert!((c.flops - 3e9).abs() < 1.0);
     }
 
     fn span(

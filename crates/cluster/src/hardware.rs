@@ -158,12 +158,6 @@ impl NetworkModel {
         };
         self.intra_bandwidth * eff
     }
-
-    /// Seconds to move `bytes` between machines over a transport,
-    /// excluding per-message latency.
-    pub fn transfer_time(&self, transport: Transport, bytes: u64) -> f64 {
-        bytes as f64 / self.effective_bandwidth(transport)
-    }
 }
 
 /// Per-machine heterogeneity knobs: slowdown factors relative to the
@@ -320,10 +314,11 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_is_bytes_over_bandwidth() {
+    fn nccl_bandwidth_is_85_percent_of_line_rate() {
         let net = NetworkModel::infiniband_100g();
-        let t = net.transfer_time(Transport::Nccl, 12_500_000_000 / 2);
-        assert!((t - 0.5 / 0.85).abs() < 1e-6);
+        let line_rate = 12_500_000_000.0;
+        let eff = net.effective_bandwidth(Transport::Nccl);
+        assert!((eff / line_rate - 0.85).abs() < 1e-9, "{eff}");
     }
 
     #[test]

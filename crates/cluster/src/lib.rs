@@ -18,7 +18,7 @@ pub mod hardware;
 pub mod sim;
 pub mod spec;
 
-pub use costmodel::{CalibrationProfile, ComputeCost, SparseOpCost};
+pub use costmodel::{CalibrationProfile, SparseOpCost};
 pub use des::{fifo_replay, simulate, DesMessage, DesResult, QueueStats};
 pub use hardware::{ClusterModel, CpuModel, GpuModel, MachineScales, NetworkModel, Transport};
 pub use sim::{IterationSim, Phase, PsQueueModel, RecoveryModel};

@@ -350,17 +350,6 @@ impl IterationSim {
         self.machine_times().into_iter().fold(0.0, f64::max)
     }
 
-    /// Expected wall-clock for `iterations` of this sim under a
-    /// [`RecoveryModel`]: the slowest-machine iteration time drives both
-    /// the base run time and the replay cost of expected failures.
-    pub fn expected_wall_clock_with_recovery(
-        &self,
-        iterations: usize,
-        recovery: &RecoveryModel,
-    ) -> f64 {
-        recovery.expected_wall_clock(iterations, self.iteration_time())
-    }
-
     /// Throughput in samples/second given the global batch per iteration.
     pub fn throughput(&self, global_batch: f64) -> f64 {
         let t = self.iteration_time();
@@ -736,23 +725,6 @@ mod tests {
             ..rec
         };
         assert_eq!(safe.optimal_interval(iters, t), iters);
-    }
-
-    #[test]
-    fn sim_threads_recovery_through_iteration_time() {
-        let mut sim = IterationSim::new(model(), 2);
-        sim.compute = vec![0.1, 0.2];
-        let rec = RecoveryModel {
-            detect: 1.0,
-            restore: 0.5,
-            checkpoint_cost: 0.1,
-            interval: 5,
-            failures: 1.0,
-        };
-        let wall = sim.expected_wall_clock_with_recovery(10, &rec);
-        // iteration_time = 0.2; base 2.0 + 2 checkpoints * 0.1 + one
-        // failure costing 1 + 0.5 + 2.5*0.2.
-        assert!((wall - (2.0 + 0.2 + 2.0)).abs() < 1e-12, "{wall}");
     }
 
     #[test]

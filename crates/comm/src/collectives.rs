@@ -32,8 +32,8 @@ fn position(ep: &Endpoint, ranks: &[usize]) -> Result<usize> {
 
 /// The element range of chunk `i` when `len` elements are cut into `n`
 /// near-equal chunks. Shared with the static traffic predictor
-/// (`crate::predict`) so the replayed ring schedule cannot drift from
-/// the executed one.
+/// (`crate::predict`) so the predicted ring hops cannot drift from the
+/// executed ones.
 pub(crate) fn chunk_range(len: usize, n: usize, i: usize) -> std::ops::Range<usize> {
     let base = len / n;
     let rem = len % n;

@@ -1,21 +1,22 @@
-//! Static traffic prediction: replay a communication schedule into a
+//! Static traffic prediction: charge a communication schedule into a
 //! ledger *without running anything*.
 //!
 //! The plan verifier (`parallax-core::plancheck`) statically computes,
 //! per traffic class, the bytes a distributed plan will move in one
 //! iteration, and cross-checks them against what the live
 //! [`crate::traffic::TrafficStats`] accounting would record — a
-//! compile-time analogue of the runtime conservation crosscheck. This
-//! module supplies the two ingredients:
+//! compile-time analogue of the runtime conservation crosscheck. The
+//! messages it charges are the events of the session machine
+//! ([`crate::protocheck::SessionSpec`]); this module supplies the rest:
 //!
 //! * [`StaticLedger`] — accounting identical to a live router's
 //!   [`TrafficStats`] (it *is* one, fed by hand), keyed by the same
 //!   rank→machine mapping and tag→class convention, so a predicted
 //!   snapshot is comparable to a measured one with `==`;
-//! * `replay_*` helpers — the exact per-step wire schedule of every
-//!   collective in [`crate::collectives`], expressed as byte counts
-//!   instead of payloads. Unit tests pin each replay against the real
-//!   collective's measured traffic.
+//! * per-hop sizing of the ring collectives in [`crate::collectives`]:
+//!   which chunk or contribution a ring position sends at each hop.
+//!   Unit tests pin both against the real collectives' measured
+//!   traffic.
 
 use std::sync::Arc;
 
@@ -25,12 +26,12 @@ use crate::traffic::{TrafficClass, TrafficSnapshot, TrafficStats};
 use crate::wire::WireFormat;
 use crate::Result;
 
-/// A traffic ledger fed by static replay instead of live sends.
+/// A traffic ledger charged by static prediction instead of live sends.
 ///
 /// Internally this wraps the very same [`TrafficStats`] accumulator the
 /// transport layer charges, so intra/inter splitting, link accounting
 /// and message counting are *identical by construction* — the predictor
-/// can only diverge from a measurement by replaying the wrong schedule,
+/// can only diverge from a measurement by charging the wrong schedule,
 /// never by accounting the right schedule differently.
 #[derive(Debug, Clone)]
 pub struct StaticLedger {
@@ -75,88 +76,32 @@ impl StaticLedger {
     }
 }
 
-/// Replays a ring AllReduce of `elems` f32 elements over `ranks` under
-/// `tag`: `2(n-1)` steps, each rank sending one near-equal chunk per
-/// step to its ring successor (reduce-scatter then allgather).
-pub fn replay_ring_allreduce(
-    ledger: &StaticLedger,
-    ranks: &[usize],
-    tag: u64,
+/// Bytes the rank at ring position `pos` of `n` sends at hop `hop`
+/// (`0..2(n-1)`) of a ring AllReduce of `elems` elements under `wire`.
+/// Reduce-scatter hop `s` sends chunk `(pos - s) mod n` and allgather
+/// hop `s` chunk `(pos + 1 - s) mod n`: the rotation
+/// `collectives::ring_allreduce` performs.
+pub fn ring_allreduce_hop_bytes(
     elems: usize,
-) -> Result<()> {
-    replay_ring_allreduce_wire(ledger, ranks, tag, elems, WireFormat::F32)
-}
-
-/// [`replay_ring_allreduce`] under a [`WireFormat`]: identical hop
-/// schedule, `wire.scalar_bytes()` per element instead of 4 — the
-/// exact sizes `collectives::ring_allreduce_wire` puts on the wire.
-pub fn replay_ring_allreduce_wire(
-    ledger: &StaticLedger,
-    ranks: &[usize],
-    tag: u64,
-    elems: usize,
+    n: usize,
+    pos: usize,
+    hop: usize,
     wire: WireFormat,
-) -> Result<()> {
-    let n = ranks.len();
-    if n <= 1 {
-        return Ok(());
-    }
-    let ws = wire.scalar_bytes();
-    for (pos, &src) in ranks.iter().enumerate() {
-        let dst = ranks[(pos + 1) % n];
-        // Reduce-scatter step s sends chunk (pos - s) mod n; allgather
-        // step s sends chunk (pos + 1 - s) mod n — the exact rotation
-        // `collectives::ring_allreduce` performs.
-        for step in 0..n - 1 {
-            let chunk = chunk_range(elems, n, (pos + n - step) % n).len();
-            ledger.charge(src, dst, tag, ws * chunk as u64)?;
-        }
-        for step in 0..n - 1 {
-            let chunk = chunk_range(elems, n, (pos + 1 + n - step) % n).len();
-            ledger.charge(src, dst, tag, ws * chunk as u64)?;
-        }
-    }
-    Ok(())
+) -> u64 {
+    debug_assert!(hop < 2 * (n - 1), "hop {hop} outside a ring of {n}");
+    let chunk = if hop < n - 1 {
+        pos + n - hop
+    } else {
+        pos + 2 * n - hop
+    };
+    wire.scalar_bytes() * chunk_range(elems, n, chunk % n).len() as u64
 }
 
-/// Replays a ring AllGatherv over `ranks`, where the rank at position
-/// `p` contributes a payload of `contrib_bytes[p]` bytes: `n-1` steps,
-/// step `s` forwarding contribution `(pos - s) mod n` to the successor.
-pub fn replay_allgatherv(
-    ledger: &StaticLedger,
-    ranks: &[usize],
-    tag: u64,
-    contrib_bytes: &[u64],
-) -> Result<()> {
-    let n = ranks.len();
-    if n <= 1 {
-        return Ok(());
-    }
-    for (pos, &src) in ranks.iter().enumerate() {
-        let dst = ranks[(pos + 1) % n];
-        for step in 0..n - 1 {
-            let idx = (pos + n - step) % n;
-            ledger.charge(src, dst, tag, contrib_bytes[idx])?;
-        }
-    }
-    Ok(())
-}
-
-/// Replays a reduce-to-root where the rank at position `p` holds
-/// `bytes[p]` bytes: every non-root sends its buffer to the root.
-pub fn replay_reduce_to(
-    ledger: &StaticLedger,
-    ranks: &[usize],
-    tag: u64,
-    root: usize,
-    bytes: &[u64],
-) -> Result<()> {
-    for (pos, &src) in ranks.iter().enumerate() {
-        if src != root {
-            ledger.charge(src, root, tag, bytes[pos])?;
-        }
-    }
-    Ok(())
+/// The ring position whose contribution the rank at position `pos` of
+/// `n` forwards at hop `hop` (`0..n-1`) of a ring AllGatherv:
+/// `(pos - hop) mod n`, its own at hop 0.
+pub fn allgatherv_hop_source(n: usize, pos: usize, hop: usize) -> usize {
+    (pos + n - hop) % n
 }
 
 #[cfg(test)]
@@ -201,8 +146,28 @@ mod tests {
         assert!(ledger.charge(9, 0, 0, 1).is_err());
     }
 
+    /// Charges a ring AllReduce over ranks `0..n` hop by hop.
+    fn charge_ring(ledger: &StaticLedger, n: usize, tag: u64, len: usize, wire: WireFormat) {
+        for pos in 0..n {
+            for hop in 0..2 * (n - 1) {
+                let bytes = ring_allreduce_hop_bytes(len, n, pos, hop, wire);
+                ledger.charge(pos, (pos + 1) % n, tag, bytes).unwrap();
+            }
+        }
+    }
+
+    /// Charges a ring AllGatherv over ranks `0..n` hop by hop.
+    fn charge_allgatherv(ledger: &StaticLedger, n: usize, tag: u64, contrib: &[u64]) {
+        for pos in 0..n {
+            for hop in 0..n - 1 {
+                let bytes = contrib[allgatherv_hop_source(n, pos, hop)];
+                ledger.charge(pos, (pos + 1) % n, tag, bytes).unwrap();
+            }
+        }
+    }
+
     #[test]
-    fn ring_allreduce_replay_matches_execution_exactly() {
+    fn ring_allreduce_hops_match_execution_exactly() {
         // Mixed topologies and lengths (incl. not divisible by n, and a
         // multi-GPU machine so intra-machine hops show up).
         for (gpus, len) in [
@@ -219,8 +184,7 @@ mod tests {
                 ring_allreduce(ep, ranks, tag, &mut data).unwrap();
             });
             let ledger = StaticLedger::new(topo.clone());
-            let ranks: Vec<usize> = (0..topo.num_workers()).collect();
-            replay_ring_allreduce(&ledger, &ranks, tag, len).unwrap();
+            charge_ring(&ledger, topo.num_workers(), tag, len, WireFormat::F32);
             assert_eq!(
                 ledger.class_snapshot(TrafficClass::Nccl),
                 measured.class_snapshot(TrafficClass::Nccl),
@@ -231,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_ring_allreduce_replay_matches_execution_exactly() {
+    fn wire_ring_allreduce_hops_match_execution_exactly() {
         use crate::collectives::ring_allreduce_wire;
         for wire in [WireFormat::F32, WireFormat::F16, WireFormat::Bf16] {
             for (gpus, len) in [
@@ -246,8 +210,7 @@ mod tests {
                     ring_allreduce_wire(ep, ranks, tag, &mut data, wire).unwrap();
                 });
                 let ledger = StaticLedger::new(topo.clone());
-                let ranks: Vec<usize> = (0..topo.num_workers()).collect();
-                replay_ring_allreduce_wire(&ledger, &ranks, tag, len, wire).unwrap();
+                charge_ring(&ledger, topo.num_workers(), tag, len, wire);
                 assert_eq!(
                     ledger.class_snapshot(TrafficClass::Nccl),
                     measured.class_snapshot(TrafficClass::Nccl),
@@ -259,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_allgatherv_slices_replay_matches_execution_exactly() {
+    fn wire_allgatherv_slices_hops_match_execution_exactly() {
         use crate::collectives::allgatherv_slices_wire;
         use crate::wire::slices_wire_bytes;
         for wire in [WireFormat::F32, WireFormat::F16] {
@@ -280,12 +243,10 @@ mod tests {
                     allgatherv_slices_wire(ep, ranks, tag, build(ep.rank()), wire).unwrap();
                 });
                 let ledger = StaticLedger::new(topo.clone());
-                let ranks: Vec<usize> = (0..topo.num_workers()).collect();
-                let contrib: Vec<u64> = ranks
-                    .iter()
-                    .map(|&r| slices_wire_bytes(&build(r), wire))
-                    .collect();
-                replay_allgatherv(&ledger, &ranks, tag, &contrib).unwrap();
+                let n = topo.num_workers();
+                let contrib: Vec<u64> =
+                    (0..n).map(|r| slices_wire_bytes(&build(r), wire)).collect();
+                charge_allgatherv(&ledger, n, tag, &contrib);
                 assert_eq!(
                     ledger.class_snapshot(TrafficClass::Mpi),
                     measured.class_snapshot(TrafficClass::Mpi),
@@ -297,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn allgatherv_slices_replay_matches_execution_exactly() {
+    fn allgatherv_slices_hops_match_execution_exactly() {
         for gpus in [vec![1, 1, 1], vec![2, 2], vec![2, 1, 1]] {
             let topo = Topology::new(gpus).unwrap();
             let tag = 0x3000_0000_0000_0000u64;
@@ -314,13 +275,12 @@ mod tests {
                 allgatherv_slices(ep, ranks, tag, local).unwrap();
             });
             let ledger = StaticLedger::new(topo.clone());
-            let ranks: Vec<usize> = (0..topo.num_workers()).collect();
+            let n = topo.num_workers();
             // IndexedSlices payload bytes: 4 per value + 8 per index.
-            let contrib: Vec<u64> = ranks
-                .iter()
-                .map(|&r| (4 * nnz(r) * cols + 8 * nnz(r)) as u64)
+            let contrib: Vec<u64> = (0..n)
+                .map(|r| (4 * nnz(r) * cols + 8 * nnz(r)) as u64)
                 .collect();
-            replay_allgatherv(&ledger, &ranks, tag, &contrib).unwrap();
+            charge_allgatherv(&ledger, n, tag, &contrib);
             assert_eq!(
                 ledger.class_snapshot(TrafficClass::Mpi),
                 measured.class_snapshot(TrafficClass::Mpi),
@@ -331,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_and_gather_replays_match_execution_exactly() {
+    fn reduce_and_gather_send_one_buffer_per_non_root() {
         let topo = Topology::new(vec![2, 2]).unwrap();
         let tag = 0x2000_0000_0000_0000u64;
         let len = 6usize;
@@ -352,12 +312,10 @@ mod tests {
             }
         });
         let ledger = StaticLedger::new(topo);
-        for machine_ranks in [[0usize, 1], [2, 3]] {
-            let root = machine_ranks[0];
-            replay_reduce_to(&ledger, &machine_ranks, tag, root, &[4 * len as u64; 2]).unwrap();
-            // Each non-root contributes one [1, 2] slice: 8 value bytes
-            // + 8 index bytes.
-            replay_reduce_to(&ledger, &machine_ranks, tag + 1, root, &[16; 2]).unwrap();
+        for (root, peer) in [(0usize, 1usize), (2, 3)] {
+            ledger.charge(peer, root, tag, 4 * len as u64).unwrap();
+            // One [1, 2] slice: 8 value bytes + 8 index bytes.
+            ledger.charge(peer, root, tag + 1, 16).unwrap();
         }
         assert_eq!(
             ledger.class_snapshot(TrafficClass::LocalAgg),
@@ -366,18 +324,8 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_replays_are_silent() {
-        let topo = Topology::new(vec![1]).unwrap();
-        let ledger = StaticLedger::new(topo);
-        replay_ring_allreduce(&ledger, &[0], 1, 100).unwrap();
-        replay_allgatherv(&ledger, &[0], 1, &[400]).unwrap();
-        assert_eq!(ledger.snapshot().inter_messages, 0);
-        assert_eq!(ledger.snapshot().intra_messages, 0);
-    }
-
-    #[test]
-    fn payload_byte_sizes_are_what_replay_assumes() {
-        // The replay hardcodes the wire sizes of the payload kinds it
+    fn payload_byte_sizes_are_what_prediction_assumes() {
+        // The predictor hardcodes the wire sizes of the payload kinds it
         // models; pin them against the transport's byte_size.
         assert_eq!(Payload::Floats(Arc::new(vec![0.0; 7])).byte_size(), 28);
         let slices = IndexedSlices::new(vec![0, 2], Tensor::zeros([2, 3]), 4).unwrap();

@@ -7,16 +7,19 @@
 //! module lifts that convention into data: a [`SessionSpec`] describes,
 //! for one steady-state iteration of a verified plan, **who may send
 //! what to whom** — one [`MsgEvent`] per (link, message identity) with
-//! its phase, per-iteration multiplicity as derived independently from
-//! the sender's program and the receiver's synchronization arithmetic,
-//! its reply obligation, and the events it must wait for.
+//! its phase, its per-iteration multiplicity as the sender's program
+//! fixes it, its reply obligation, and the events it must wait for.
 //!
-//! Two consumers:
+//! Three consumers:
 //!
 //! * the static checker (`parallax_core::protocheck`) walks the spec
-//!   and proves send/recv pairing, reply-obligation discharge, absence
-//!   of cross-phase tag collisions, deadlock freedom and dedup safety
-//!   (`C001`–`C008` diagnostics);
+//!   and proves send/recv pairing against the servers' own barrier
+//!   quotas, reply-obligation discharge, absence of cross-phase tag
+//!   collisions, deadlock freedom and dedup safety (`C001`–`C008`
+//!   diagnostics);
+//! * the traffic predictor (`parallax_core::plancheck`) sizes each
+//!   event's messages from an iteration's feeds and charges them into a
+//!   [`crate::StaticLedger`];
 //! * the [`SessionValidator`] — compiled from the same spec — is
 //!   installed on every [`crate::Endpoint`] in debug builds (and under
 //!   `repro protocheck` / `repro check`), and rejects any routed
@@ -114,11 +117,6 @@ pub struct MsgEvent {
     /// Messages per iteration, derived from the **sender's** program
     /// (client choreography / ring algebra).
     pub sends: u64,
-    /// Messages per iteration, derived independently from the
-    /// **receiver's** synchronization arithmetic (the server's
-    /// outstanding-message formula, or the same ring algebra replayed
-    /// from the receiving side).
-    pub recvs: u64,
     /// How many of those messages share one tag *value* (ring steps
     /// reuse one tag `2(N-1)` times; a FetchShard reply is two messages
     /// FIFO-ordered under one tag). `1` for everything else — any other
@@ -127,9 +125,6 @@ pub struct MsgEvent {
     /// True when the event only fires at checkpoint-boundary iterations
     /// (`(iter + 1) % checkpoint_interval == 0`).
     pub boundary_only: bool,
-    /// True when the receiver blocks on this message (a missing sender
-    /// is a deadlock, not just drift).
-    pub blocking: bool,
     /// For responses/notifications: index of the request event this
     /// discharges.
     pub reply_of: Option<usize>,
@@ -410,10 +405,8 @@ mod tests {
                     var: 1,
                     part: 0,
                     sends: 1,
-                    recvs: 1,
                     tag_uses: 1,
                     boundary_only: false,
-                    blocking: true,
                     reply_of: None,
                     deps: vec![],
                     label: "push".into(),
@@ -426,10 +419,8 @@ mod tests {
                     var: 1,
                     part: 0,
                     sends: 1,
-                    recvs: 1,
                     tag_uses: 1,
                     boundary_only: true,
-                    blocking: true,
                     reply_of: None,
                     deps: vec![],
                     label: "fetch".into(),

@@ -74,14 +74,6 @@ impl Topology {
             .collect()
     }
 
-    /// The first (lowest-rank) worker on each machine — Parallax's *local
-    /// chief* workers, which perform per-machine aggregation.
-    pub fn local_chiefs(&self) -> Vec<usize> {
-        (0..self.num_machines())
-            .map(|m| self.workers_of(m)[0])
-            .collect()
-    }
-
     /// True when two workers share a machine (their traffic is intra-node).
     pub fn same_machine(&self, a: usize, b: usize) -> Result<bool> {
         Ok(self.machine_of(a)? == self.machine_of(b)?)
@@ -112,7 +104,6 @@ mod tests {
         let t = Topology::new(vec![1, 3]).unwrap();
         assert_eq!(t.workers_of(0), vec![0]);
         assert_eq!(t.workers_of(1), vec![1, 2, 3]);
-        assert_eq!(t.local_chiefs(), vec![0, 1]);
     }
 
     #[test]

@@ -134,17 +134,6 @@ impl TrafficSnapshot {
         self.intra_messages += other.intra_messages;
     }
 
-    /// The largest per-machine network load, `max(in + out)` — the paper's
-    /// bottleneck quantity: one hot machine stalls the whole iteration.
-    pub fn max_machine_bytes(&self) -> u64 {
-        self.out_bytes
-            .iter()
-            .zip(&self.in_bytes)
-            .map(|(o, i)| o + i)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Per-machine `in + out` loads.
     pub fn machine_loads(&self) -> Vec<u64> {
         self.out_bytes
@@ -299,14 +288,14 @@ mod tests {
     }
 
     #[test]
-    fn max_machine_and_imbalance() {
+    fn machine_loads_and_imbalance() {
         let stats = TrafficStats::new(3);
         // Machine 0 is the hot PS server: sends 200 to each other machine.
         stats.record(0, 1, 200);
         stats.record(0, 2, 200);
         stats.record(1, 0, 10);
         let s = stats.snapshot();
-        assert_eq!(s.max_machine_bytes(), 410);
+        assert_eq!(s.machine_loads(), vec![410, 210, 200]);
         assert!(s.imbalance() > 1.4, "hot machine shows up as imbalance");
     }
 

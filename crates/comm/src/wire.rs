@@ -7,8 +7,8 @@
 //! [`crate::traffic::TrafficStats`]). A wire format shrinks the
 //! payloads while keeping those three ledgers *exactly* equal, because
 //! each compressed payload reports its encoded size through
-//! [`crate::Payload::byte_size`] and the static replay computes sizes
-//! with the same functions that build the payloads.
+//! [`crate::Payload::byte_size`] and the static predictor computes
+//! sizes with the same functions that build the payloads.
 //!
 //! Two codecs:
 //!

@@ -125,23 +125,6 @@ fn apply_overrides(
     Ok(())
 }
 
-/// Predicted per-machine bottleneck bytes for synchronizing one variable
-/// under each architecture — the decision criterion the hybrid rule
-/// implements in closed form. Exposed for the ablation bench comparing
-/// threshold choices.
-pub fn predicted_bytes(w: f64, alpha: f64, sparse: bool, machines: f64, gpus: f64) -> (f64, f64) {
-    use crate::transfer;
-    if sparse {
-        let ps = transfer::ps_sparse_traffic(w, alpha, alpha, machines, gpus, machines, false);
-        let ar = transfer::ar_sparse_traffic(w, alpha, machines, gpus);
-        (ps.total_bytes(), ar.out + ar.inb)
-    } else {
-        let (host, _) = transfer::ps_dense_traffic(w, machines, gpus, false);
-        let ar = transfer::ar_dense_traffic(w, machines, gpus);
-        (host.out + host.inb, ar.out + ar.inb)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,14 +175,6 @@ mod tests {
         let ps = decide(&g, &profile(0.01), &ParallaxConfig::tf_ps_baseline(), 16).unwrap();
         assert!(matches!(ps[0], SyncDecision::PsSparse { .. }));
         assert!(matches!(ps[1], SyncDecision::PsDense));
-    }
-
-    #[test]
-    fn predicted_bytes_favor_ps_for_sparse_ar_for_dense() {
-        let (ps, ar) = predicted_bytes(4e6, 0.01, true, 8.0, 6.0);
-        assert!(ps < ar, "sparse: PS should move fewer bytes");
-        let (ps, ar) = predicted_bytes(4e6, 1.0, false, 8.0, 6.0);
-        assert!(ar < ps, "dense: AR bottleneck is smaller than the PS host");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   [`transform::DistributedPlan`] against a re-derivation of the
 //!   hybrid decision, the partition tiling invariants and the inserted
 //!   synchronization schedule, and statically predicts one iteration's
-//!   per-class traffic by replaying the exchange plan into a
+//!   per-class traffic by charging the session machine's events into a
 //!   [`parallax_comm::StaticLedger`] — all before any thread spawns.
 //! * [`strategy`] — the placement-strategy abstraction: five fixed
 //!   recipes (pure AR, pure PS, load-balanced PS, partitioned PS, the

@@ -10,18 +10,20 @@
 //!   synchronization-op schedule (`P007`), and gradient reachability
 //!   for Parameter-Server variables (`P008`, the "servers wait forever"
 //!   hazard);
-//! * [`predict_iteration_traffic`] — statically replays one iteration's
-//!   full exchange schedule (pulls, collectives, local aggregation,
-//!   pushes, chief updates, update notifications) into a
-//!   [`StaticLedger`] and cross-checks each traffic class against an
-//!   independent closed-form byte accounting (`B001`);
+//! * [`predict_iteration_traffic`] — charges every steady-state event of
+//!   the plan's session machine (pulls, collectives, local aggregation,
+//!   pushes, chief updates, update notifications), sized from one
+//!   iteration's feeds, into a [`StaticLedger`] and cross-checks each
+//!   traffic class against an independent closed-form byte accounting
+//!   (`B001`);
 //! * [`build_verified_plan`] — the gate [`crate::runner::get_runner`]
 //!   uses: transform, verify graph + plan, refuse to return a plan whose
 //!   report contains errors.
 
 use std::collections::{HashMap, HashSet};
 
-use parallax_comm::predict::{replay_allgatherv, replay_reduce_to, replay_ring_allreduce_wire};
+use parallax_comm::predict::{allgatherv_hop_source, ring_allreduce_hop_bytes};
+use parallax_comm::protocheck::{SessionSpec, WireKind};
 use parallax_comm::tag::{self, ReqKind};
 use parallax_comm::wire::slices_wire_bytes;
 use parallax_comm::{StaticLedger, TrafficClass};
@@ -579,9 +581,10 @@ fn check_sync_ops(
 }
 
 /// Statically predicts the traffic of **one** synchronous iteration of a
-/// plan by replaying its complete exchange schedule into a
-/// [`StaticLedger`], and cross-checks every class against an independent
-/// closed-form byte accounting (`B001`).
+/// plan by charging every steady-state event of its session machine
+/// ([`crate::protocheck::derive_session`]) into a [`StaticLedger`], and
+/// cross-checks every class against an independent closed-form byte
+/// accounting (`B001`).
 ///
 /// `feeds` supplies each worker's iteration-0 mini-batch (one entry per
 /// worker, in worker order) — gather id lists, and therefore sparse
@@ -601,6 +604,193 @@ pub fn predict_iteration_traffic(
     config: &ParallaxConfig,
     feeds: &[Feed],
 ) -> Result<(TrafficReport, VerifyReport)> {
+    let spec = crate::protocheck::derive_session(graph, config, topo, plan)?;
+    predict_from_session(graph, loss, plan, topo, config, feeds, &spec)
+}
+
+/// What an iteration's feeds fix about its traffic: per worker, each
+/// variable's gradient and the id list of each of its gather nodes, in
+/// graph order.
+struct Fed {
+    grads: Vec<HashMap<VarId, Grad>>,
+    gathers: Vec<HashMap<VarId, Vec<Vec<usize>>>>,
+}
+
+impl Fed {
+    fn grad(&self, topo: &PsTopology, rank: usize, var: VarId) -> Result<&Grad> {
+        Ok(&self.grads[topo.worker_position(rank)?][&var])
+    }
+}
+
+fn kind_mismatch(name: &str) -> CoreError {
+    CoreError::Config(format!(
+        "gradient kind of '{name}' does not match its placement"
+    ))
+}
+
+/// Runs every worker's forward and backward pass on its feed, and
+/// refuses the schedules no run could complete.
+fn run_feeds(
+    graph: &Graph,
+    loss: NodeId,
+    plan: &DistributedPlan,
+    config: &ParallaxConfig,
+    feeds: &[Feed],
+) -> Result<Fed> {
+    let session = Session::new(graph);
+    let mut fed = Fed {
+        grads: Vec::with_capacity(feeds.len()),
+        gathers: Vec::with_capacity(feeds.len()),
+    };
+    for feed in feeds {
+        let mut store = VarStore::init(graph, &mut DetRng::seed(config.seed));
+        let acts = session.forward(feed, &mut store)?;
+        fed.grads.push(backward(graph, &acts, loss)?);
+        let mut gathers: HashMap<VarId, Vec<Vec<usize>>> = HashMap::new();
+        for op in graph.ops() {
+            match op {
+                Op::Gather { table, ids } => gathers
+                    .entry(*table)
+                    .or_default()
+                    .push(acts.value(*ids)?.as_ids("plancheck")?.to_vec()),
+                // A dense read of a partitioned variable errors at
+                // runtime; `check_plan` reports it as P002, and the
+                // predictor has no schedule for it.
+                Op::Variable(v) => {
+                    if let VarPlacement::PsSparse { .. } =
+                        plan.plan.placement(*v).map_err(CoreError::Ps)?
+                    {
+                        return Err(CoreError::Config(format!(
+                            "dense read of partition-sharded variable {} (P002)",
+                            v.index()
+                        )));
+                    }
+                }
+                _ => {}
+            }
+        }
+        fed.gathers.push(gathers);
+    }
+    for var in plan.ps_vars() {
+        if fed.grads.iter().any(|g| !g.contains_key(&var)) {
+            return Err(CoreError::Config(format!(
+                "PS variable '{}' receives no gradient; servers would stall (P008)",
+                graph.var_def(var)?.name
+            )));
+        }
+    }
+    Ok(fed)
+}
+
+/// How an AllReduce variable's gradient travels: around the ring as
+/// this many elements, or (a sparse gradient of an AllGatherv variable)
+/// as each worker's contribution of this many bytes.
+enum Exchange {
+    Ring(usize),
+    Gatherv(Vec<u64>),
+}
+
+/// The exchange of AllReduce variable `var`; `None` when no worker has
+/// a gradient for it (legal: the collective is skipped).
+fn exchange_of(
+    fed: &Fed,
+    plan: &DistributedPlan,
+    var: VarId,
+    config: &ParallaxConfig,
+) -> Result<Option<Exchange>> {
+    let workers = fed.grads.len();
+    let present = fed.grads.iter().filter(|g| g.contains_key(&var)).count();
+    if present == 0 {
+        return Ok(None);
+    }
+    if present != workers {
+        return Err(CoreError::Config(format!(
+            "variable {} has a gradient on {present}/{workers} workers; the collective \
+             would deadlock",
+            var.index()
+        )));
+    }
+    Ok(Some(match &fed.grads[0][&var] {
+        // Contribution sizes on the wire: packed (delta+varint
+        // indices) under a compressing format, raw otherwise —
+        // exactly what `allgatherv_slices_wire` sends.
+        Grad::Sparse(_) if plan.gatherv_vars().contains(&var) => Exchange::Gatherv(
+            fed.grads
+                .iter()
+                .map(|g| match &g[&var] {
+                    Grad::Sparse(s) => slices_wire_bytes(s, config.wire_format),
+                    dense => dense.byte_size(),
+                })
+                .collect(),
+        ),
+        // A sparse gradient otherwise densifies onto the ring.
+        Grad::Sparse(s) => Exchange::Ring(s.dense_rows() * s.cols()),
+        Grad::Dense(t) => Exchange::Ring(t.data().len()),
+    }))
+}
+
+/// True when each machine's chief pushes its machine's aggregate of
+/// `var` (local aggregation, which is sparse-only and synchronous).
+fn machine_pushes(graph: &Graph, config: &ParallaxConfig, var: VarId) -> bool {
+    config.local_aggregation && config.synchronous && graph.is_sparse_variable(var)
+}
+
+/// Rows and row width of `pusher`'s sparse push of `var`: its own
+/// gradient's rows, duplicates and all, or under local aggregation the
+/// distinct rows any worker of its machine touched (coalescing merges
+/// duplicates without dropping rows).
+fn pushed_rows(
+    graph: &Graph,
+    topo: &PsTopology,
+    config: &ParallaxConfig,
+    fed: &Fed,
+    pusher: usize,
+    var: VarId,
+) -> Result<(Vec<usize>, u64)> {
+    let name = &graph.var_def(var)?.name;
+    let by_machine = machine_pushes(graph, config, var);
+    let peers = if by_machine {
+        topo.workers_of(topo.machine_of(pusher)?)
+    } else {
+        vec![pusher]
+    };
+    let (mut rows, mut cols) = (Vec::new(), 0);
+    for r in peers {
+        match fed.grad(topo, r, var)? {
+            Grad::Sparse(s) => {
+                rows.extend_from_slice(s.indices());
+                if r == pusher {
+                    cols = s.cols() as u64;
+                }
+            }
+            Grad::Dense(_) if r == pusher => return Err(kind_mismatch(name)),
+            Grad::Dense(_) => {
+                return Err(CoreError::Config(format!(
+                    "mixed gradient kinds for variable '{name}'"
+                )))
+            }
+        }
+    }
+    if by_machine {
+        rows.sort_unstable();
+        rows.dedup();
+    }
+    Ok((rows, cols))
+}
+
+/// The prediction over a given session machine: charges the `sends`
+/// messages of each steady-state event, sized from the feeds, into a
+/// ledger under the event's tag, then checks every class against
+/// [`closed_form_bytes`] (`B001`).
+pub(crate) fn predict_from_session(
+    graph: &Graph,
+    loss: NodeId,
+    plan: &DistributedPlan,
+    topo: &PsTopology,
+    config: &ParallaxConfig,
+    feeds: &[Feed],
+    spec: &SessionSpec,
+) -> Result<(TrafficReport, VerifyReport)> {
     if config.trace_gradients {
         return Err(CoreError::Config(
             "traffic prediction does not model gradient-trace reads (trace_gradients)".into(),
@@ -613,322 +803,130 @@ pub fn predict_iteration_traffic(
             feeds.len()
         )));
     }
-    let machines = topo.num_machines();
-    let sync = config.synchronous;
-    let local_agg = config.local_aggregation && sync;
-    let worker_ranks = topo.worker_ranks();
+    let fed = run_feeds(graph, loss, plan, config, feeds)?;
     let ledger = StaticLedger::new(topo.comm().clone());
-    let session = Session::new(graph);
-    let gatherv: HashSet<usize> = plan.gatherv_vars().iter().map(|v| v.index()).collect();
-    let iter0 = 0u64;
-    let req = tag::request_tag(iter0);
-
-    // Closed-form accumulators, indexed by `TrafficClass as usize`. These
-    // are computed from aggregate formulas (ring totals, id counts), not
-    // by enumerating messages, so they can catch replay bugs.
-    let mut cf = [0u64; TrafficClass::COUNT];
-
-    // Per-worker forward + backward on a local replica store.
-    let mut grads_by_worker: Vec<HashMap<VarId, Grad>> = Vec::with_capacity(workers);
-    let mut gathers_by_worker: Vec<Vec<Vec<usize>>> = Vec::with_capacity(workers);
-    for feed in feeds {
-        let mut store = VarStore::init(graph, &mut DetRng::seed(config.seed));
-        let acts = session.forward(feed, &mut store)?;
-        let grads = backward(graph, &acts, loss)?;
-        let mut gathers = Vec::new();
-        for op in graph.ops() {
-            if let Op::Gather { ids, .. } = op {
-                gathers.push(acts.value(*ids)?.as_ids("plancheck")?.to_vec());
+    let req = tag::request_tag(0);
+    let ring = spec.workers.len();
+    for e in spec.events.iter().filter(|e| !e.boundary_only) {
+        let var = VarId::from_index(e.var);
+        let def = graph.var_def(var)?;
+        let one = |bytes: u64| vec![bytes; e.sends as usize];
+        // How many of `ids` route to the event's partition.
+        let routed = |ids: &[usize]| -> Result<u64> {
+            let VarPlacement::PsSparse { partition, .. } =
+                plan.plan.placement(var).map_err(CoreError::Ps)?
+            else {
+                return Err(CoreError::Config(format!(
+                    "'{}' addresses a partition of unpartitioned '{}'",
+                    e.label, def.name
+                )));
+            };
+            let mut n = 0;
+            for &id in ids {
+                n += u64::from(partition.route(id).map_err(CoreError::Ps)?.0 == e.part);
             }
-        }
-        grads_by_worker.push(grads);
-        gathers_by_worker.push(gathers);
-    }
-
-    // ---- Forward phase: parameter pulls -------------------------------
-    for (widx, &rank) in worker_ranks.iter().enumerate() {
-        // Dense pulls are cached once per variable per iteration.
-        let mut pulled: HashSet<usize> = HashSet::new();
-        let mut gi = 0usize; // Gather-node cursor, aligned with graph order.
-        for op in graph.ops() {
-            let accessed = match op {
-                Op::Variable(v) => Some(*v),
-                Op::Gather { table, .. } => Some(*table),
-                _ => None,
-            };
-            let gather_ids = if let Op::Gather { .. } = op {
-                let ids = &gathers_by_worker[widx][gi];
-                gi += 1;
-                Some(ids)
-            } else {
-                None
-            };
-            let Some(var) = accessed else { continue };
-            match plan.plan.placement(var).map_err(CoreError::Ps)? {
-                VarPlacement::AllReduce => {}
-                VarPlacement::PsDense { server } => {
-                    if pulled.insert(var.index()) {
-                        let srv = topo.server_rank(*server);
-                        let elements = graph.var_def(var)?.num_elements() as u64;
-                        ledger.charge(rank, srv, req, 16)?;
-                        ledger.charge(
-                            srv,
-                            rank,
-                            tag::response_tag(ReqKind::PullDense, var.index(), 0, iter0),
-                            4 * elements,
-                        )?;
-                        cf[TrafficClass::Ps as usize] += 16 + 4 * elements;
-                    }
+            Ok(n)
+        };
+        let (tag, sizes) = match e.kind {
+            WireKind::Request(ReqKind::PullDense | ReqKind::ChiefUpdate) => (req, one(16)),
+            WireKind::Response(ReqKind::PullDense) => (
+                tag::response_tag(ReqKind::PullDense, e.var, 0, 0),
+                one(4 * def.num_elements() as u64),
+            ),
+            // One request (8-byte header plus the ids) and one reply
+            // (their rows) per gather node.
+            WireKind::Request(ReqKind::PullSparse) | WireKind::Response(ReqKind::PullSparse) => {
+                let reply = matches!(e.kind, WireKind::Response(_));
+                let worker = topo.worker_position(if reply { e.to } else { e.from })?;
+                let mut sizes = Vec::new();
+                for ids in fed.gathers[worker].get(&var).into_iter().flatten() {
+                    let n = routed(ids)?;
+                    sizes.push(if reply {
+                        4 * n * var_cols(def) as u64
+                    } else {
+                        8 + 8 * n
+                    });
                 }
-                VarPlacement::PsSparse { partition, servers } => {
-                    // A dense read of a partitioned variable errors at
-                    // runtime; `check_plan` reports it as P002, and the
-                    // predictor has no schedule to replay for it.
-                    let Some(ids) = gather_ids else {
-                        return Err(CoreError::Config(format!(
-                            "dense read of partition-sharded variable {} (P002)",
-                            var.index()
-                        )));
-                    };
-                    let cols = var_cols(graph.var_def(var)?) as u64;
-                    let mut counts = vec![0u64; partition.parts()];
-                    for &id in ids {
-                        let (p, _) = partition.route(id).map_err(CoreError::Ps)?;
-                        counts[p] += 1;
-                    }
-                    // Every partition is addressed, empty requests included
-                    // (the server's per-iteration pull quota counts them).
-                    for (p, &cnt) in counts.iter().enumerate() {
-                        let srv = topo.server_rank(servers[p]);
-                        ledger.charge(rank, srv, req, 8 + 8 * cnt)?;
-                        ledger.charge(
-                            srv,
-                            rank,
-                            tag::response_tag(ReqKind::PullSparse, var.index(), p, iter0),
-                            4 * cnt * cols,
-                        )?;
-                    }
-                    cf[TrafficClass::Ps as usize] +=
-                        partition.parts() as u64 * 8 + ids.len() as u64 * (8 + 4 * cols);
+                match reply {
+                    true => (
+                        tag::response_tag(ReqKind::PullSparse, e.var, e.part, 0),
+                        sizes,
+                    ),
+                    false => (req, sizes),
                 }
             }
-        }
-    }
-
-    // ---- Exchange phase: AllReduce / AllGatherv -----------------------
-    for var in plan.ar_vars() {
-        let present = grads_by_worker
-            .iter()
-            .filter(|g| g.contains_key(&var))
-            .count();
-        if present == 0 {
-            continue; // Legal: AR variables without gradients are skipped.
-        }
-        if present != workers {
+            WireKind::Collective | WireKind::Gatherv => {
+                let pos = topo.worker_position(e.from)?;
+                match (e.kind, exchange_of(&fed, plan, var, config)?) {
+                    (WireKind::Collective, Some(Exchange::Ring(elems))) => (
+                        tag::allreduce_tag(e.var, 0),
+                        (0..2 * (ring - 1))
+                            .map(|h| {
+                                ring_allreduce_hop_bytes(elems, ring, pos, h, config.wire_format)
+                            })
+                            .collect(),
+                    ),
+                    (WireKind::Gatherv, Some(Exchange::Gatherv(contribs))) => (
+                        tag::gatherv_tag(e.var, 0),
+                        (0..ring - 1)
+                            .map(|h| contribs[allgatherv_hop_source(ring, pos, h)])
+                            .collect(),
+                    ),
+                    // The gradient rides the other collective, or none.
+                    _ => continue,
+                }
+            }
+            // Non-chief workers ship their raw gradient to the local
+            // chief: dense as Floats, sparse as Slices — both exactly the
+            // gradient's byte size.
+            WireKind::LocalAgg => (
+                tag::local_agg_tag(e.var, 0),
+                one(fed.grad(topo, e.from, var)?.byte_size()),
+            ),
+            WireKind::Request(ReqKind::PushDense) => match fed.grad(topo, e.from, var)? {
+                Grad::Dense(t) => (req, one(8 + t.byte_size())),
+                Grad::Sparse(_) => return Err(kind_mismatch(&def.name)),
+            },
+            // An 8-byte header, then a value row and an index per row.
+            WireKind::Request(ReqKind::PushSparse) => {
+                let (rows, cols) = pushed_rows(graph, topo, config, &fed, e.from, var)?;
+                (req, one(8 + routed(&rows)? * (4 * cols + 8)))
+            }
+            WireKind::Response(ReqKind::UpdateDone) => (
+                tag::response_tag(ReqKind::UpdateDone, e.var, e.part, 0),
+                one(8),
+            ),
+            kind => {
+                return Err(CoreError::Config(format!(
+                    "traffic prediction does not model {kind:?} messages ('{}')",
+                    e.label
+                )))
+            }
+        };
+        if sizes.len() as u64 != e.sends {
             return Err(CoreError::Config(format!(
-                "variable {} has a gradient on {present}/{workers} workers; the collective \
-                 would deadlock",
-                var.index()
+                "'{}' sends {} message(s) per iteration, but the feeds size {}",
+                e.label,
+                e.sends,
+                sizes.len()
             )));
         }
-        let sparse = grads_by_worker[0][&var].is_sparse();
-        if sparse && gatherv.contains(&var.index()) {
-            // Contribution sizes on the wire: packed (delta+varint
-            // indices) under a compressing format, raw otherwise —
-            // exactly what `allgatherv_slices_wire` sends.
-            let contribs: Vec<u64> = grads_by_worker
-                .iter()
-                .map(|g| match &g[&var] {
-                    Grad::Sparse(s) => slices_wire_bytes(s, config.wire_format),
-                    Grad::Dense(_) => g[&var].byte_size(),
-                })
-                .collect();
-            replay_allgatherv(
-                &ledger,
-                &worker_ranks,
-                tag::gatherv_tag(var.index(), iter0),
-                &contribs,
-            )?;
-            if workers > 1 {
-                cf[TrafficClass::Mpi as usize] +=
-                    (workers as u64 - 1) * contribs.iter().sum::<u64>();
-            }
-        } else {
-            // Dense gradient, or a sparse one densified onto the ring.
-            let elems = match &grads_by_worker[0][&var] {
-                Grad::Dense(t) => t.data().len(),
-                Grad::Sparse(s) => s.dense_rows() * s.cols(),
-            };
-            replay_ring_allreduce_wire(
-                &ledger,
-                &worker_ranks,
-                tag::allreduce_tag(var.index(), iter0),
-                elems,
-                config.wire_format,
-            )?;
-            if workers > 1 {
-                // Each element crosses every rank boundary twice (reduce-
-                // scatter + allgather) at the wire scalar width.
-                let ws = config.wire_format.scalar_bytes();
-                cf[TrafficClass::Nccl as usize] += 2 * ws * elems as u64 * (workers as u64 - 1);
-            }
+        for bytes in sizes {
+            ledger.charge(e.from, e.to, tag, bytes)?;
         }
     }
 
-    // ---- Exchange phase: Parameter Server pushes ----------------------
-    let widx_of = |rank: usize| -> usize {
-        worker_ranks
-            .iter()
-            .position(|&r| r == rank)
-            .expect("rank is a worker")
-    };
-    let ps_vars = plan.ps_vars();
-    for &var in &ps_vars {
-        let def = graph.var_def(var)?;
-        for g in &grads_by_worker {
-            if !g.contains_key(&var) {
-                return Err(CoreError::Config(format!(
-                    "PS variable '{}' receives no gradient; servers would stall (P008)",
-                    def.name
-                )));
-            }
-        }
-        let placement = plan.plan.placement(var).map_err(CoreError::Ps)?.clone();
-        // Local aggregation applies to sparse variables only; dense PS
-        // gradients always push per worker (ring-ordered accumulator).
-        if local_agg && graph.is_sparse_variable(var) {
-            for m in 0..machines {
-                let peers = topo.workers_of(m);
-                let chief = topo.local_chief(m);
-                let tag = tag::local_agg_tag(var.index(), iter0);
-                // Non-chief workers ship their raw gradient to the local
-                // chief: dense as Floats, sparse as Slices — both are
-                // exactly the gradient's byte size.
-                let sizes: Vec<u64> = peers
-                    .iter()
-                    .map(|&r| grads_by_worker[widx_of(r)][&var].byte_size())
-                    .collect();
-                replay_reduce_to(&ledger, &peers, tag, chief, &sizes)?;
-                cf[TrafficClass::LocalAgg as usize] += peers
-                    .iter()
-                    .zip(&sizes)
-                    .filter(|(&r, _)| r != chief)
-                    .map(|(_, &b)| b)
-                    .sum::<u64>();
-                // The chief pushes the machine aggregate.
-                match (&placement, &grads_by_worker[widx_of(chief)][&var]) {
-                    (VarPlacement::PsDense { server }, Grad::Dense(t)) => {
-                        let bytes = 8 + t.byte_size();
-                        ledger.charge(chief, topo.server_rank(*server), req, bytes)?;
-                        cf[TrafficClass::Ps as usize] += bytes;
-                    }
-                    (VarPlacement::PsSparse { partition, servers }, Grad::Sparse(s)) => {
-                        // The aggregate's rows are the distinct rows any of
-                        // the machine's workers touched (coalescing merges
-                        // duplicates without dropping rows).
-                        let mut rows: HashSet<usize> = HashSet::new();
-                        for &r in &peers {
-                            match &grads_by_worker[widx_of(r)][&var] {
-                                Grad::Sparse(s) => rows.extend(s.indices().iter().copied()),
-                                Grad::Dense(_) => {
-                                    return Err(CoreError::Config(format!(
-                                        "mixed gradient kinds for variable '{}'",
-                                        def.name
-                                    )))
-                                }
-                            }
-                        }
-                        let cols = s.cols() as u64;
-                        let mut per_part = vec![0u64; partition.parts()];
-                        for &row in &rows {
-                            let (p, _) = partition.route(row).map_err(CoreError::Ps)?;
-                            per_part[p] += 1;
-                        }
-                        for (p, &nnz) in per_part.iter().enumerate() {
-                            let bytes = 8 + nnz * (4 * cols + 8);
-                            ledger.charge(chief, topo.server_rank(servers[p]), req, bytes)?;
-                        }
-                        cf[TrafficClass::Ps as usize] +=
-                            partition.parts() as u64 * 8 + rows.len() as u64 * (4 * cols + 8);
-                    }
-                    _ => {
-                        return Err(CoreError::Config(format!(
-                            "gradient kind of '{}' does not match its placement",
-                            def.name
-                        )))
-                    }
-                }
-            }
-        } else {
-            // No local aggregation (or asynchronous): every worker pushes
-            // its raw gradient, duplicate rows and all.
-            for (widx, &rank) in worker_ranks.iter().enumerate() {
-                match (&placement, &grads_by_worker[widx][&var]) {
-                    (VarPlacement::PsDense { server }, Grad::Dense(t)) => {
-                        let bytes = 8 + t.byte_size();
-                        ledger.charge(rank, topo.server_rank(*server), req, bytes)?;
-                        cf[TrafficClass::Ps as usize] += bytes;
-                    }
-                    (VarPlacement::PsSparse { partition, servers }, Grad::Sparse(s)) => {
-                        let cols = s.cols() as u64;
-                        let mut per_part = vec![0u64; partition.parts()];
-                        for &row in s.indices() {
-                            let (p, _) = partition.route(row).map_err(CoreError::Ps)?;
-                            per_part[p] += 1;
-                        }
-                        for (p, &nnz) in per_part.iter().enumerate() {
-                            let bytes = 8 + nnz * (4 * cols + 8);
-                            ledger.charge(rank, topo.server_rank(servers[p]), req, bytes)?;
-                        }
-                        cf[TrafficClass::Ps as usize] +=
-                            partition.parts() as u64 * 8 + s.nnz_rows() as u64 * (4 * cols + 8);
-                    }
-                    _ => {
-                        return Err(CoreError::Config(format!(
-                            "gradient kind of '{}' does not match its placement",
-                            def.name
-                        )))
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Chief update triggers and update notifications ---------------
-    if sync {
-        let chief = topo.chief();
-        for &var in &ps_vars {
-            let placement = plan.plan.placement(var).map_err(CoreError::Ps)?;
-            for (m, _part) in shard_coords(placement) {
-                ledger.charge(chief, topo.server_rank(m), req, 16)?;
-                cf[TrafficClass::Ps as usize] += 16;
-            }
-        }
-        for &var in &ps_vars {
-            let placement = plan.plan.placement(var).map_err(CoreError::Ps)?;
-            for (m, part) in shard_coords(placement) {
-                let srv = topo.server_rank(m);
-                let tag = tag::response_tag(ReqKind::UpdateDone, var.index(), part, iter0);
-                for &r in &worker_ranks {
-                    ledger.charge(srv, r, tag, 8)?;
-                }
-                // Response tags classify as PS traffic.
-                cf[TrafficClass::Ps as usize] += 8 * workers as u64;
-            }
-        }
-    }
-
-    // ---- B001: conservation crosscheck --------------------------------
+    let cf = closed_form_bytes(graph, plan, topo, config, &fed)?;
     let mut report = VerifyReport::new();
     for class in TrafficClass::all() {
         let snap = ledger.class_snapshot(class);
-        let replayed = snap.total_network_bytes() + snap.intra_bytes();
+        let charged = snap.total_network_bytes() + snap.intra_bytes();
         let formula = cf[class as usize];
-        if replayed != formula {
+        if charged != formula {
             report.push(Diagnostic::error(
                 DiagCode::B001,
                 format!(
-                    "predicted {class:?} traffic is {replayed} B, but the closed-form \
+                    "predicted {class:?} traffic is {charged} B, but the closed-form \
                      accounting yields {formula} B"
                 ),
             ));
@@ -942,6 +940,87 @@ pub fn predict_iteration_traffic(
         other: ledger.class_snapshot(TrafficClass::Default),
     };
     Ok((traffic, report))
+}
+
+/// `B001`'s reference: each traffic class's bytes, indexed by
+/// `TrafficClass as usize`, from aggregate formulas over the gradients
+/// and gather ids (ring totals, id counts, row unions). Nothing here
+/// reads the session's events, so a wrong enumeration shows.
+fn closed_form_bytes(
+    graph: &Graph,
+    plan: &DistributedPlan,
+    topo: &PsTopology,
+    config: &ParallaxConfig,
+    fed: &Fed,
+) -> Result<[u64; TrafficClass::COUNT]> {
+    let mut cf = [0u64; TrafficClass::COUNT];
+    let workers = fed.grads.len() as u64;
+    let hops = workers.saturating_sub(1);
+    for var in plan.ar_vars() {
+        match exchange_of(fed, plan, var, config)? {
+            // Each element crosses every rank boundary twice (reduce-
+            // scatter + allgather) at the wire scalar width.
+            Some(Exchange::Ring(elems)) => {
+                cf[TrafficClass::Nccl as usize] +=
+                    2 * config.wire_format.scalar_bytes() * elems as u64 * hops;
+            }
+            Some(Exchange::Gatherv(contribs)) => {
+                cf[TrafficClass::Mpi as usize] += hops * contribs.iter().sum::<u64>();
+            }
+            None => {}
+        }
+    }
+    let mut ps = 0u64;
+    for var in plan.ps_vars() {
+        let placement = plan.plan.placement(var).map_err(CoreError::Ps)?;
+        let def = graph.var_def(var)?;
+        let mut pushers = topo.worker_ranks();
+        if machine_pushes(graph, config, var) {
+            // Every other worker ships its gradient to its machine's
+            // chief, which pushes for the machine.
+            pushers = (0..topo.num_machines())
+                .map(|m| topo.local_chief(m))
+                .collect();
+            for (g, r) in fed.grads.iter().zip(topo.worker_ranks()) {
+                if !pushers.contains(&r) {
+                    cf[TrafficClass::LocalAgg as usize] += g[&var].byte_size();
+                }
+            }
+        }
+        match placement {
+            VarPlacement::AllReduce => {}
+            // Every worker pulls the value with a 16-byte request; every
+            // pusher sends an 8-byte header plus its gradient.
+            VarPlacement::PsDense { .. } => {
+                ps += workers * (16 + 4 * def.num_elements() as u64);
+                for &r in &pushers {
+                    ps += 8 + fed.grad(topo, r, var)?.byte_size();
+                }
+            }
+            // Per gather node, every partition takes an 8-byte request
+            // header and every id 8 request bytes plus a value row; every
+            // push takes a header per partition and a value row plus an
+            // index per row.
+            VarPlacement::PsSparse { partition, .. } => {
+                let parts = partition.parts() as u64;
+                let cols = var_cols(def) as u64;
+                for ids in fed.gathers.iter().filter_map(|g| g.get(&var)).flatten() {
+                    ps += parts * 8 + ids.len() as u64 * (8 + 4 * cols);
+                }
+                for &r in &pushers {
+                    let (rows, cols) = pushed_rows(graph, topo, config, fed, r, var)?;
+                    ps += parts * 8 + rows.len() as u64 * (4 * cols + 8);
+                }
+            }
+        }
+        // Per shard, the chief's 16-byte trigger and an 8-byte
+        // notification to every worker.
+        if config.synchronous {
+            ps += shard_coords(placement).len() as u64 * (16 + 8 * workers);
+        }
+    }
+    cf[TrafficClass::Ps as usize] = ps;
+    Ok(cf)
 }
 
 /// Transforms the graph and refuses to return a plan that fails
@@ -1003,6 +1082,56 @@ mod tests {
         let loss = g.add(Op::MeanAll(h)).unwrap();
         let profile = profile_from_parts(vec![(emb, true, 0.25, 12, 48), (w, false, 1.0, 4, 8)]);
         (g, loss, profile)
+    }
+
+    /// The traffic classes `B001` flags when the prediction folds over
+    /// the hybrid model's session on 2 machines x 2 GPUs, as `tamper`
+    /// leaves it.
+    fn b001_classes(tamper: impl FnOnce(&mut SessionSpec)) -> Vec<String> {
+        let (g, loss, profile) = model();
+        let config = ParallaxConfig::default();
+        let topo = PsTopology::uniform(2, 2).unwrap();
+        let plan = transform(&g, &profile, &config, 2, 4, 2).unwrap();
+        let feeds: Vec<Feed> = (0..4)
+            .map(|w| Feed::new().with("ids", vec![w, w + 5, 11 - w, w]))
+            .collect();
+        let mut spec = crate::protocheck::derive_session(&g, &config, &topo, &plan).unwrap();
+        tamper(&mut spec);
+        let (_, report) =
+            predict_from_session(&g, loss, &plan, &topo, &config, &feeds, &spec).unwrap();
+        report
+            .errors()
+            .filter(|d| d.code == DiagCode::B001)
+            .map(|d| d.message.split_whitespace().nth(1).unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn missing_push_event_is_b001_for_ps() {
+        assert_eq!(b001_classes(|_| {}), Vec::<String>::new());
+        let classes = b001_classes(|spec| {
+            let idx = spec
+                .events
+                .iter()
+                .position(|e| e.kind == WireKind::Request(ReqKind::PushSparse))
+                .expect("hybrid plan pushes sparse gradients");
+            spec.events_mut().remove(idx);
+        });
+        assert_eq!(classes, vec!["Ps"]);
+    }
+
+    #[test]
+    fn duplicated_ring_event_is_b001_for_nccl() {
+        let classes = b001_classes(|spec| {
+            let ring = spec
+                .events
+                .iter()
+                .find(|e| e.kind == WireKind::Collective)
+                .expect("hybrid plan all-reduces its dense variable")
+                .clone();
+            spec.events_mut().push(ring);
+        });
+        assert_eq!(classes, vec!["Nccl"]);
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //! `comm::tag`, the PS client/server choreography and the runner's
 //! collective schedule into one typed artifact: a
 //! [`parallax_comm::protocheck::SessionSpec`] listing, for one
-//! steady-state iteration, every message identity each link may carry —
+//! steady-state iteration, every message identity each link may carry,
 //! with multiplicities derived from the *sender's* program (client
-//! choreography, ring algebra) and cross-checkable against the
-//! *receiver's* synchronization arithmetic (the server's
-//! outstanding-message formula).
+//! choreography, ring algebra). It is the only enumeration of an
+//! iteration's messages outside the runner: the traffic predictor
+//! ([`crate::plancheck::predict_iteration_traffic`]) sizes and charges
+//! these same events.
 //!
 //! [`check_session`] is the static pass, run from
 //! [`crate::plancheck::build_verified_plan`] next to the plan passes:
 //!
-//! * `C001` — send/receive pairing: every event's sender-derived and
-//!   receiver-derived multiplicities agree, and per-shard request
-//!   totals match an independent re-derivation of the server's
-//!   per-iteration quota;
+//! * `C001` — send/receive pairing: per-shard request totals match the
+//!   *receiver's* synchronization arithmetic, the quota the server
+//!   itself sums into its barrier (`ps::server::shard_quota`);
 //! * `C002` — reply obligations: every pull/read/fetch request is
 //!   discharged by exactly one correctly-addressed response event, and
 //!   synchronous shards notify every worker;
@@ -48,6 +48,7 @@ use parallax_comm::tag::{ReqKind, MAX_PARTS, MAX_VARS};
 use parallax_dataflow::verify::{DiagCode, Diagnostic, VerifyReport};
 use parallax_dataflow::Graph;
 use parallax_fault::{FaultAction, FaultPlan};
+use parallax_ps::server::{shard_quota, ServerConfig};
 use parallax_ps::{PsTopology, VarPlacement};
 
 use crate::config::ParallaxConfig;
@@ -67,6 +68,28 @@ pub(crate) fn effective_checkpoint_interval(config: &ParallaxConfig) -> usize {
         config.checkpoint_interval
     } else {
         0
+    }
+}
+
+/// The server configuration every shard host derives from a job's
+/// configuration. The runner's servers (in-process and `repro dist`
+/// processes alike) and `C001`'s quota both build it here, so the
+/// barrier the checker reads is the one the servers run.
+pub(crate) fn server_config(
+    config: &ParallaxConfig,
+    iterations: usize,
+    start_iteration: usize,
+) -> ServerConfig {
+    ServerConfig {
+        iterations,
+        start_iteration,
+        checkpoint_interval: effective_checkpoint_interval(config),
+        average_gradients: config.average_sparse,
+        local_aggregation: config.local_aggregation && config.synchronous,
+        synchronous: config.synchronous,
+        serve_aggregates: config.trace_gradients,
+        seed: config.seed,
+        lr_schedule: config.lr_schedule,
     }
 }
 
@@ -101,10 +124,8 @@ fn base_event(
         var,
         part,
         sends: mult,
-        recvs: mult,
         tag_uses: 1,
         boundary_only: false,
-        blocking: true,
         reply_of: None,
         deps: Vec::new(),
         label,
@@ -364,7 +385,6 @@ pub fn derive_session(
                     1,
                     format!("rank {pusher} pushes '{}' part {p}", name_of(v)),
                 );
-                e.blocking = sync;
                 let mut deps = pull_resps.get(&pusher).cloned().unwrap_or_default();
                 deps.extend(coll_of.get(&pusher).cloned().unwrap_or_default());
                 deps.extend(lagg_recv.get(&pusher).cloned().unwrap_or_default());
@@ -545,66 +565,6 @@ pub fn derive_session(
     })
 }
 
-/// Independent re-derivation of the server's per-iteration request
-/// quota: for each shard `(server rank, kind, var, part)`, how many
-/// requests the server's synchronization arithmetic counts into its
-/// barrier. This intentionally mirrors `ps::server`'s outstanding
-/// formula — not the client's send loops — so `C001` cross-checks the
-/// two sides of the protocol against each other.
-fn expected_server_requests(
-    graph: &Graph,
-    config: &ParallaxConfig,
-    topo: &PsTopology,
-    plan: &DistributedPlan,
-) -> Result<HashMap<(usize, ReqKind, usize, usize), u64>> {
-    let workers = topo.num_workers() as u64;
-    let machines = topo.num_machines() as u64;
-    let sync = config.synchronous;
-    let local_agg = config.local_aggregation && sync;
-    let trace = config.trace_gradients && sync;
-    let interval = effective_checkpoint_interval(config);
-    let mut expected = HashMap::new();
-    for &var in &plan.ps_vars() {
-        let placement = plan.plan.placement(var).map_err(CoreError::Ps)?;
-        let v = var.index();
-        let sparse = matches!(placement, VarPlacement::PsSparse { .. });
-        let gathers = graph.gather_nodes_of(var).len().max(1) as u64;
-        let pulls = if sparse { workers * gathers } else { workers };
-        let pull_kind = if sparse {
-            ReqKind::PullSparse
-        } else {
-            ReqKind::PullDense
-        };
-        let push_kind = if sparse {
-            ReqKind::PushSparse
-        } else {
-            ReqKind::PushDense
-        };
-        // Local aggregation is sparse-only: dense shards always take one
-        // push per worker (ring-ordered accumulator).
-        let pushes = if local_agg && graph.is_sparse_variable(var) {
-            machines
-        } else {
-            workers
-        };
-        for (m, p) in shard_coords(placement) {
-            let srv = topo.server_rank(m);
-            expected.insert((srv, pull_kind, v, p), pulls);
-            expected.insert((srv, push_kind, v, p), pushes);
-            if sync {
-                expected.insert((srv, ReqKind::ChiefUpdate, v, p), 1);
-            }
-            if trace {
-                expected.insert((srv, ReqKind::ReadAgg, v, p), workers);
-            }
-            if interval > 0 {
-                expected.insert((srv, ReqKind::FetchShard, v, p), 1);
-            }
-        }
-    }
-    Ok(expected)
-}
-
 /// Statically verifies a session spec against the plan it claims to
 /// describe. Emits `C001`–`C008`; pure analysis, never panics on a
 /// malformed spec.
@@ -641,10 +601,10 @@ pub fn check_session(
                 e.label, e.var, e.part
             ));
         }
-        if e.sends == 0 || e.recvs == 0 || e.tag_uses == 0 {
+        if e.sends == 0 || e.tag_uses == 0 {
             bad(format!(
-                "event [{i}] '{}' has zero multiplicity (sends {}, recvs {}, tag uses {})",
-                e.label, e.sends, e.recvs, e.tag_uses
+                "event [{i}] '{}' has zero multiplicity (sends {}, tag uses {})",
+                e.label, e.sends, e.tag_uses
             ));
         }
         if let Some(r) = e.reply_of {
@@ -695,75 +655,64 @@ pub fn check_session(
     }
 
     // ---- C001: send/recv pairing --------------------------------------
-    for (i, e) in spec.events.iter().enumerate() {
-        if malformed[i] {
-            continue;
+    // The receiver's side is every hosted shard's barrier quota, from the
+    // function the server sums, at a checkpoint boundary (where every
+    // event of the session fires).
+    let server = server_config(config, 1, 0);
+    let boundary = (server.checkpoint_interval as u64).saturating_sub(1);
+    let mut expected: HashMap<(usize, ReqKind, usize, usize), u64> = HashMap::new();
+    for m in 0..topo.num_machines() {
+        for (var, part, rows) in plan.plan.shards_of_machine(m) {
+            let sparse = rows != (0..usize::MAX);
+            let gathers = graph.gather_nodes_of(var).len();
+            for (kind, n) in shard_quota(&server, topo, sparse, gathers, boundary) {
+                if n > 0 {
+                    expected.insert((topo.server_rank(m), kind, var.index(), part), n as u64);
+                }
+            }
         }
-        if e.sends != e.recvs {
+    }
+    let mut actual: HashMap<(usize, ReqKind, usize, usize), u64> = HashMap::new();
+    for e in &spec.events {
+        if let WireKind::Request(k) = e.kind {
+            *actual.entry((e.to, k, e.var, e.part)).or_insert(0) += e.sends;
+        }
+    }
+    for (key, &want) in &expected {
+        let got = actual.get(key).copied().unwrap_or(0);
+        if got != want {
             report.push(
                 Diagnostic::error(
                     DiagCode::C001,
                     format!(
-                        "event [{i}] '{}': the sender's program sends {} message(s) per \
-                         iteration but the receiver accounts for {}",
-                        e.label, e.sends, e.recvs
+                        "server {} expects {want} {:?} request(s) for var {} part {} per \
+                         iteration, but the session sends {got}",
+                        key.0,
+                        WireKind::Request(key.1),
+                        key.2,
+                        key.3
                     ),
                 )
-                .for_var(e.var),
+                .for_var(key.2),
             );
         }
     }
-    match expected_server_requests(graph, config, topo, plan) {
-        Ok(expected) => {
-            let mut actual: HashMap<(usize, ReqKind, usize, usize), u64> = HashMap::new();
-            for e in &spec.events {
-                if let WireKind::Request(k) = e.kind {
-                    *actual.entry((e.to, k, e.var, e.part)).or_insert(0) += e.sends;
-                }
-            }
-            for (key, &want) in &expected {
-                let got = actual.get(key).copied().unwrap_or(0);
-                if got != want {
-                    report.push(
-                        Diagnostic::error(
-                            DiagCode::C001,
-                            format!(
-                                "server {} expects {want} {:?} request(s) for var {} part {} per \
-                                 iteration, but the session sends {got}",
-                                key.0,
-                                WireKind::Request(key.1),
-                                key.2,
-                                key.3
-                            ),
-                        )
-                        .for_var(key.2),
-                    );
-                }
-            }
-            for (key, &got) in &actual {
-                if !expected.contains_key(key) && spec.servers.contains(&key.0) {
-                    report.push(
-                        Diagnostic::error(
-                            DiagCode::C001,
-                            format!(
-                                "the session sends {got} {:?} request(s) for var {} part {} to \
-                                 server {}, which counts none into its barrier",
-                                WireKind::Request(key.1),
-                                key.2,
-                                key.3,
-                                key.0
-                            ),
-                        )
-                        .for_var(key.2),
-                    );
-                }
-            }
-        }
-        Err(e) => {
-            report.push(Diagnostic::error(
-                DiagCode::C001,
-                format!("server quota cannot be re-derived: {e}"),
-            ));
+    for (key, &got) in &actual {
+        if !expected.contains_key(key) && spec.servers.contains(&key.0) {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::C001,
+                    format!(
+                        "the session sends {got} {:?} request(s) for var {} part {} to \
+                         server {}, which counts none into its barrier",
+                        WireKind::Request(key.1),
+                        key.2,
+                        key.3,
+                        key.0
+                    ),
+                )
+                .for_var(key.2),
+            );
         }
     }
 

@@ -19,9 +19,7 @@ use parallax_comm::{collectives, tag, Endpoint, Router, TrafficClass, TrafficSna
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::{Feed, Graph, NodeId, Session, VarId, VarStore};
 use parallax_fault::FaultInjector;
-use parallax_ps::{
-    locally_aggregate, PsClient, PsTopology, PsWorkerContext, Server, ServerConfig, VarPlacement,
-};
+use parallax_ps::{locally_aggregate, PsClient, PsTopology, PsWorkerContext, Server, VarPlacement};
 use parallax_tensor::{sparse::Grad, DetRng, Tensor};
 
 use crate::checkpoint::{self, TrainState};
@@ -808,24 +806,6 @@ impl Runner {
         &self.config
     }
 
-    /// The server configuration every shard host derives for this run.
-    /// Shared by the in-process attempt and `repro dist` server
-    /// processes so the synchronization barrier (which folds the
-    /// checkpoint-boundary fetch count) is identical in both modes.
-    fn server_config(&self, iterations: usize, start_iter: usize) -> ServerConfig {
-        ServerConfig {
-            iterations,
-            start_iteration: start_iter,
-            checkpoint_interval: self.ckpt_interval(),
-            average_gradients: self.config.average_sparse,
-            local_aggregation: self.config.local_aggregation && self.config.synchronous,
-            synchronous: self.config.synchronous,
-            serve_aggregates: self.config.trace_gradients,
-            seed: self.config.seed,
-            lr_schedule: self.config.lr_schedule,
-        }
-    }
-
     /// Executes exactly one role of this job over the given endpoint —
     /// the unit both execution modes are built from. The in-process
     /// runner calls this once per thread of an attempt; `repro dist`
@@ -861,7 +841,7 @@ impl Runner {
                     &self.plan.plan,
                     self.topo.clone(),
                     endpoint,
-                    self.server_config(iterations, start_iter),
+                    crate::protocheck::server_config(&self.config, iterations, start_iter),
                     self.config.optimizer.build(self.config.learning_rate),
                 )
                 .map_err(|e| CoreError::Worker(format!("server {m} init: {e}")))?;

@@ -369,6 +369,10 @@ mod tests {
         let large = ar_sparse_traffic(W, a, 8.0, 6.0);
         // 11 parts vs 47 parts cross each machine boundary.
         assert!((large.out / small.out - 47.0 / 11.0).abs() < 1e-9);
+        // A sparse variable moves fewer bytes through the PS than
+        // through AllGatherv on the same cluster (the hybrid rule).
+        let ps = ps_sparse_traffic(W, a, a, 8.0, 6.0, 8.0, false);
+        assert!(ps.total_bytes() < large.out + large.inb);
     }
 
     #[test]

@@ -121,7 +121,6 @@ fn truncated_fetch_shard_reply_is_c002() {
     let resp = find_event(&spec, WireKind::Response(ReqKind::FetchShard));
     spec.events_mut()[resp].tag_uses = 1;
     spec.events_mut()[resp].sends = 1;
-    spec.events_mut()[resp].recvs = 1;
     let report = check_session(&g, &config, &topo, &plan, &spec);
     assert!(report.has_code(DiagCode::C002), "{}", report.render());
 }
@@ -242,10 +241,8 @@ fn malformed_event_is_c008() {
         var: MAX_VARS + 1, // beyond header capacity
         part: 0,
         sends: 0, // zero multiplicity
-        recvs: 1,
         tag_uses: 1,
         boundary_only: false,
-        blocking: true,
         reply_of: Some(usize::MAX), // dangling reference
         deps: vec![usize::MAX],
         label: "malformed".into(),

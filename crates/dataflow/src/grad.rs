@@ -311,18 +311,6 @@ pub fn global_norm(grads: &HashMap<VarId, Grad>) -> f32 {
     sq.sqrt()
 }
 
-/// Scales all gradients so the global norm does not exceed `max_norm`.
-pub fn clip_by_global_norm(grads: &mut HashMap<VarId, Grad>, max_norm: f32) -> f32 {
-    let norm = global_norm(grads);
-    if norm > max_norm && norm > 0.0 {
-        let factor = max_norm / norm;
-        for g in grads.values_mut() {
-            *g = g.scale(factor);
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,15 +622,9 @@ mod tests {
     }
 
     #[test]
-    fn clip_by_global_norm_caps_norm() {
+    fn global_norm_is_l2_over_every_gradient() {
         let mut grads: HashMap<VarId, Grad> = HashMap::new();
         grads.insert(VarId(0), Grad::Dense(Tensor::full([4], 3.0)));
-        let before = global_norm(&grads);
-        assert!((before - 6.0).abs() < 1e-5);
-        clip_by_global_norm(&mut grads, 1.5);
-        assert!((global_norm(&grads) - 1.5).abs() < 1e-5);
-        // Below the cap: untouched.
-        clip_by_global_norm(&mut grads, 100.0);
-        assert!((global_norm(&grads) - 1.5).abs() < 1e-5);
+        assert!((global_norm(&grads) - 6.0).abs() < 1e-5);
     }
 }

@@ -86,11 +86,6 @@ impl DenseAccumulator {
     pub fn is_pending(&self) -> bool {
         self.received > 0
     }
-
-    /// Pushes expected per step.
-    pub fn expected(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Accumulates sparse gradient pushes positionally, coalescing (merging
@@ -166,11 +161,6 @@ impl SparseAccumulator {
     /// True when mid-step.
     pub fn is_pending(&self) -> bool {
         self.received > 0
-    }
-
-    /// Pushes expected per step.
-    pub fn expected(&self) -> usize {
-        self.slots.len()
     }
 }
 

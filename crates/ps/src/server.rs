@@ -83,6 +83,48 @@ impl Default for ServerConfig {
     }
 }
 
+/// The requests one shard counts into its synchronization barrier in
+/// iteration `iter`, by kind (`0` where it expects none), pulls first:
+/// one pull per worker (and per gather node of a sparse shard), one push
+/// per worker (per machine for a locally aggregated sparse shard), the
+/// chief's trigger, the workers' aggregate reads, and the chief's fetch
+/// on a checkpoint boundary. [`Server`] sums these into the messages an
+/// iteration must consume; the session checker's `C001` compares them
+/// with the requests its session machine sends.
+pub fn shard_quota(
+    config: &ServerConfig,
+    topo: &PsTopology,
+    sparse: bool,
+    gathers: usize,
+    iter: u64,
+) -> [(ReqKind, usize); 5] {
+    let workers = topo.num_workers();
+    let sync = config.synchronous;
+    let interval = config.checkpoint_interval as u64;
+    let boundary = interval > 0 && (iter + 1).is_multiple_of(interval);
+    // Local aggregation is sparse-only: one push per machine's chief.
+    let pushers = if sync && sparse && config.local_aggregation {
+        topo.num_machines()
+    } else {
+        workers
+    };
+    let (pull, push) = if sparse {
+        (ReqKind::PullSparse, ReqKind::PushSparse)
+    } else {
+        (ReqKind::PullDense, ReqKind::PushDense)
+    };
+    [
+        (pull, workers * if sparse { gathers.max(1) } else { 1 }),
+        (push, pushers),
+        (ReqKind::ChiefUpdate, usize::from(sync)),
+        (
+            ReqKind::ReadAgg,
+            workers * usize::from(sync && config.serve_aggregates),
+        ),
+        (ReqKind::FetchShard, usize::from(sync && boundary)),
+    ]
+}
+
 struct ShardState {
     var: VarId,
     part: usize,
@@ -90,7 +132,9 @@ struct ShardState {
     rows: Range<usize>,
     value: Tensor,
     sparse: bool,
-    /// Pull requests expected per iteration.
+    /// Gather nodes reading the variable (each pulls once per worker).
+    gathers: usize,
+    /// Pull requests expected this iteration.
     pulls_expected: usize,
     dense_acc: DenseAccumulator,
     sparse_acc: SparseAccumulator,
@@ -200,17 +244,15 @@ impl Server {
         // `owned` lists shards in variable order, partitions ascending:
         // the order `values` was filled in.
         for ((var, part, rows), value) in owned.into_iter().zip(values) {
-            let sparse = rows != (0..usize::MAX);
-            let gathers = graph.gather_nodes_of(var).len().max(1);
-            let pulls_expected = if sparse { workers * gathers } else { workers };
             index.insert((var.index(), part), shards.len());
             shards.push(ShardState {
                 var,
                 part,
+                sparse: rows != (0..usize::MAX),
                 rows,
                 value,
-                sparse,
-                pulls_expected,
+                gathers: graph.gather_nodes_of(var).len(),
+                pulls_expected: 0,
                 dense_acc: DenseAccumulator::new(workers),
                 sparse_acc: sparse_acc.clone(),
                 pending: None,
@@ -335,36 +377,12 @@ impl Server {
         }
         self.optimizer
             .set_learning_rate(self.config.lr_schedule.at(self.base_lr, iter));
-        let sync = self.config.synchronous;
-        let chief_msgs = usize::from(sync);
-        let readagg_msgs = if sync && self.config.serve_aggregates {
-            self.topo.num_workers()
-        } else {
-            0
-        };
-        // On checkpoint-boundary iterations the chief fetches every
-        // shard's post-update value (one FetchShard per shard).
-        let interval = self.config.checkpoint_interval as u64;
-        let fetch_msgs = usize::from(sync && interval > 0 && (iter + 1).is_multiple_of(interval));
         // Total messages this iteration must consume.
-        let mut outstanding: usize = self
-            .shards
-            .iter()
-            .map(|s| {
-                let pushes = if sync {
-                    if s.sparse {
-                        s.sparse_acc.expected()
-                    } else {
-                        s.dense_acc.expected()
-                    }
-                } else {
-                    // Async: every worker pushes individually.
-                    self.topo.num_workers()
-                };
-                s.pulls_expected + pushes + chief_msgs + readagg_msgs + fetch_msgs
-            })
-            .sum();
+        let mut outstanding = 0;
         for shard in &mut self.shards {
+            let quota = shard_quota(&self.config, &self.topo, shard.sparse, shard.gathers, iter);
+            shard.pulls_expected = quota[0].1;
+            outstanding += quota.iter().map(|&(_, n)| n).sum::<usize>();
             shard.pending = None;
             shard.chief_seen = false;
             shard.pulls_seen = 0;

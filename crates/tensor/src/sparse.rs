@@ -326,53 +326,6 @@ impl IndexedSlices {
             dense_rows: self.dense_rows,
         }
     }
-
-    /// Splits the slice set by a row-partitioning function: entry `i` goes
-    /// to bucket `route(indices[i])` with its index rebased by the bucket's
-    /// row offset. Used to scatter sparse pushes across PS partitions.
-    pub fn split_by<F>(&self, buckets: usize, route: F) -> Vec<IndexedSlices>
-    where
-        F: Fn(usize) -> (usize, usize),
-    {
-        let cols = self.cols();
-        // Counting-sort style: route once, then fill exactly-sized
-        // buffers in slot order (identical output to repeated pushes,
-        // without amortized-growth reallocations).
-        let routed: Vec<(usize, usize)> = self.indices.iter().map(|&idx| route(idx)).collect();
-        let mut counts: Vec<usize> = vec![0; buckets];
-        let mut rows_parts: Vec<usize> = vec![0; buckets];
-        for &(bucket, local) in &routed {
-            counts[bucket] += 1;
-            // Each bucket's dense_rows must cover its largest local
-            // index; the caller re-labels with true partition sizes, so
-            // use a safe bound.
-            rows_parts[bucket] = rows_parts[bucket].max(local + 1);
-        }
-        let mut idx_parts: Vec<Vec<usize>> =
-            counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        let mut val_parts: Vec<Vec<f32>> = counts
-            .iter()
-            .map(|&c| Vec::with_capacity(c * cols))
-            .collect();
-        for (slot, &(bucket, local)) in routed.iter().enumerate() {
-            idx_parts[bucket].push(local);
-            val_parts[bucket]
-                .extend_from_slice(&self.values.data()[slot * cols..(slot + 1) * cols]);
-        }
-        idx_parts
-            .into_iter()
-            .zip(val_parts)
-            .zip(rows_parts)
-            .map(|((indices, data), rows)| {
-                let n = indices.len();
-                IndexedSlices {
-                    indices,
-                    values: Tensor::new([n, cols], data).expect("split shape consistent"),
-                    dense_rows: rows,
-                }
-            })
-            .collect()
-    }
 }
 
 /// Either a dense or a sparse gradient — the discriminator Parallax uses to
@@ -516,21 +469,6 @@ mod tests {
         let a = slices(vec![0], vec![vec![1.0]], 4);
         let b = slices(vec![0], vec![vec![1.0, 2.0]], 4);
         assert!(IndexedSlices::concat(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn split_by_routes_rows() {
-        // Partition rows 0..6 into [0..3) and [3..6).
-        let s = slices(
-            vec![0, 4, 2, 5],
-            vec![vec![1.0], vec![2.0], vec![3.0], vec![4.0]],
-            6,
-        );
-        let parts = s.split_by(2, |r| if r < 3 { (0, r) } else { (1, r - 3) });
-        assert_eq!(parts[0].indices(), &[0, 2]);
-        assert_eq!(parts[0].values().data(), &[1.0, 3.0]);
-        assert_eq!(parts[1].indices(), &[1, 2]);
-        assert_eq!(parts[1].values().data(), &[2.0, 4.0]);
     }
 
     #[test]
