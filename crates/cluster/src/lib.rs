@@ -21,7 +21,7 @@ pub mod spec;
 pub use costmodel::{CalibrationProfile, SparseOpCost};
 pub use des::{fifo_replay, simulate, DesMessage, DesResult, QueueStats};
 pub use hardware::{ClusterModel, CpuModel, GpuModel, MachineScales, NetworkModel, Transport};
-pub use sim::{IterationSim, Phase, PsQueueModel, RecoveryModel};
+pub use sim::{IterationSim, Phase, PsQueueModel};
 pub use spec::{MachineSpec, ResourceSpec};
 
 /// Crate-wide result type.

@@ -135,79 +135,6 @@ impl PsQueueModel {
     }
 }
 
-/// Recovery-time accounting for checkpointed fault-tolerant training
-/// (the `parallax-fault` subsystem's cost model).
-///
-/// A failure costs three phases, mirroring the executed runner exactly:
-/// **detection** — every blocked peer must wait out the transport
-/// receive deadline before a typed `PeerTimeout`/`PeerDead` surfaces;
-/// **restore** — loading the checkpoint and re-initialising replicas
-/// and server shards; and **replay** — re-executing the iterations
-/// since the last checkpoint, on average half a checkpoint interval
-/// when the failure lands uniformly inside it. Checkpointing itself is
-/// not free (the chief fetches every shard and writes the file), so
-/// the model also answers the operational question: which interval
-/// minimises expected wall-clock for a given failure rate?
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryModel {
-    /// Failure-detection deadline, seconds (the transport receive
-    /// deadline the runner configures via `recv_deadline`).
-    pub detect: f64,
-    /// Checkpoint restore cost, seconds (load + CRC verify + re-slice
-    /// shards + respawn threads).
-    pub restore: f64,
-    /// Seconds to write one checkpoint (chief shard fetches +
-    /// serialisation + atomic rename).
-    pub checkpoint_cost: f64,
-    /// Iterations between checkpoints (`0` disables checkpointing, so a
-    /// failure replays the whole run so far).
-    pub interval: usize,
-    /// Expected failure count over the run being modelled.
-    pub failures: f64,
-}
-
-impl RecoveryModel {
-    /// Expected seconds lost to one failure at the given per-iteration
-    /// time: detection + restore + expected replay. Without
-    /// checkpointing the replay term is half the whole run.
-    pub fn cost_per_failure(&self, iterations: usize, iteration_time: f64) -> f64 {
-        let replay_iters = if self.interval > 0 {
-            self.interval as f64 / 2.0
-        } else {
-            iterations as f64 / 2.0
-        };
-        self.detect + self.restore + replay_iters * iteration_time
-    }
-
-    /// Expected wall-clock seconds for `iterations` at `iteration_time`,
-    /// including checkpoint overhead and expected recovery cost.
-    pub fn expected_wall_clock(&self, iterations: usize, iteration_time: f64) -> f64 {
-        let checkpoints = iterations
-            .checked_div(self.interval)
-            .map(|c| c as f64)
-            .unwrap_or(0.0);
-        iterations as f64 * iteration_time
-            + checkpoints * self.checkpoint_cost
-            + self.failures * self.cost_per_failure(iterations, iteration_time)
-    }
-
-    /// The checkpoint interval minimising [`expected_wall_clock`]
-    /// (Young's approximation adapted to iteration granularity):
-    /// `I* = sqrt(2 N c / (f t))` from `d/dI [N c / I + f I t / 2] = 0`,
-    /// clamped to `[1, iterations]`. With no expected failures, longer
-    /// is always cheaper, so the whole run length comes back.
-    ///
-    /// [`expected_wall_clock`]: RecoveryModel::expected_wall_clock
-    pub fn optimal_interval(&self, iterations: usize, iteration_time: f64) -> usize {
-        if self.failures <= 0.0 || iteration_time <= 0.0 {
-            return iterations.max(1);
-        }
-        let n = iterations as f64;
-        let ideal = (2.0 * n * self.checkpoint_cost / (self.failures * iteration_time)).sqrt();
-        (ideal.round() as usize).clamp(1, iterations.max(1))
-    }
-}
-
 /// Per-iteration timing inputs and the combination rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationSim {
@@ -656,75 +583,6 @@ mod tests {
         assert!(sim.predicted_mean_ps_wait().is_none());
         let records = sim.trace_records(0, 0);
         assert!(!records.iter().any(|r| r.name == "sim.ps.wait"));
-    }
-
-    #[test]
-    fn recovery_cost_splits_detect_restore_replay() {
-        let rec = RecoveryModel {
-            detect: 2.0,
-            restore: 1.0,
-            checkpoint_cost: 0.5,
-            interval: 10,
-            failures: 1.0,
-        };
-        // One failure mid-interval: 2 + 1 + 5 iterations of replay.
-        assert!((rec.cost_per_failure(100, 0.1) - (2.0 + 1.0 + 0.5)).abs() < 1e-12);
-        // No checkpointing: replay half the run.
-        let none = RecoveryModel {
-            interval: 0,
-            ..rec.clone()
-        };
-        assert!((none.cost_per_failure(100, 0.1) - (2.0 + 1.0 + 5.0)).abs() < 1e-12);
-        // Wall clock = base + checkpoints + failures.
-        let wall = rec.expected_wall_clock(100, 0.1);
-        assert!((wall - (10.0 + 10.0 * 0.5 + 3.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn optimal_interval_matches_brute_force() {
-        let rec = RecoveryModel {
-            detect: 2.0,
-            restore: 1.0,
-            checkpoint_cost: 0.4,
-            interval: 0,
-            failures: 2.0,
-        };
-        let (iters, t) = (1000usize, 0.05);
-        let analytic = rec.optimal_interval(iters, t);
-        let brute = (1..=iters)
-            .min_by(|&a, &b| {
-                let wall = |i: usize| {
-                    RecoveryModel {
-                        interval: i,
-                        ..rec.clone()
-                    }
-                    .expected_wall_clock(iters, t)
-                };
-                wall(a).partial_cmp(&wall(b)).unwrap()
-            })
-            .unwrap();
-        let wall_at = |i: usize| {
-            RecoveryModel {
-                interval: i,
-                ..rec.clone()
-            }
-            .expected_wall_clock(iters, t)
-        };
-        // The closed form lands within a hair of the discrete argmin
-        // (integer division in the checkpoint count makes exact ties
-        // possible, so compare achieved cost, not the index).
-        assert!(
-            wall_at(analytic) <= wall_at(brute) * 1.01,
-            "analytic {analytic} (cost {}) vs brute {brute} (cost {})",
-            wall_at(analytic),
-            wall_at(brute)
-        );
-        // No failures: checkpoint as rarely as possible.
-        let safe = RecoveryModel {
-            failures: 0.0,
-            ..rec
-        };
-        assert_eq!(safe.optimal_interval(iters, t), iters);
     }
 
     #[test]

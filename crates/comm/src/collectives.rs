@@ -1,5 +1,5 @@
 //! Collective communication: ring AllReduce, AllGatherv, and the
-//! reduce/gather to a root behind local aggregation.
+//! gather to a root behind local aggregation.
 //!
 //! Every participant calls the same function concurrently with its own
 //! endpoint and the same participant list and tag. Ring collectives only
@@ -426,43 +426,6 @@ pub fn allgatherv_slices_parts_wire(
         .collect())
 }
 
-/// Reduce (sum) to `root`: the root returns the elementwise sum of all
-/// contributions, others return `None`. This is the primitive behind
-/// Parallax's *local aggregation* — a machine's local chief sums its
-/// workers' gradients before anything leaves the machine.
-pub fn reduce_to(
-    ep: &mut Endpoint,
-    ranks: &[usize],
-    tag: u64,
-    root: usize,
-    data: Vec<f32>,
-) -> Result<Option<Vec<f32>>> {
-    let _span = span(SpanCat::Collective, "reduce_to");
-    position(ep, ranks)?;
-    if ep.rank() == root {
-        let mut acc = data;
-        for &r in ranks {
-            if r == root {
-                continue;
-            }
-            let incoming = ep.recv(r, tag)?.into_floats()?;
-            if incoming.len() != acc.len() {
-                return Err(CommError::LengthMismatch {
-                    expected: acc.len(),
-                    actual: incoming.len(),
-                });
-            }
-            for (a, x) in acc.iter_mut().zip(incoming) {
-                *a += x;
-            }
-        }
-        Ok(Some(acc))
-    } else {
-        ep.send(root, tag, Payload::Floats(Arc::new(data)))?;
-        Ok(None)
-    }
-}
-
 /// Gathers [`IndexedSlices`] to `root` and concatenates them there (sparse
 /// local aggregation); non-roots return `None`.
 pub fn gather_slices_to(
@@ -618,17 +581,6 @@ mod tests {
             assert_eq!(s.indices(), &[0, 1, 1, 2]);
             assert_eq!(s.values().data(), &[0.0, 0.0, 1.0, 1.0]);
         }
-    }
-
-    #[test]
-    fn reduce_to_sums_at_root_only() {
-        let topo = Topology::uniform(1, 3).unwrap();
-        let (results, _) = run_all(topo, |ep, ranks| {
-            reduce_to(ep, ranks, 5, 0, vec![ep.rank() as f32; 2]).unwrap()
-        });
-        assert_eq!(results[0], Some(vec![3.0, 3.0]));
-        assert_eq!(results[1], None);
-        assert_eq!(results[2], None);
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub fn allgatherv_hop_source(n: usize, pos: usize, hop: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{allgatherv_slices, gather_slices_to, reduce_to, ring_allreduce};
+    use crate::collectives::{allgatherv_slices, gather_slices_to, ring_allreduce};
     use crate::transport::{Endpoint, Payload, Router};
     use parallax_tensor::{IndexedSlices, Tensor};
 
@@ -291,12 +291,11 @@ mod tests {
     }
 
     #[test]
-    fn reduce_and_gather_send_one_buffer_per_non_root() {
+    fn gather_sends_one_buffer_per_non_root() {
         let topo = Topology::new(vec![2, 2]).unwrap();
         let tag = 0x2000_0000_0000_0000u64;
-        let len = 6usize;
         let measured = run_all(topo.clone(), |ep, ranks| {
-            // Machine-local reductions to each machine's first rank, the
+            // Machine-local gathers to each machine's first rank, the
             // shape local aggregation uses.
             let machine_ranks: Vec<usize> = if ep.rank() < 2 {
                 vec![0, 1]
@@ -305,17 +304,15 @@ mod tests {
             };
             let root = machine_ranks[0];
             if ranks.contains(&ep.rank()) {
-                reduce_to(ep, &machine_ranks, tag, root, vec![0.0; len]).unwrap();
                 let slices =
                     IndexedSlices::new(vec![ep.rank()], Tensor::full([1, 2], 1.0), 8).unwrap();
-                gather_slices_to(ep, &machine_ranks, tag + 1, root, slices).unwrap();
+                gather_slices_to(ep, &machine_ranks, tag, root, slices).unwrap();
             }
         });
         let ledger = StaticLedger::new(topo);
         for (root, peer) in [(0usize, 1usize), (2, 3)] {
-            ledger.charge(peer, root, tag, 4 * len as u64).unwrap();
             // One [1, 2] slice: 8 value bytes + 8 index bytes.
-            ledger.charge(peer, root, tag + 1, 16).unwrap();
+            ledger.charge(peer, root, tag, 16).unwrap();
         }
         assert_eq!(
             ledger.class_snapshot(TrafficClass::LocalAgg),

@@ -74,11 +74,6 @@ impl Topology {
             .collect()
     }
 
-    /// True when two workers share a machine (their traffic is intra-node).
-    pub fn same_machine(&self, a: usize, b: usize) -> Result<bool> {
-        Ok(self.machine_of(a)? == self.machine_of(b)?)
-    }
-
     /// GPUs per machine.
     pub fn gpus_per_machine(&self) -> &[usize] {
         &self.gpus_per_machine
@@ -104,13 +99,6 @@ mod tests {
         let t = Topology::new(vec![1, 3]).unwrap();
         assert_eq!(t.workers_of(0), vec![0]);
         assert_eq!(t.workers_of(1), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn same_machine_detection() {
-        let t = Topology::uniform(2, 2).unwrap();
-        assert!(t.same_machine(0, 1).unwrap());
-        assert!(!t.same_machine(1, 2).unwrap());
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl ArchSetup {
     /// TF-PS: naive Parameter Server.
     pub fn tf_ps() -> Self {
         ArchSetup {
-            arch: ArchChoice::PsOnly { optimized: false },
+            arch: ArchChoice::PsOnly,
             local_aggregation: false,
             balanced_placement: false,
             alpha_dense_threshold: 2.0,
@@ -173,7 +173,7 @@ impl ArchSetup {
     /// Parallax's optimized PS (Table 4's OptPS).
     pub fn opt_ps() -> Self {
         ArchSetup {
-            arch: ArchChoice::PsOnly { optimized: true },
+            arch: ArchChoice::PsOnly,
             local_aggregation: true,
             balanced_placement: true,
             alpha_dense_threshold: 2.0,
@@ -211,7 +211,7 @@ pub struct ThroughputReport {
 fn routed_ps(spec: &VarSpec, setup: &ArchSetup) -> bool {
     match setup.arch {
         ArchChoice::ArOnly => false,
-        ArchChoice::PsOnly { .. } => true,
+        ArchChoice::PsOnly => true,
         ArchChoice::Hybrid => spec.sparse && spec.alpha < setup.alpha_dense_threshold,
     }
 }

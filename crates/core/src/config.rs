@@ -66,17 +66,16 @@ impl OptimizerKind {
 /// Which training architecture the runner composes.
 ///
 /// `Hybrid` is Parallax; the others exist as the paper's baselines
-/// (Table 4): `ArOnly` is Horovod, `PsOnly { optimized: false }` is
-/// TF-PS (NaivePS), `PsOnly { optimized: true }` is OptPS.
+/// (Table 4): `ArOnly` is Horovod, and `PsOnly` is TF-PS (NaivePS) with
+/// round-robin placement and no local aggregation, or OptPS with
+/// balanced placement and local aggregation
+/// ([`ParallaxConfig::tf_ps_baseline`], [`ParallaxConfig::opt_ps`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchChoice {
     /// AllReduce for dense variables, Parameter Server for sparse ones.
     Hybrid,
     /// Everything through the Parameter Server.
-    PsOnly {
-        /// Apply local aggregation and balanced placement.
-        optimized: bool,
-    },
+    PsOnly,
     /// Everything through collectives (AllReduce + AllGatherv).
     ArOnly,
 }
@@ -238,7 +237,7 @@ impl ParallaxConfig {
     /// The TF-PS baseline: naive Parameter Server.
     pub fn tf_ps_baseline() -> Self {
         ParallaxConfig {
-            arch: ArchChoice::PsOnly { optimized: false },
+            arch: ArchChoice::PsOnly,
             local_aggregation: false,
             placement: PlacementStrategy::RoundRobin,
             ..Self::default()
@@ -248,7 +247,7 @@ impl ParallaxConfig {
     /// Parallax's optimized PS (no hybrid), the OptPS row of Table 4.
     pub fn opt_ps() -> Self {
         ParallaxConfig {
-            arch: ArchChoice::PsOnly { optimized: true },
+            arch: ArchChoice::PsOnly,
             ..Self::default()
         }
     }
@@ -333,7 +332,7 @@ mod tests {
         let horovod = ParallaxConfig::horovod_baseline();
         assert_eq!(horovod.arch, ArchChoice::ArOnly);
         let tfps = ParallaxConfig::tf_ps_baseline();
-        assert_eq!(tfps.arch, ArchChoice::PsOnly { optimized: false });
+        assert_eq!(tfps.arch, ArchChoice::PsOnly);
         assert!(!tfps.local_aggregation);
         assert_eq!(tfps.placement, PlacementStrategy::RoundRobin);
         let opt = ParallaxConfig::opt_ps();

@@ -43,7 +43,7 @@ pub fn decide(
         .iter()
         .map(|v| match config.arch {
             ArchChoice::ArOnly => SyncDecision::AllReduce,
-            ArchChoice::PsOnly { .. } => {
+            ArchChoice::PsOnly => {
                 if v.sparse {
                     SyncDecision::PsSparse {
                         partitions: partitions_for(v.var),

@@ -18,11 +18,13 @@
 //!   iteration times while doubling/halving `P`, fit
 //!   `t = th0 + th1/P + th2*P`, pick the predicted optimum (Section 3.2).
 //! * [`transform`] — automatic graph transformation: a single-GPU graph
-//!   plus resources in, a distributed execution plan out (Section 4.3).
+//!   plus resources in, a distributed execution plan out (Section 4.3),
+//!   with [`transform::DistributedPlan::exchange`], the one rule for how
+//!   each variable's gradient is aggregated.
 //! * [`plancheck`] — the static plan verifier: cross-checks a
 //!   [`transform::DistributedPlan`] against a re-derivation of the
-//!   hybrid decision, the partition tiling invariants and the inserted
-//!   synchronization schedule, and statically predicts one iteration's
+//!   hybrid decision, the partition tiling invariants and gradient
+//!   reachability, and statically predicts one iteration's
 //!   per-class traffic by charging the session machine's events into a
 //!   [`parallax_comm::StaticLedger`] — all before any thread spawns.
 //! * [`strategy`] — the placement-strategy abstraction: five fixed
@@ -67,7 +69,7 @@ pub use runner::{
 };
 pub use strategize::{plan_search, SearchReport};
 pub use strategy::{fixed_strategies, Strategy, StrategyPlan};
-pub use transform::DistributedPlan;
+pub use transform::{DistributedPlan, Exchange};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, CoreError>;

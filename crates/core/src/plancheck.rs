@@ -6,10 +6,9 @@
 //!
 //! * [`check_plan`] — cross-checks the plan against an independent
 //!   re-derivation of the hybrid decision (`P001`, `P002`, `P006`), the
-//!   partition tiling invariants (`P003`–`P005`), the inserted
-//!   synchronization-op schedule (`P007`), and gradient reachability
-//!   for Parameter-Server variables (`P008`, the "servers wait forever"
-//!   hazard);
+//!   partition tiling invariants (`P003`–`P005`), and gradient
+//!   reachability for Parameter-Server variables (`P008`, the "servers
+//!   wait forever" hazard);
 //! * [`predict_iteration_traffic`] — charges every steady-state event of
 //!   the plan's session machine (pulls, collectives, local aggregation,
 //!   pushes, chief updates, update notifications), sized from one
@@ -34,11 +33,11 @@ use parallax_ps::placement::SyncDecision;
 use parallax_ps::{PsTopology, VarPlacement};
 use parallax_tensor::{sparse::Grad, DetRng};
 
-use crate::config::{ArchChoice, ParallaxConfig};
+use crate::config::ParallaxConfig;
 use crate::hybrid;
 use crate::runner::TrafficReport;
 use crate::sparsity::SparsityProfile;
-use crate::transform::{transform, DistributedPlan, SyncOpDesc};
+use crate::transform::{transform, DistributedPlan, Exchange};
 use crate::{CoreError, Result};
 
 /// Rows of a variable as the planner counts them (rank-0 scalars are a
@@ -89,7 +88,8 @@ pub(crate) fn shard_coords(placement: &VarPlacement) -> Vec<(usize, usize)> {
 
 /// Cross-checks a [`DistributedPlan`] against the graph, profile,
 /// configuration and cluster it claims to be for. Pure analysis: every
-/// violation becomes a typed diagnostic (`P001`–`P008`), never a panic.
+/// violation becomes a typed diagnostic (`P001`–`P006`, `P008`), never a
+/// panic.
 ///
 /// `loss` enables the `P008` gradient-reachability pass; without it only
 /// the never-accessed half of that hazard is detectable.
@@ -421,163 +421,7 @@ pub fn check_plan(
         }
     }
 
-    check_sync_ops(graph, config, plan, &mut report);
     report
-}
-
-/// `P007`: the inserted synchronization-op schedule must agree with the
-/// plan — exactly one collective per AllReduce variable (AllGatherv only
-/// for graph-sparse variables under pure-AR), one `GlobalAgg` + `Update`
-/// per shard on the shard's own server, and `LocalAgg` if and only if
-/// the configuration enables local aggregation and the variable is
-/// graph-sparse (dense PS gradients always push per worker so the
-/// server can replay the ring fold order).
-fn check_sync_ops(
-    graph: &Graph,
-    config: &ParallaxConfig,
-    plan: &DistributedPlan,
-    report: &mut VerifyReport,
-) {
-    for var in graph.var_ids() {
-        let idx = var.index();
-        let name = &graph.variables()[idx].name;
-        let Ok(placement) = plan.plan.placement(var) else {
-            continue;
-        };
-        let mut allreduce = 0usize;
-        let mut allgatherv = 0usize;
-        let mut local_agg = 0usize;
-        let mut global_agg: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut update: HashMap<usize, Vec<usize>> = HashMap::new();
-        for op in &plan.sync_ops {
-            match op {
-                SyncOpDesc::AllReduce { var: v } if *v == var => allreduce += 1,
-                SyncOpDesc::AllGatherv { var: v } if *v == var => allgatherv += 1,
-                SyncOpDesc::LocalAgg { var: v } if *v == var => local_agg += 1,
-                SyncOpDesc::GlobalAgg {
-                    var: v,
-                    part,
-                    server,
-                } if *v == var => {
-                    global_agg.entry(*part).or_default().push(*server);
-                }
-                SyncOpDesc::Update {
-                    var: v,
-                    part,
-                    server,
-                } if *v == var => {
-                    update.entry(*part).or_default().push(*server);
-                }
-                _ => {}
-            }
-        }
-        match placement {
-            VarPlacement::AllReduce => {
-                let wants_gatherv =
-                    graph.is_sparse_variable(var) && matches!(config.arch, ArchChoice::ArOnly);
-                let (want_ar, want_agv) = if wants_gatherv { (0, 1) } else { (1, 0) };
-                if allreduce != want_ar || allgatherv != want_agv {
-                    report.push(
-                        Diagnostic::error(
-                            DiagCode::P007,
-                            format!(
-                                "AllReduce variable '{name}' schedules {allreduce} AllReduce \
-                                 and {allgatherv} AllGatherv op(s); expected {want_ar} and \
-                                 {want_agv}"
-                            ),
-                        )
-                        .for_var(idx),
-                    );
-                }
-                if local_agg + global_agg.len() + update.len() > 0 {
-                    report.push(
-                        Diagnostic::error(
-                            DiagCode::P007,
-                            format!(
-                                "AllReduce variable '{name}' schedules Parameter-Server \
-                                 synchronization ops"
-                            ),
-                        )
-                        .for_var(idx),
-                    );
-                }
-            }
-            placement => {
-                if allreduce + allgatherv > 0 {
-                    report.push(
-                        Diagnostic::error(
-                            DiagCode::P007,
-                            format!("Parameter-Server variable '{name}' schedules collective ops"),
-                        )
-                        .for_var(idx),
-                    );
-                }
-                let want_lagg =
-                    usize::from(config.local_aggregation && graph.is_sparse_variable(var));
-                if local_agg != want_lagg {
-                    report.push(
-                        Diagnostic::error(
-                            DiagCode::P007,
-                            format!(
-                                "variable '{name}' schedules {local_agg} LocalAgg op(s); the \
-                                 configuration calls for {want_lagg}"
-                            ),
-                        )
-                        .for_var(idx),
-                    );
-                }
-                for (machine, part) in shard_coords(placement) {
-                    for (what, seen) in [("GlobalAgg", &global_agg), ("Update", &update)] {
-                        match seen.get(&part).map(Vec::as_slice) {
-                            Some([s]) if *s == machine => {}
-                            Some(servers) => {
-                                report.push(
-                                    Diagnostic::error(
-                                        DiagCode::P007,
-                                        format!(
-                                            "shard {part} of '{name}' lives on server \
-                                             {machine}, but its {what} op(s) are scheduled on \
-                                             {servers:?}"
-                                        ),
-                                    )
-                                    .for_var(idx),
-                                );
-                            }
-                            None => {
-                                report.push(
-                                    Diagnostic::error(
-                                        DiagCode::P007,
-                                        format!(
-                                            "shard {part} of '{name}' has no {what} op: its \
-                                             update would never run"
-                                        ),
-                                    )
-                                    .for_var(idx),
-                                );
-                            }
-                        }
-                    }
-                }
-                let parts: HashSet<usize> =
-                    shard_coords(placement).iter().map(|&(_, p)| p).collect();
-                for extra in global_agg.keys().chain(update.keys()) {
-                    if !parts.contains(extra) {
-                        report.push(
-                            Diagnostic::error(
-                                DiagCode::P007,
-                                format!(
-                                    "variable '{name}' schedules ops for partition {extra}, \
-                                     which the placement does not define"
-                                ),
-                            )
-                            .for_var(idx),
-                        );
-                        break;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Statically predicts the traffic of **one** synchronous iteration of a
@@ -682,22 +526,23 @@ fn run_feeds(
     Ok(fed)
 }
 
-/// How an AllReduce variable's gradient travels: around the ring as
-/// this many elements, or (a sparse gradient of an AllGatherv variable)
-/// as each worker's contribution of this many bytes.
-enum Exchange {
+/// What an AllReduce variable's gradient puts on the wire: this many
+/// elements around the ring, or each worker's AllGatherv contribution of
+/// this many bytes.
+enum Exchanged {
     Ring(usize),
     Gatherv(Vec<u64>),
 }
 
-/// The exchange of AllReduce variable `var`; `None` when no worker has
-/// a gradient for it (legal: the collective is skipped).
+/// What AllReduce variable `var` exchanges; `None` when no worker has a
+/// gradient for it (legal: the collective is skipped).
 fn exchange_of(
     fed: &Fed,
+    graph: &Graph,
     plan: &DistributedPlan,
     var: VarId,
     config: &ParallaxConfig,
-) -> Result<Option<Exchange>> {
+) -> Result<Option<Exchanged>> {
     let workers = fed.grads.len();
     let present = fed.grads.iter().filter(|g| g.contains_key(&var)).count();
     if present == 0 {
@@ -710,29 +555,27 @@ fn exchange_of(
             var.index()
         )));
     }
-    Ok(Some(match &fed.grads[0][&var] {
+    let name = &graph.var_def(var)?.name;
+    Ok(Some(match plan.exchange(graph, config, var) {
         // Contribution sizes on the wire: packed (delta+varint
         // indices) under a compressing format, raw otherwise —
         // exactly what `allgatherv_slices_wire` sends.
-        Grad::Sparse(_) if plan.gatherv_vars().contains(&var) => Exchange::Gatherv(
+        Exchange::Gatherv => Exchanged::Gatherv(
             fed.grads
                 .iter()
                 .map(|g| match &g[&var] {
-                    Grad::Sparse(s) => slices_wire_bytes(s, config.wire_format),
-                    dense => dense.byte_size(),
+                    Grad::Sparse(s) => Ok(slices_wire_bytes(s, config.wire_format)),
+                    Grad::Dense(_) => Err(kind_mismatch(name)),
                 })
-                .collect(),
+                .collect::<Result<_>>()?,
         ),
-        // A sparse gradient otherwise densifies onto the ring.
-        Grad::Sparse(s) => Exchange::Ring(s.dense_rows() * s.cols()),
-        Grad::Dense(t) => Exchange::Ring(t.data().len()),
+        // A sparse gradient densifies onto the ring.
+        Exchange::Ring => match &fed.grads[0][&var] {
+            Grad::Sparse(s) => Exchanged::Ring(s.dense_rows() * s.cols()),
+            Grad::Dense(t) => Exchanged::Ring(t.data().len()),
+        },
+        Exchange::Push | Exchange::LocalAggPush => return Err(kind_mismatch(name)),
     }))
-}
-
-/// True when each machine's chief pushes its machine's aggregate of
-/// `var` (local aggregation, which is sparse-only and synchronous).
-fn machine_pushes(graph: &Graph, config: &ParallaxConfig, var: VarId) -> bool {
-    config.local_aggregation && config.synchronous && graph.is_sparse_variable(var)
 }
 
 /// Rows and row width of `pusher`'s sparse push of `var`: its own
@@ -741,6 +584,7 @@ fn machine_pushes(graph: &Graph, config: &ParallaxConfig, var: VarId) -> bool {
 /// duplicates without dropping rows).
 fn pushed_rows(
     graph: &Graph,
+    plan: &DistributedPlan,
     topo: &PsTopology,
     config: &ParallaxConfig,
     fed: &Fed,
@@ -748,7 +592,7 @@ fn pushed_rows(
     var: VarId,
 ) -> Result<(Vec<usize>, u64)> {
     let name = &graph.var_def(var)?.name;
-    let by_machine = machine_pushes(graph, config, var);
+    let by_machine = plan.exchange(graph, config, var) == Exchange::LocalAggPush;
     let peers = if by_machine {
         topo.workers_of(topo.machine_of(pusher)?)
     } else {
@@ -857,8 +701,8 @@ pub(crate) fn predict_from_session(
             }
             WireKind::Collective | WireKind::Gatherv => {
                 let pos = topo.worker_position(e.from)?;
-                match (e.kind, exchange_of(&fed, plan, var, config)?) {
-                    (WireKind::Collective, Some(Exchange::Ring(elems))) => (
+                match (e.kind, exchange_of(&fed, graph, plan, var, config)?) {
+                    (WireKind::Collective, Some(Exchanged::Ring(elems))) => (
                         tag::allreduce_tag(e.var, 0),
                         (0..2 * (ring - 1))
                             .map(|h| {
@@ -866,19 +710,24 @@ pub(crate) fn predict_from_session(
                             })
                             .collect(),
                     ),
-                    (WireKind::Gatherv, Some(Exchange::Gatherv(contribs))) => (
+                    (WireKind::Gatherv, Some(Exchanged::Gatherv(contribs))) => (
                         tag::gatherv_tag(e.var, 0),
                         (0..ring - 1)
                             .map(|h| contribs[allgatherv_hop_source(ring, pos, h)])
                             .collect(),
                     ),
-                    // The gradient rides the other collective, or none.
-                    _ => continue,
+                    // No worker has a gradient: the collective is skipped.
+                    (_, None) => continue,
+                    _ => {
+                        return Err(CoreError::Config(format!(
+                            "'{}' is not the exchange the plan gives '{}'",
+                            e.label, def.name
+                        )))
+                    }
                 }
             }
-            // Non-chief workers ship their raw gradient to the local
-            // chief: dense as Floats, sparse as Slices — both exactly the
-            // gradient's byte size.
+            // Non-chief workers ship their raw sparse gradient to the
+            // local chief as Slices: exactly the gradient's byte size.
             WireKind::LocalAgg => (
                 tag::local_agg_tag(e.var, 0),
                 one(fed.grad(topo, e.from, var)?.byte_size()),
@@ -889,7 +738,7 @@ pub(crate) fn predict_from_session(
             },
             // An 8-byte header, then a value row and an index per row.
             WireKind::Request(ReqKind::PushSparse) => {
-                let (rows, cols) = pushed_rows(graph, topo, config, &fed, e.from, var)?;
+                let (rows, cols) = pushed_rows(graph, plan, topo, config, &fed, e.from, var)?;
                 (req, one(8 + routed(&rows)? * (4 * cols + 8)))
             }
             WireKind::Response(ReqKind::UpdateDone) => (
@@ -957,14 +806,14 @@ fn closed_form_bytes(
     let workers = fed.grads.len() as u64;
     let hops = workers.saturating_sub(1);
     for var in plan.ar_vars() {
-        match exchange_of(fed, plan, var, config)? {
+        match exchange_of(fed, graph, plan, var, config)? {
             // Each element crosses every rank boundary twice (reduce-
             // scatter + allgather) at the wire scalar width.
-            Some(Exchange::Ring(elems)) => {
+            Some(Exchanged::Ring(elems)) => {
                 cf[TrafficClass::Nccl as usize] +=
                     2 * config.wire_format.scalar_bytes() * elems as u64 * hops;
             }
-            Some(Exchange::Gatherv(contribs)) => {
+            Some(Exchanged::Gatherv(contribs)) => {
                 cf[TrafficClass::Mpi as usize] += hops * contribs.iter().sum::<u64>();
             }
             None => {}
@@ -975,7 +824,7 @@ fn closed_form_bytes(
         let placement = plan.plan.placement(var).map_err(CoreError::Ps)?;
         let def = graph.var_def(var)?;
         let mut pushers = topo.worker_ranks();
-        if machine_pushes(graph, config, var) {
+        if plan.exchange(graph, config, var) == Exchange::LocalAggPush {
             // Every other worker ships its gradient to its machine's
             // chief, which pushes for the machine.
             pushers = (0..topo.num_machines())
@@ -1008,7 +857,7 @@ fn closed_form_bytes(
                     ps += parts * 8 + ids.len() as u64 * (8 + 4 * cols);
                 }
                 for &r in &pushers {
-                    let (rows, cols) = pushed_rows(graph, topo, config, fed, r, var)?;
+                    let (rows, cols) = pushed_rows(graph, plan, topo, config, fed, r, var)?;
                     ps += parts * 8 + rows.len() as u64 * (4 * cols + 8);
                 }
             }
@@ -1037,6 +886,20 @@ pub fn build_verified_plan(
     topo: &PsTopology,
     partitions: usize,
 ) -> Result<DistributedPlan> {
+    verified_plan_and_session(graph, loss, profile, config, topo, partitions).map(|(plan, _)| plan)
+}
+
+/// [`build_verified_plan`], also returning the session machine it
+/// checked, so a caller that predicts traffic folds over that same spec
+/// instead of deriving it again.
+pub(crate) fn verified_plan_and_session(
+    graph: &Graph,
+    loss: NodeId,
+    profile: &SparsityProfile,
+    config: &ParallaxConfig,
+    topo: &PsTopology,
+    partitions: usize,
+) -> Result<(DistributedPlan, SessionSpec)> {
     let plan = transform(
         graph,
         profile,
@@ -1057,12 +920,13 @@ pub fn build_verified_plan(
     if report.has_errors() {
         return Err(CoreError::Verify(report.render()));
     }
-    Ok(plan)
+    Ok((plan, spec))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ArchChoice;
     use crate::sparsity::profile_from_parts;
     use parallax_dataflow::graph::{Init, Op, PhKind};
     use parallax_dataflow::VariableDef;
@@ -1156,20 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_update_op_is_p007() {
-        let (g, loss, profile) = model();
-        let config = ParallaxConfig::default();
-        let topo = PsTopology::uniform(2, 2).unwrap();
-        let mut plan = transform(&g, &profile, &config, 2, 4, 2).unwrap();
-        let before = plan.sync_ops.len();
-        plan.sync_ops
-            .retain(|op| !matches!(op, SyncOpDesc::Update { part: 1, .. }));
-        assert!(plan.sync_ops.len() < before);
-        let report = check_plan(&g, Some(loss), &profile, &config, &topo, &plan);
-        assert!(report.has_code(DiagCode::P007), "{}", report.render());
-    }
-
-    #[test]
     fn unused_ps_variable_is_p008_and_gates_the_runner() {
         let mut g = Graph::new();
         let emb = g
@@ -1183,7 +1033,7 @@ mod tests {
         let loss = g.add(Op::MeanAll(gathered)).unwrap();
         let profile = profile_from_parts(vec![(emb, true, 0.5, 8, 16), (orphan, false, 1.0, 4, 8)]);
         let config = ParallaxConfig {
-            arch: ArchChoice::PsOnly { optimized: true },
+            arch: ArchChoice::PsOnly,
             ..ParallaxConfig::default()
         };
         let topo = PsTopology::uniform(2, 1).unwrap();

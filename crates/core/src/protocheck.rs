@@ -53,7 +53,7 @@ use parallax_ps::{PsTopology, VarPlacement};
 
 use crate::config::ParallaxConfig;
 use crate::plancheck::shard_coords;
-use crate::transform::DistributedPlan;
+use crate::transform::{DistributedPlan, Exchange};
 use crate::{CoreError, Result};
 
 /// The effective checkpoint/snapshot interval of a configuration:
@@ -136,10 +136,10 @@ fn base_event(
 /// message identity the runner's workers and servers exchange in one
 /// steady-state iteration, plus the checkpoint-boundary publish events.
 ///
-/// The derivation walks the plan's placements and sync-op schedule the
-/// way the runner's worker loop does (pull → exchange → local-agg →
-/// push → trigger → notify → trace-read → publish), so the resulting
-/// spec is exactly the allowed-set the live protocol inhabits.
+/// The derivation walks the plan's placements and each variable's
+/// [`Exchange`] the way the runner's worker loop does (pull → exchange →
+/// local-agg → push → trigger → notify → trace-read → publish), so the
+/// resulting spec is exactly the allowed-set the live protocol inhabits.
 pub fn derive_session(
     graph: &Graph,
     config: &ParallaxConfig,
@@ -152,7 +152,6 @@ pub fn derive_session(
     let chief = topo.chief();
     let servers: Vec<usize> = (0..machines).map(|m| topo.server_rank(m)).collect();
     let sync = config.synchronous;
-    let local_agg = config.local_aggregation && sync;
     let trace = config.trace_gradients && sync;
     let interval = effective_checkpoint_interval(config);
     let name_of = |var: usize| -> String {
@@ -179,7 +178,7 @@ pub fn derive_session(
 
     let ps_vars = plan.ps_vars();
     let ar_vars = plan.ar_vars();
-    let gatherv: HashSet<usize> = plan.gatherv_vars().iter().map(|v| v.index()).collect();
+    let exchange = |var| plan.exchange(graph, config, var);
 
     // ---- Pull phase ---------------------------------------------------
     for &var in &ps_vars {
@@ -276,58 +275,38 @@ pub fn derive_session(
     if nworkers > 1 {
         for &var in &ar_vars {
             let v = var.index();
+            // Ring AllReduce: 2(N-1) steps; AllGatherv: N-1 steps under
+            // the MPI-classified tag. Every step each worker sends one
+            // chunk to ring-next under one reused tag.
+            let (kind, steps, what) = match exchange(var) {
+                Exchange::Ring => (WireKind::Collective, 2 * (nworkers as u64 - 1), "AllReduce"),
+                Exchange::Gatherv => (WireKind::Gatherv, nworkers as u64 - 1, "AllGatherv"),
+                Exchange::Push | Exchange::LocalAggPush => continue,
+            };
             for i in 0..nworkers {
                 let from = workers[i];
                 let to = workers[(i + 1) % nworkers];
-                // Ring AllReduce: 2(N-1) steps, every step each worker
-                // sends one chunk to ring-next under one reused tag.
-                let steps = 2 * (nworkers as u64 - 1);
                 let mut e = base_event(
                     Phase::Exchange,
                     from,
                     to,
-                    WireKind::Collective,
+                    kind,
                     v,
                     0,
                     steps,
-                    format!("AllReduce ring step for '{}'", name_of(v)),
+                    format!("{what} ring step for '{}'", name_of(v)),
                 );
                 e.tag_uses = steps;
                 e.deps = pull_resps.get(&from).cloned().unwrap_or_default();
                 events.push(e);
                 coll_of.entry(from).or_default().push(events.len() - 1);
-                if gatherv.contains(&v) {
-                    // The same variable rides AllGatherv when its
-                    // gradient arrives sparse (pure-AR mode): N-1 ring
-                    // steps under the MPI-classified tag.
-                    let steps = nworkers as u64 - 1;
-                    let mut e = base_event(
-                        Phase::Exchange,
-                        from,
-                        to,
-                        WireKind::Gatherv,
-                        v,
-                        0,
-                        steps,
-                        format!("AllGatherv ring step for '{}'", name_of(v)),
-                    );
-                    e.tag_uses = steps;
-                    e.deps = pull_resps.get(&from).cloned().unwrap_or_default();
-                    events.push(e);
-                    coll_of.entry(from).or_default().push(events.len() - 1);
-                }
             }
         }
     }
 
     // ---- Local aggregation --------------------------------------------
-    // Sparse variables only: dense PS gradients always push per worker
-    // so the server can replay the ring fold order.
-    if local_agg {
-        for &var in &ps_vars {
-            if !graph.is_sparse_variable(var) {
-                continue;
-            }
+    for &var in &ps_vars {
+        if exchange(var) == Exchange::LocalAggPush {
             let v = var.index();
             for m in 0..machines {
                 let lchief = topo.local_chief(m);
@@ -357,7 +336,7 @@ pub fn derive_session(
 
     // ---- Push phase ---------------------------------------------------
     // Pusher set per variable: machine chiefs for locally-aggregated
-    // (sparse) variables, every worker otherwise.
+    // variables, every worker otherwise.
     let chief_pushers: Vec<usize> = (0..machines).map(|m| topo.local_chief(m)).collect();
     for &var in &ps_vars {
         let placement = plan.plan.placement(var).map_err(CoreError::Ps)?;
@@ -367,7 +346,7 @@ pub fn derive_session(
             VarPlacement::PsSparse { .. } => ReqKind::PushSparse,
             VarPlacement::AllReduce => continue,
         };
-        let pushers: &[usize] = if local_agg && graph.is_sparse_variable(var) {
+        let pushers: &[usize] = if exchange(var) == Exchange::LocalAggPush {
             &chief_pushers
         } else {
             &workers
@@ -1115,7 +1094,7 @@ mod tests {
     use crate::sparsity::profile_from_parts;
     use crate::transform::transform;
     use parallax_dataflow::graph::{Init, Op, PhKind};
-    use parallax_dataflow::{NodeId, VariableDef};
+    use parallax_dataflow::{NodeId, VarId, VariableDef};
 
     fn model() -> (Graph, NodeId, crate::sparsity::SparsityProfile) {
         let mut g = Graph::new();
@@ -1195,7 +1174,7 @@ mod tests {
     fn async_session_has_no_sync_choreography() {
         let config = ParallaxConfig {
             synchronous: false,
-            arch: ArchChoice::PsOnly { optimized: false },
+            arch: ArchChoice::PsOnly,
             local_aggregation: false,
             ..ParallaxConfig::tf_ps_baseline()
         };
@@ -1210,6 +1189,38 @@ mod tests {
             .any(|e| e.kind == WireKind::Request(ReqKind::ChiefUpdate)));
         let report = check_session(&g, &config, &topo, &plan, &spec);
         assert!(!report.has_errors(), "{}", report.render());
+    }
+
+    #[test]
+    fn pushes_and_triggers_target_their_shards_server() {
+        // Aggregation and update run on the server hosting each shard,
+        // so every push and trigger for shard (var, part) goes to the
+        // server rank of the machine its placement names.
+        let (g, _loss, profile) = model();
+        let topo = PsTopology::uniform(4, 2).unwrap();
+        for config in [ParallaxConfig::default(), ParallaxConfig::opt_ps()] {
+            let plan = transform(&g, &profile, &config, 4, 8, 8).unwrap();
+            let spec = derive_session(&g, &config, &topo, &plan).unwrap();
+            let mut checked = 0;
+            for e in &spec.events {
+                let WireKind::Request(
+                    ReqKind::PushDense | ReqKind::PushSparse | ReqKind::ChiefUpdate,
+                ) = e.kind
+                else {
+                    continue;
+                };
+                let machine = match plan.plan.placement(VarId::from_index(e.var)).unwrap() {
+                    VarPlacement::PsSparse { servers, .. } => servers[e.part],
+                    VarPlacement::PsDense { server } => *server,
+                    VarPlacement::AllReduce => {
+                        panic!("'{}' targets an AllReduce variable", e.label)
+                    }
+                };
+                assert_eq!(e.to, topo.server_rank(machine), "{}", e.label);
+                checked += 1;
+            }
+            assert!(checked > 0);
+        }
     }
 
     #[test]

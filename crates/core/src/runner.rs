@@ -26,7 +26,7 @@ use crate::checkpoint::{self, TrainState};
 use crate::config::ParallaxConfig;
 use crate::partition::{self, SearchResult};
 use crate::sparsity::SparsityProfile;
-use crate::transform::DistributedPlan;
+use crate::transform::{DistributedPlan, Exchange};
 use crate::{CoreError, Result};
 
 /// # Examples
@@ -321,7 +321,7 @@ pub fn get_runner(
     profile: SparsityProfile,
 ) -> Result<Runner> {
     if !config.synchronous {
-        if !matches!(config.arch, crate::config::ArchChoice::PsOnly { .. }) {
+        if !matches!(config.arch, crate::config::ArchChoice::PsOnly) {
             return Err(CoreError::Config(
                 "asynchronous training requires a PS-only architecture \
                  (collectives are inherently synchronous)"
@@ -878,19 +878,14 @@ impl Runner {
                 })?;
                 let ar_vars = self.plan.ar_vars();
                 let ps_vars = self.plan.ps_vars();
-                let gatherv_vars = self.plan.gatherv_vars();
+                let exchanges: Vec<Exchange> = self
+                    .graph
+                    .var_ids()
+                    .map(|v| self.plan.exchange(&self.graph, &self.config, v))
+                    .collect();
                 let (losses, norms, compute_secs, store) = self.worker_loop(
-                    endpoint,
-                    rank,
-                    index,
-                    iterations,
-                    start_iter,
-                    restore,
-                    injector,
-                    feed_fn,
-                    &ar_vars,
-                    &ps_vars,
-                    &gatherv_vars,
+                    endpoint, rank, index, iterations, start_iter, restore, injector, feed_fn,
+                    &ar_vars, &ps_vars, &exchanges,
                 )?;
                 Ok(RoleOutput::Worker {
                     losses,
@@ -1022,7 +1017,8 @@ impl Runner {
 
     /// One worker's training loop over iterations
     /// `start_iter..iterations`, replica state seeded from `restore`
-    /// when resuming from a checkpoint.
+    /// when resuming from a checkpoint. `exchanges` holds each
+    /// variable's [`Exchange`], indexed by variable.
     #[allow(clippy::too_many_arguments)]
     fn worker_loop<F>(
         &self,
@@ -1036,7 +1032,7 @@ impl Runner {
         feed_fn: &F,
         ar_vars: &[VarId],
         ps_vars: &[VarId],
-        gatherv_vars: &[VarId],
+        exchanges: &[Exchange],
     ) -> Result<(Vec<f32>, Vec<f32>, f64, VarStore)>
     where
         F: Fn(usize, usize) -> Feed + Send + Sync,
@@ -1182,9 +1178,9 @@ impl Runner {
                 let Some(grad) = grads.remove(&var) else {
                     continue;
                 };
-                // Sparse gradients densify onto the ring unless this
-                // variable is in pure-AR AllGatherv mode (Horovod).
-                let grad = if grad.is_sparse() && !gatherv_vars.contains(&var) {
+                // A sparse gradient densifies onto the ring unless its
+                // exchange is AllGatherv (pure AR, as Horovod does).
+                let grad = if grad.is_sparse() && exchanges[var.index()] == Exchange::Ring {
                     Grad::Dense(grad.to_dense())
                 } else {
                     grad
@@ -1268,19 +1264,18 @@ impl Runner {
                         "PS variable '{name}' received no gradient; servers would stall"
                     ))
                 })?;
-                // Local aggregation is sparse-only: a dense machine
-                // pre-sum would fold in the wrong association for the
-                // ring-ordered dense accumulator, so dense PS gradients
-                // always push per worker.
-                if self.config.local_aggregation && sync && grad.is_sparse() {
-                    if let Some(agg) =
-                        locally_aggregate(endpoint, &self.topo, iter as u64, var, grad)
-                            .map_err(CoreError::Ps)?
-                    {
-                        client.push(endpoint, var, &agg).map_err(CoreError::Ps)?;
+                match (exchanges[var.index()], grad) {
+                    (Exchange::LocalAggPush, Grad::Sparse(s)) => {
+                        if let Some(agg) =
+                            locally_aggregate(endpoint, &self.topo, iter as u64, var, s)
+                                .map_err(CoreError::Ps)?
+                        {
+                            client
+                                .push(endpoint, var, &Grad::Sparse(agg))
+                                .map_err(CoreError::Ps)?;
+                        }
                     }
-                } else {
-                    client.push(endpoint, var, grad).map_err(CoreError::Ps)?;
+                    _ => client.push(endpoint, var, grad).map_err(CoreError::Ps)?,
                 }
             }
             if sync && is_global_chief {

@@ -30,7 +30,7 @@ use parallax_ps::placement::SyncDecision;
 use parallax_ps::{PsTopology, VarPlacement};
 
 use crate::config::ParallaxConfig;
-use crate::plancheck::{build_verified_plan, predict_iteration_traffic};
+use crate::plancheck::{predict_from_session, verified_plan_and_session};
 use crate::sparsity::SparsityProfile;
 use crate::strategy::{decision_label, fixed_strategies, SearchedStrategy, Strategy, StrategyPlan};
 use crate::transform::DistributedPlan;
@@ -175,8 +175,8 @@ pub fn modelled_server_cpu(
 }
 
 /// Scores one configured candidate: verified plan → static one-
-/// iteration traffic replay → calibrated iteration time. Returns the
-/// predicted seconds (and the verified plan, for reuse).
+/// iteration traffic replay over the session the verification checked →
+/// calibrated iteration time. Returns the predicted seconds.
 #[allow(clippy::too_many_arguments)]
 fn score_config(
     graph: &Graph,
@@ -190,9 +190,9 @@ fn score_config(
 ) -> Result<f64> {
     let machines = topo.num_machines();
     let partitions = config.sparse_partitions.unwrap_or(machines.max(1));
-    let plan = build_verified_plan(graph, loss, profile, config, topo, partitions)?;
+    let (plan, spec) = verified_plan_and_session(graph, loss, profile, config, topo, partitions)?;
     let (traffic, conservation) =
-        predict_iteration_traffic(graph, loss, &plan, topo, config, feeds)?;
+        predict_from_session(graph, loss, &plan, topo, config, feeds, &spec)?;
     if conservation.has_errors() {
         return Err(CoreError::Verify(conservation.render()));
     }

@@ -126,7 +126,7 @@ impl Strategy for PurePs {
     }
     fn configure(&self, base: &ParallaxConfig) -> ParallaxConfig {
         ParallaxConfig {
-            arch: ArchChoice::PsOnly { optimized: false },
+            arch: ArchChoice::PsOnly,
             placement: PlacementStrategy::RoundRobin,
             local_aggregation: false,
             sparse_partitions: Some(1),
@@ -147,7 +147,7 @@ impl Strategy for PsLoadBalanced {
     }
     fn configure(&self, base: &ParallaxConfig) -> ParallaxConfig {
         ParallaxConfig {
-            arch: ArchChoice::PsOnly { optimized: true },
+            arch: ArchChoice::PsOnly,
             placement: PlacementStrategy::Balanced,
             local_aggregation: true,
             sparse_partitions: Some(1),
@@ -170,7 +170,7 @@ impl Strategy for PsPartitioned {
     }
     fn configure(&self, base: &ParallaxConfig) -> ParallaxConfig {
         ParallaxConfig {
-            arch: ArchChoice::PsOnly { optimized: true },
+            arch: ArchChoice::PsOnly,
             placement: PlacementStrategy::Balanced,
             local_aggregation: true,
             decision_overrides: Vec::new(),

@@ -2,61 +2,39 @@
 //!
 //! Consumes a single-GPU graph, a sparsity profile and a configuration;
 //! produces a [`DistributedPlan`]: per-variable synchronization
-//! decisions, the sharding plan, and the list of synchronization
-//! operations the transformation inserts — AllReduce per dense variable
-//! (Figure 4), local aggregation / global aggregation / update per
-//! sparse shard with the aggregation and update placed on the shard's
-//! own server (Figure 5), composed per variable kind for the hybrid
-//! architecture (Figure 6). Main computation (Model/Grads) is
-//! replicated once per GPU in every architecture.
+//! decisions and the sharding plan. [`DistributedPlan::exchange`] is the
+//! one rule that says how each variable's gradient is aggregated: ring
+//! AllReduce per dense variable (Figure 4), AllGatherv for a sparse one
+//! under pure AllReduce, or a Parameter Server push, locally aggregated
+//! per machine for a sparse shard (Figure 5), composed per variable kind
+//! for the hybrid architecture (Figure 6). The runner's workers, the
+//! session machine and the traffic predictor all ask it. Aggregation and
+//! update run on each shard's own server. Main computation (Model/Grads)
+//! is replicated once per GPU in every architecture.
 
 use parallax_dataflow::{Graph, VarId};
 use parallax_ps::placement::{build_plan, SyncDecision};
-use parallax_ps::{PlacementStrategy, ShardingPlan, VarPlacement};
+use parallax_ps::ShardingPlan;
 
 use crate::config::{ArchChoice, ParallaxConfig};
 use crate::hybrid;
 use crate::sparsity::SparsityProfile;
 use crate::Result;
 
-/// One synchronization operation inserted by the transformation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyncOpDesc {
-    /// Ring AllReduce of a dense gradient across all replicas.
-    AllReduce {
-        /// The variable.
-        var: VarId,
-    },
-    /// AllGatherv of a sparse gradient across all replicas (pure-AR).
-    AllGatherv {
-        /// The variable.
-        var: VarId,
-    },
-    /// Per-machine aggregation before pushing (`LocalAggN`).
-    LocalAgg {
-        /// The variable.
-        var: VarId,
-    },
-    /// Cross-machine aggregation on a server (`GlobalAggN`), placed on
-    /// the server hosting the shard it feeds.
-    GlobalAgg {
-        /// The variable.
-        var: VarId,
-        /// The shard's partition index.
-        part: usize,
-        /// The hosting machine.
-        server: usize,
-    },
-    /// The variable-update operation (`UpdateN`), colocated with its
-    /// variable's shard.
-    Update {
-        /// The variable.
-        var: VarId,
-        /// The shard's partition index.
-        part: usize,
-        /// The hosting machine.
-        server: usize,
-    },
+/// How one variable's gradient leaves a worker each iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exchange {
+    /// Ring AllReduce across all replicas; a sparse gradient densifies
+    /// first (the hybrid alpha rule's near-dense variables).
+    Ring,
+    /// AllGatherv of the sparse gradient across all replicas (pure-AR).
+    Gatherv,
+    /// Every worker pushes its own gradient to the variable's shards.
+    Push,
+    /// The workers of each machine gather their sparse gradients to the
+    /// machine's local chief (`LocalAggN`), which pushes the coalesced
+    /// aggregate.
+    LocalAggPush,
 }
 
 /// The output of graph transformation: everything the runner needs to
@@ -69,8 +47,6 @@ pub struct DistributedPlan {
     pub plan: ShardingPlan,
     /// The sparse partition count in force.
     pub partitions: usize,
-    /// Synchronization operations inserted by the transformation.
-    pub sync_ops: Vec<SyncOpDesc>,
     /// Replicas of the main computation (one per GPU).
     pub replicas: usize,
 }
@@ -91,18 +67,6 @@ impl DistributedPlan {
             .collect()
     }
 
-    /// AllReduce variables whose sparse gradients travel as AllGatherv
-    /// (pure-AR mode); all other AR variables densify onto the ring.
-    pub fn gatherv_vars(&self) -> Vec<VarId> {
-        self.sync_ops
-            .iter()
-            .filter_map(|o| match o {
-                SyncOpDesc::AllGatherv { var } => Some(*var),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Variables synchronized through the Parameter Server.
     pub fn ps_vars(&self) -> Vec<VarId> {
         self.decisions
@@ -111,6 +75,24 @@ impl DistributedPlan {
             .filter(|(_, d)| !matches!(d, SyncDecision::AllReduce))
             .map(|(i, _)| VarId::from_index(i))
             .collect()
+    }
+
+    /// How `var`'s gradient is exchanged under `config`. A sparse
+    /// AllReduce variable rides AllGatherv only under pure AllReduce.
+    /// Local aggregation is sparse-only and synchronous: a dense machine
+    /// pre-sum would fold in the wrong association for the server's
+    /// ring-ordered accumulator, and asynchronous pushes wait for no
+    /// peer. Panics if `var` is not one of the plan's variables.
+    pub fn exchange(&self, graph: &Graph, config: &ParallaxConfig, var: VarId) -> Exchange {
+        let sparse = graph.is_sparse_variable(var);
+        match self.decisions[var.index()] {
+            SyncDecision::AllReduce if sparse && config.arch == ArchChoice::ArOnly => {
+                Exchange::Gatherv
+            }
+            SyncDecision::AllReduce => Exchange::Ring,
+            _ if sparse && config.local_aggregation && config.synchronous => Exchange::LocalAggPush,
+            _ => Exchange::Push,
+        }
     }
 }
 
@@ -127,63 +109,12 @@ pub fn transform(
     partitions: usize,
 ) -> Result<DistributedPlan> {
     let decisions = hybrid::decide(graph, profile, config, partitions)?;
-    let strategy = match config.arch {
-        ArchChoice::PsOnly { optimized: false } => PlacementStrategy::RoundRobin,
-        _ => config.placement,
-    };
-    let plan = build_plan(graph, &decisions, machines, strategy).map_err(crate::CoreError::Ps)?;
-
-    let mut sync_ops = Vec::new();
-    for (idx, decision) in decisions.iter().enumerate() {
-        let var = VarId::from_index(idx);
-        let sparse = graph.is_sparse_variable(var);
-        match decision {
-            SyncDecision::AllReduce => {
-                if sparse && matches!(config.arch, ArchChoice::ArOnly) {
-                    sync_ops.push(SyncOpDesc::AllGatherv { var });
-                } else {
-                    // Dense, or a sparse variable promoted to dense by the
-                    // hybrid alpha rule: densify and AllReduce.
-                    sync_ops.push(SyncOpDesc::AllReduce { var });
-                }
-            }
-            SyncDecision::PsDense | SyncDecision::PsSparse { .. } => {
-                // Local aggregation is sparse-only: dense gradients keep
-                // one push per worker so the server can replay the
-                // ring-AllReduce fold order (a machine pre-sum has the
-                // wrong association).
-                if config.local_aggregation && sparse {
-                    sync_ops.push(SyncOpDesc::LocalAgg { var });
-                }
-                match plan.placement(var).map_err(crate::CoreError::Ps)? {
-                    VarPlacement::PsDense { server } => {
-                        sync_ops.push(SyncOpDesc::GlobalAgg {
-                            var,
-                            part: 0,
-                            server: *server,
-                        });
-                        sync_ops.push(SyncOpDesc::Update {
-                            var,
-                            part: 0,
-                            server: *server,
-                        });
-                    }
-                    VarPlacement::PsSparse { servers, .. } => {
-                        for (part, &server) in servers.iter().enumerate() {
-                            sync_ops.push(SyncOpDesc::GlobalAgg { var, part, server });
-                            sync_ops.push(SyncOpDesc::Update { var, part, server });
-                        }
-                    }
-                    VarPlacement::AllReduce => unreachable!("decision is PS"),
-                }
-            }
-        }
-    }
+    let plan =
+        build_plan(graph, &decisions, machines, config.placement).map_err(crate::CoreError::Ps)?;
     Ok(DistributedPlan {
         decisions,
         plan,
         partitions,
-        sync_ops,
         replicas: gpus_total,
     })
 }
@@ -194,6 +125,7 @@ mod tests {
     use crate::sparsity::profile_from_parts;
     use parallax_dataflow::graph::{Init, Op, PhKind};
     use parallax_dataflow::VariableDef;
+    use parallax_ps::VarPlacement;
 
     fn sparse_model() -> (Graph, SparsityProfile) {
         let mut g = Graph::new();
@@ -216,71 +148,75 @@ mod tests {
     #[test]
     fn hybrid_transform_composes_figure6() {
         let (g, profile) = sparse_model();
-        let plan = transform(&g, &profile, &ParallaxConfig::default(), 2, 4, 4).unwrap();
+        let config = ParallaxConfig::default();
+        let plan = transform(&g, &profile, &config, 2, 4, 4).unwrap();
         assert!(plan.needs_servers());
         assert_eq!(plan.replicas, 4);
-        // Dense variable: exactly one AllReduce op, no PS ops.
-        let dense_ops: Vec<_> = plan
-            .sync_ops
-            .iter()
-            .filter(|o| match o {
-                SyncOpDesc::AllReduce { var } => var.index() == 1,
-                SyncOpDesc::GlobalAgg { var, .. } | SyncOpDesc::Update { var, .. } => {
-                    var.index() == 1
-                }
-                _ => false,
-            })
-            .collect();
-        assert_eq!(dense_ops.len(), 1);
-        assert!(matches!(dense_ops[0], SyncOpDesc::AllReduce { .. }));
-        // Sparse variable: local agg + per-partition global agg & update.
-        let parts = 4;
-        let gagg = plan
-            .sync_ops
-            .iter()
-            .filter(|o| matches!(o, SyncOpDesc::GlobalAgg { var, .. } if var.index() == 0))
-            .count();
-        assert_eq!(gagg, parts);
-        assert!(plan
-            .sync_ops
-            .iter()
-            .any(|o| matches!(o, SyncOpDesc::LocalAgg { var } if var.index() == 0)));
-    }
-
-    #[test]
-    fn global_agg_and_update_are_colocated_with_shard() {
-        let (g, profile) = sparse_model();
-        let plan = transform(&g, &profile, &ParallaxConfig::default(), 4, 8, 8).unwrap();
-        // For each (var, part), GlobalAgg and Update name the same server
-        // as the placement (smart operation placement).
-        for op in &plan.sync_ops {
-            if let SyncOpDesc::GlobalAgg { var, part, server }
-            | SyncOpDesc::Update { var, part, server } = op
-            {
-                match plan.plan.placement(*var).unwrap() {
-                    VarPlacement::PsSparse { servers, .. } => {
-                        assert_eq!(servers[*part], *server);
-                    }
-                    VarPlacement::PsDense { server: s } => assert_eq!(s, server),
-                    VarPlacement::AllReduce => panic!("PS op on AR variable"),
-                }
-            }
+        let (emb, w) = (VarId::from_index(0), VarId::from_index(1));
+        // Dense variable: ring AllReduce, no shard.
+        assert_eq!(plan.exchange(&g, &config, w), Exchange::Ring);
+        assert_eq!(*plan.plan.placement(w).unwrap(), VarPlacement::AllReduce);
+        // Sparse variable: local aggregation, then a push to each of its
+        // partitions.
+        assert_eq!(plan.exchange(&g, &config, emb), Exchange::LocalAggPush);
+        match plan.plan.placement(emb).unwrap() {
+            VarPlacement::PsSparse { servers, .. } => assert_eq!(servers.len(), 4),
+            other => panic!("unexpected placement {other:?}"),
         }
     }
 
     #[test]
-    fn pure_ar_plan_has_no_ps_ops_and_uses_allgatherv_for_sparse() {
+    fn exchange_rule_covers_every_case() {
         let (g, profile) = sparse_model();
-        let plan = transform(&g, &profile, &ParallaxConfig::horovod_baseline(), 2, 4, 4).unwrap();
+        let (emb, w) = (VarId::from_index(0), VarId::from_index(1));
+        let exchange = |config: ParallaxConfig, var: VarId| {
+            transform(&g, &profile, &config, 2, 4, 2)
+                .unwrap()
+                .exchange(&g, &config, var)
+        };
+        let hybrid = ParallaxConfig::default();
+        assert_eq!(exchange(hybrid.clone(), w), Exchange::Ring);
+        assert_eq!(exchange(hybrid.clone(), emb), Exchange::LocalAggPush);
+        // emb's alpha (0.1) reaches the threshold: it densifies onto the
+        // ring.
+        let near_dense = ParallaxConfig {
+            alpha_dense_threshold: 0.05,
+            ..hybrid.clone()
+        };
+        assert_eq!(exchange(near_dense, emb), Exchange::Ring);
+        assert_eq!(
+            exchange(ParallaxConfig::horovod_baseline(), emb),
+            Exchange::Gatherv
+        );
+        assert_eq!(
+            exchange(ParallaxConfig::horovod_baseline(), w),
+            Exchange::Ring
+        );
+        // w is PsDense under OptPS: dense gradients always push per worker.
+        assert_eq!(exchange(ParallaxConfig::opt_ps(), w), Exchange::Push);
+        let no_local_agg = ParallaxConfig {
+            local_aggregation: false,
+            ..hybrid
+        };
+        assert_eq!(exchange(no_local_agg, emb), Exchange::Push);
+        let asynchronous = ParallaxConfig {
+            synchronous: false,
+            ..ParallaxConfig::opt_ps()
+        };
+        assert_eq!(exchange(asynchronous, emb), Exchange::Push);
+    }
+
+    #[test]
+    fn pure_ar_plan_has_no_ps_vars_and_uses_allgatherv_for_sparse() {
+        let (g, profile) = sparse_model();
+        let config = ParallaxConfig::horovod_baseline();
+        let plan = transform(&g, &profile, &config, 2, 4, 4).unwrap();
         assert!(!plan.needs_servers());
-        assert!(plan
-            .sync_ops
-            .iter()
-            .any(|o| matches!(o, SyncOpDesc::AllGatherv { var } if var.index() == 0)));
-        assert!(!plan
-            .sync_ops
-            .iter()
-            .any(|o| matches!(o, SyncOpDesc::Update { .. })));
+        assert!(plan.ps_vars().is_empty());
+        assert_eq!(
+            plan.exchange(&g, &config, VarId::from_index(0)),
+            Exchange::Gatherv
+        );
     }
 
     #[test]
@@ -293,15 +229,5 @@ mod tests {
         assert!(!plan.needs_servers());
         assert_eq!(plan.ar_vars().len(), 1);
         assert!(plan.ps_vars().is_empty());
-    }
-
-    #[test]
-    fn naive_ps_uses_round_robin_even_with_balanced_config() {
-        let (g, profile) = sparse_model();
-        let mut config = ParallaxConfig::tf_ps_baseline();
-        config.placement = PlacementStrategy::Balanced; // Ignored for naive.
-        let plan = transform(&g, &profile, &config, 2, 4, 2).unwrap();
-        assert!(plan.needs_servers());
-        assert_eq!(plan.ps_vars().len(), 2);
     }
 }

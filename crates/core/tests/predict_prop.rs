@@ -12,6 +12,7 @@ use parallax_core::sparsity::estimate_profile;
 use parallax_core::{get_runner, shard_range, ArchChoice, ParallaxConfig};
 use parallax_dataflow::graph::{Init, Op, PhKind};
 use parallax_dataflow::{Feed, Graph, NodeId, VariableDef};
+use parallax_ps::PlacementStrategy;
 use parallax_tensor::DetRng;
 
 const VOCAB: usize = 24;
@@ -43,12 +44,27 @@ fn global_ids(total: usize, seed: u64) -> Vec<usize> {
     (0..total).map(|_| rng.below(VOCAB)).collect()
 }
 
-fn arch_from(selector: u8) -> ArchChoice {
+/// `config` under selector's architecture. Arm 2 is the TF-PS baseline,
+/// which places round-robin.
+fn arch_from(selector: u8, config: ParallaxConfig) -> ParallaxConfig {
     match selector % 4 {
-        0 => ArchChoice::Hybrid,
-        1 => ArchChoice::ArOnly,
-        2 => ArchChoice::PsOnly { optimized: false },
-        _ => ArchChoice::PsOnly { optimized: true },
+        0 => ParallaxConfig {
+            arch: ArchChoice::Hybrid,
+            ..config
+        },
+        1 => ParallaxConfig {
+            arch: ArchChoice::ArOnly,
+            ..config
+        },
+        2 => ParallaxConfig {
+            arch: ArchChoice::PsOnly,
+            placement: PlacementStrategy::RoundRobin,
+            ..config
+        },
+        _ => ParallaxConfig {
+            arch: ArchChoice::PsOnly,
+            ..config
+        },
     }
 }
 
@@ -76,14 +92,13 @@ proptest! {
         let workers = machines * gpus;
         let per_worker = 3usize;
         let (graph, loss) = build_model(4);
-        let config = ParallaxConfig {
+        let config = arch_from(arch_sel, ParallaxConfig {
             seed,
-            arch: arch_from(arch_sel),
             wire_format: wire_from(wire_sel),
             local_aggregation: local_agg,
             sparse_partitions: Some(partitions),
             ..ParallaxConfig::default()
-        };
+        });
         let ids = global_ids(workers * per_worker, seed);
         let feed_for = |w: usize| {
             let r = shard_range(ids.len(), workers, w);
@@ -122,9 +137,10 @@ proptest! {
 
         let report = runner.run(1, |w, _| feed_for(w)).expect("one iteration");
         let ctx = format!(
-            "{:?} wire={} x {machines}x{gpus} P={partitions} agg={local_agg} \
+            "{:?} {:?} wire={} x {machines}x{gpus} P={partitions} agg={local_agg} \
              seed={seed}",
-            arch_from(arch_sel),
+            config.arch,
+            config.placement,
             wire_from(wire_sel).name(),
         );
         prop_assert_eq!(&predicted.nccl, &report.traffic.nccl, "nccl: {}", &ctx);

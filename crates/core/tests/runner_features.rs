@@ -3,10 +3,12 @@
 //! point, and checkpointing.
 
 use parallax_cluster::ResourceSpec;
+use parallax_comm::protocheck::WireKind;
+use parallax_comm::tag::ReqKind;
 use parallax_core::sparsity::estimate_profile;
 use parallax_core::{
-    checkpoint, get_runner, get_runner_from_spec, shard_range, ArchChoice, OptimizerKind,
-    ParallaxConfig,
+    checkpoint, derive_session, get_runner, get_runner_from_spec, shard_range, ArchChoice,
+    OptimizerKind, ParallaxConfig,
 };
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::graph::{Init, Op, PhKind};
@@ -67,8 +69,6 @@ fn async_training_converges_without_barriers() {
         seed: SEED,
         learning_rate: 0.3,
         synchronous: false,
-        arch: ArchChoice::PsOnly { optimized: false },
-        local_aggregation: false,
         ..ParallaxConfig::tf_ps_baseline()
     };
     let runner = get_runner(graph.clone(), loss, vec![2, 2], config, profile).unwrap();
@@ -85,6 +85,54 @@ fn async_training_converges_without_barriers() {
     for var in graph.var_ids() {
         assert!(store.get(var).unwrap().all_finite());
     }
+}
+
+/// Asynchronous OptPS: local aggregation needs a barrier, so every
+/// worker pushes its own gradient to every shard, and the live
+/// protocol, validated against the derived session, agrees.
+#[test]
+fn async_opt_ps_pushes_per_worker_under_protocol_validation() {
+    let (graph, loss) = build_model();
+    let profile = profile_for(&graph);
+    let config = ParallaxConfig {
+        seed: SEED,
+        learning_rate: 0.3,
+        synchronous: false,
+        validate_protocol: true,
+        ..ParallaxConfig::opt_ps()
+    };
+    let runner = get_runner(graph.clone(), loss, vec![2, 2], config.clone(), profile).unwrap();
+    let topo = runner.topology();
+    let spec = derive_session(&graph, &config, topo, runner.plan()).unwrap();
+    assert!(!spec.events.iter().any(|e| e.kind == WireKind::LocalAgg));
+    let mut shards = 0;
+    for m in 0..topo.num_machines() {
+        for (var, part, _) in runner.plan().plan.shards_of_machine(m) {
+            let mut pushers: Vec<usize> = spec
+                .events
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        WireKind::Request(ReqKind::PushDense | ReqKind::PushSparse)
+                    ) && (e.to, e.var, e.part) == (topo.server_rank(m), var.index(), part)
+                })
+                .flat_map(|e| std::iter::repeat_n(e.from, e.sends as usize))
+                .collect();
+            pushers.sort_unstable();
+            assert_eq!(
+                pushers,
+                topo.worker_ranks(),
+                "var {} part {part}",
+                var.index()
+            );
+            shards += 1;
+        }
+    }
+    assert!(shards >= 2, "OptPS hosts the embedding and the dense layer");
+    let report = runner.run(10, |w, _| worker_feed(w, 4)).unwrap();
+    assert_eq!(report.losses.len(), 10);
+    assert!(report.losses.iter().all(|l| l.is_finite()));
 }
 
 #[test]
@@ -106,7 +154,6 @@ fn async_rejects_hybrid_and_allreduce_architectures() {
     let config = ParallaxConfig {
         synchronous: false,
         trace_gradients: true,
-        arch: ArchChoice::PsOnly { optimized: false },
         ..ParallaxConfig::tf_ps_baseline()
     };
     assert!(get_runner(graph, loss, vec![2, 2], config, profile).is_err());

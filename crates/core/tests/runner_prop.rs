@@ -62,12 +62,27 @@ fn global_batch(iter: usize, total: usize, seed: u64) -> (Vec<usize>, Vec<usize>
     (ids, labels)
 }
 
-fn arch_from(selector: u8) -> ArchChoice {
+/// `config` under selector's architecture. Arm 2 is the TF-PS baseline,
+/// which places round-robin.
+fn arch_from(selector: u8, config: ParallaxConfig) -> ParallaxConfig {
     match selector % 4 {
-        0 => ArchChoice::Hybrid,
-        1 => ArchChoice::ArOnly,
-        2 => ArchChoice::PsOnly { optimized: false },
-        _ => ArchChoice::PsOnly { optimized: true },
+        0 => ParallaxConfig {
+            arch: ArchChoice::Hybrid,
+            ..config
+        },
+        1 => ParallaxConfig {
+            arch: ArchChoice::ArOnly,
+            ..config
+        },
+        2 => ParallaxConfig {
+            arch: ArchChoice::PsOnly,
+            placement: PlacementStrategy::RoundRobin,
+            ..config
+        },
+        _ => ParallaxConfig {
+            arch: ArchChoice::PsOnly,
+            ..config
+        },
     }
 }
 
@@ -105,10 +120,9 @@ proptest! {
             }
         }
 
-        let config = ParallaxConfig {
+        let config = arch_from(arch_sel, ParallaxConfig {
             seed,
             learning_rate: 0.2,
-            arch: arch_from(arch_sel),
             local_aggregation: local_agg,
             sparse_partitions: Some(partitions),
             placement: if seed % 2 == 0 {
@@ -117,12 +131,13 @@ proptest! {
                 PlacementStrategy::RoundRobin
             },
             ..ParallaxConfig::default()
-        };
+        });
         let profile = {
             let (ids, labels) = global_batch(0, workers * per_worker, seed);
             let feed = Feed::new().with("ids", ids).with("labels", labels);
             estimate_profile(&graph, &[feed], seed).expect("profile")
         };
+        let (arch, placement) = (config.arch, config.placement);
         let runner = get_runner(graph.clone(), loss, vec![gpus; machines], config, profile)
             .expect("runner");
         let report = runner
@@ -138,9 +153,8 @@ proptest! {
         let div = store.max_divergence(&distributed);
         prop_assert!(
             div < 1e-4,
-            "{:?} x {machines}x{gpus} P={partitions} agg={local_agg}: \
+            "{arch:?} {placement:?} x {machines}x{gpus} P={partitions} agg={local_agg}: \
              diverged by {div}",
-            arch_from(arch_sel),
         );
     }
 }

@@ -18,7 +18,6 @@ pub mod error;
 pub mod exec;
 pub mod grad;
 pub mod graph;
-pub mod meta;
 pub mod optimizer;
 pub mod value;
 pub mod varstore;
@@ -27,7 +26,6 @@ pub mod verify;
 pub use error::DataflowError;
 pub use exec::{Activations, Session};
 pub use graph::{Graph, NodeId, Op, PhId, VarId, VariableDef};
-pub use meta::MetaGraph;
 pub use optimizer::{Optimizer, Sgd};
 pub use value::{Feed, Value};
 pub use varstore::{VarProvider, VarStore};

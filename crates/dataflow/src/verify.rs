@@ -94,10 +94,6 @@ pub enum DiagCode {
     /// wrong decision list length, placement kind, partition count or
     /// server list.
     P006,
-    /// The synchronization-op schedule is inconsistent with the plan:
-    /// missing/duplicated `GlobalAgg`/`Update`, an op on the wrong
-    /// server, or a `LocalAgg` that contradicts the configuration.
-    P007,
     /// A Parameter-Server variable with no gradient path to the loss:
     /// its servers would wait forever for pushes that never come.
     P008,
@@ -160,7 +156,6 @@ impl DiagCode {
             DiagCode::P004 => "P004",
             DiagCode::P005 => "P005",
             DiagCode::P006 => "P006",
-            DiagCode::P007 => "P007",
             DiagCode::P008 => "P008",
             DiagCode::B001 => "B001",
             DiagCode::C001 => "C001",

@@ -157,11 +157,6 @@ impl ClusterSpec {
             .checked_mul(self.machines)
     }
 
-    /// `host:port` for `rank`.
-    pub fn addr_of(&self, rank: usize) -> Option<String> {
-        self.ports.get(rank).map(|p| format!("{}:{}", self.host, p))
-    }
-
     /// All rank addresses in rank order.
     pub fn addrs(&self) -> Vec<String> {
         self.ports
@@ -451,8 +446,7 @@ mod tests {
     fn addresses_follow_rank_order() {
         let s = spec();
         assert_eq!(s.num_endpoints(), 3);
-        assert_eq!(s.addr_of(1).unwrap(), "127.0.0.1:7102");
         assert_eq!(s.addrs().len(), 3);
-        assert!(s.addr_of(9).is_none());
+        assert_eq!(s.addrs()[1], "127.0.0.1:7102");
     }
 }

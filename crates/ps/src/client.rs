@@ -431,10 +431,11 @@ pub fn split_to_partitions(
 }
 
 /// Worker-side *local aggregation* (Section 4.3): the workers of one
-/// machine combine their gradients for `var` — dense by reduction, sparse
-/// by concatenation + coalescing — so that only the machine's local chief
-/// pushes to the server, cutting worker->server traffic by the number of
-/// GPUs per machine.
+/// machine concatenate and coalesce their sparse gradients for `var`, so
+/// that only the machine's local chief pushes to the server, cutting
+/// worker->server traffic by the number of GPUs per machine. Dense
+/// gradients never come here: they push per worker so the server can
+/// replay the ring fold order.
 ///
 /// Every worker on the machine must call this; the local chief receives
 /// `Some(aggregate)` (and is responsible for the push), others get `None`.
@@ -443,27 +444,16 @@ pub fn locally_aggregate(
     topo: &PsTopology,
     iter: u64,
     var: VarId,
-    grad: &Grad,
-) -> Result<Option<Grad>> {
+    grad: &IndexedSlices,
+) -> Result<Option<IndexedSlices>> {
     let _span = span(SpanCat::Ps, "ps.local_agg");
     let machine = topo.machine_of(ep.rank())?;
     let peers = topo.workers_of(machine);
     let chief = topo.local_chief(machine);
     let tag = tag::local_agg_tag(var.index(), iter);
-    match grad {
-        Grad::Dense(t) => {
-            let summed =
-                parallax_comm::collectives::reduce_to(ep, &peers, tag, chief, t.data().to_vec())?;
-            Ok(summed.map(|data| {
-                Grad::Dense(Tensor::new(t.shape().clone(), data).expect("reduce preserves length"))
-            }))
-        }
-        Grad::Sparse(s) => {
-            let gathered =
-                parallax_comm::collectives::gather_slices_to(ep, &peers, tag, chief, s.clone())?;
-            Ok(gathered.map(|joined| Grad::Sparse(joined.coalesce())))
-        }
-    }
+    let gathered =
+        parallax_comm::collectives::gather_slices_to(ep, &peers, tag, chief, grad.clone())?;
+    Ok(gathered.map(|joined| joined.coalesce()))
 }
 
 /// A worker's complete variable-access context: local replicas for

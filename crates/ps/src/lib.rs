@@ -13,9 +13,9 @@
 //!
 //! * **NaivePS** (the TF-PS baseline): every variable lives on servers,
 //!   round-robin placement, every worker pushes its own gradients.
-//! * **OptPS**: local aggregation (one push per machine), byte-balanced
-//!   greedy placement, aggregation and update ops colocated with the
-//!   variable's server.
+//! * **OptPS**: local aggregation (one push per machine for a sparse
+//!   variable), byte-balanced greedy placement, aggregation and update
+//!   ops colocated with the variable's server.
 
 pub mod accumulator;
 pub mod client;

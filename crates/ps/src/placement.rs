@@ -6,7 +6,7 @@
 //! greedily by byte size and spreads the partitions of one variable
 //! across servers to parallelize aggregation.
 
-use parallax_dataflow::{Graph, VarId};
+use parallax_dataflow::Graph;
 
 use crate::plan::{RowPartition, ShardingPlan, VarPlacement};
 use crate::{PsError, Result};
@@ -154,33 +154,16 @@ pub fn build_plan(
 pub fn naive_ps_decisions(graph: &Graph, sparse_partitions: usize) -> Vec<SyncDecision> {
     graph
         .var_ids()
-        .map(|v| decision_for(graph, v, sparse_partitions, false))
+        .map(|v| {
+            if graph.is_sparse_variable(v) {
+                SyncDecision::PsSparse {
+                    partitions: sparse_partitions,
+                }
+            } else {
+                SyncDecision::PsDense
+            }
+        })
         .collect()
-}
-
-/// The hybrid decision vector: dense variables AllReduce, sparse on PS.
-pub fn hybrid_decisions(graph: &Graph, sparse_partitions: usize) -> Vec<SyncDecision> {
-    graph
-        .var_ids()
-        .map(|v| decision_for(graph, v, sparse_partitions, true))
-        .collect()
-}
-
-fn decision_for(
-    graph: &Graph,
-    var: VarId,
-    sparse_partitions: usize,
-    dense_via_ar: bool,
-) -> SyncDecision {
-    if graph.is_sparse_variable(var) {
-        SyncDecision::PsSparse {
-            partitions: sparse_partitions,
-        }
-    } else if dense_via_ar {
-        SyncDecision::AllReduce
-    } else {
-        SyncDecision::PsDense
-    }
 }
 
 #[cfg(test)]
@@ -212,14 +195,6 @@ mod tests {
         assert!(matches!(d[0], SyncDecision::PsSparse { partitions: 4 }));
         assert!(matches!(d[1], SyncDecision::PsDense));
         assert!(matches!(d[2], SyncDecision::PsDense));
-    }
-
-    #[test]
-    fn hybrid_sends_dense_to_allreduce() {
-        let g = graph();
-        let d = hybrid_decisions(&g, 4);
-        assert!(matches!(d[0], SyncDecision::PsSparse { .. }));
-        assert!(matches!(d[1], SyncDecision::AllReduce));
     }
 
     #[test]

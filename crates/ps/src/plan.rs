@@ -5,7 +5,7 @@
 //! it is replicated and AllReduce-synchronized, hosted whole on one
 //! server, or row-partitioned across servers.
 
-use parallax_dataflow::{Graph, VarId};
+use parallax_dataflow::VarId;
 use parallax_tensor::Tensor;
 
 use crate::{PsError, Result};
@@ -164,13 +164,6 @@ pub struct ShardingPlan {
 }
 
 impl ShardingPlan {
-    /// A plan that AllReduces every variable (pure-AR baseline).
-    pub fn all_reduce(graph: &Graph) -> Self {
-        ShardingPlan {
-            placements: vec![VarPlacement::AllReduce; graph.variables().len()],
-        }
-    }
-
     /// Builds a plan from explicit placements (must cover every variable).
     pub fn from_placements(placements: Vec<VarPlacement>) -> Self {
         ShardingPlan { placements }
@@ -293,14 +286,7 @@ mod tests {
 
     #[test]
     fn pure_ar_plan_needs_no_servers() {
-        let mut g = Graph::new();
-        g.variable(parallax_dataflow::VariableDef::new(
-            "v",
-            [2],
-            parallax_dataflow::graph::Init::Zeros,
-        ))
-        .unwrap();
-        let plan = ShardingPlan::all_reduce(&g);
+        let plan = ShardingPlan::from_placements(vec![VarPlacement::AllReduce]);
         assert!(!plan.needs_servers());
         assert!(plan.shards_of_machine(0).is_empty());
     }

@@ -81,11 +81,6 @@ impl PsTopology {
         (self.offsets[machine]..self.offsets[machine] + self.gpus_per_machine[machine]).collect()
     }
 
-    /// True when `rank` is a server endpoint.
-    pub fn is_server(&self, rank: usize) -> bool {
-        (0..self.num_machines()).any(|m| self.server_rank(m) == rank)
-    }
-
     /// The machine hosting communication rank `rank`.
     pub fn machine_of(&self, rank: usize) -> Result<usize> {
         self.comm.machine_of(rank).map_err(PsError::Comm)
@@ -135,8 +130,6 @@ mod tests {
         assert_eq!(t.worker_ranks(), vec![0, 1, 2, 4, 5, 6]);
         assert_eq!(t.server_rank(0), 3);
         assert_eq!(t.server_rank(1), 7);
-        assert!(t.is_server(3));
-        assert!(!t.is_server(2));
     }
 
     #[test]

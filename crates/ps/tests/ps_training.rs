@@ -15,7 +15,7 @@ use parallax_ps::{
     locally_aggregate, PlacementStrategy, PsClient, PsTopology, PsWorkerContext, Server,
     ServerConfig, ShardingPlan, VarPlacement,
 };
-use parallax_tensor::{DetRng, Tensor};
+use parallax_tensor::{sparse::Grad, DetRng, Tensor};
 
 const SEED: u64 = 42;
 const LR: f32 = 0.2;
@@ -154,14 +154,15 @@ fn distributed_ps(
                         // Local aggregation is sparse-only: dense gradients
                         // keep one push per worker so the server can replay
                         // the ring fold order.
-                        if local_aggregation && grad.is_sparse() {
-                            let agg =
-                                locally_aggregate(endpoint, &topo, iter as u64, var, grad).unwrap();
-                            if let Some(agg) = agg {
-                                client.push(endpoint, var, &agg).unwrap();
+                        match grad {
+                            Grad::Sparse(s) if local_aggregation => {
+                                let agg = locally_aggregate(endpoint, &topo, iter as u64, var, s)
+                                    .unwrap();
+                                if let Some(agg) = agg {
+                                    client.push(endpoint, var, &Grad::Sparse(agg)).unwrap();
+                                }
                             }
-                        } else {
-                            client.push(endpoint, var, grad).unwrap();
+                            _ => client.push(endpoint, var, grad).unwrap(),
                         }
                     }
                     if chief {
@@ -328,15 +329,16 @@ fn local_aggregation_reduces_network_traffic() {
                         } = &mut ctx;
                         for &var in &ps_vars {
                             let grad = grads.get(&var).unwrap();
-                            if local_agg && grad.is_sparse() {
-                                if let Some(agg) =
-                                    locally_aggregate(endpoint, &topo, iter as u64, var, grad)
-                                        .unwrap()
-                                {
-                                    client.push(endpoint, var, &agg).unwrap();
+                            match grad {
+                                Grad::Sparse(s) if local_agg => {
+                                    if let Some(agg) =
+                                        locally_aggregate(endpoint, &topo, iter as u64, var, s)
+                                            .unwrap()
+                                    {
+                                        client.push(endpoint, var, &Grad::Sparse(agg)).unwrap();
+                                    }
                                 }
-                            } else {
-                                client.push(endpoint, var, grad).unwrap();
+                                _ => client.push(endpoint, var, grad).unwrap(),
                             }
                         }
                         if chief {

@@ -21,15 +21,6 @@ impl DetRng {
         }
     }
 
-    /// Derives an independent child generator, e.g. one per worker replica.
-    ///
-    /// The derivation mixes the stream id so that different children never
-    /// share a sequence even for adjacent ids.
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let base: u64 = self.inner.gen();
-        DetRng::seed(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)) // Weyl constant.
-    }
-
     /// Uniform `f32` in `[0, 1)`.
     // The per-element draws of every initializer: inlined into each
     // caller's loop wherever the caller's codegen unit lands.
@@ -99,20 +90,6 @@ mod tests {
         let mut b = DetRng::seed(2);
         let same = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn forks_are_independent_and_deterministic() {
-        let mut parent1 = DetRng::seed(42);
-        let mut parent2 = DetRng::seed(42);
-        let mut c1 = parent1.fork(0);
-        let mut c2 = parent2.fork(0);
-        assert_eq!(c1.next_u64(), c2.next_u64());
-
-        let mut parent = DetRng::seed(42);
-        let mut a = parent.fork(0);
-        let mut b = parent.fork(1);
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn main() {
             seed: 5,
             learning_rate: 0.25,
             synchronous,
-            arch: ArchChoice::PsOnly { optimized: false },
+            arch: ArchChoice::PsOnly,
             local_aggregation: false,
             ..ParallaxConfig::tf_ps_baseline()
         };

@@ -111,11 +111,20 @@ timeout 600 cargo run --release -q -p parallax-bench --bin repro -- dist-check
 # repeat exactly, so a codec change cannot silently move the wire.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# The compression and serving gates write BENCH_compression.json and
+# BENCH_serving.json into their working directory. They run from a
+# temporary directory, so a gate run leaves the committed results as
+# they are (regenerate those by running `repro` from the repo root).
+cargo build --release -q -p parallax-bench --bin repro
+repro="$(cd "${CARGO_TARGET_DIR:-target}" && pwd)/release/repro"
+bench_dir="$(mktemp -d)"
+trap 'rm -rf "$bench_dir"' EXIT
+
 # Compression gate: f16/bf16 dense payloads must shrink >= 1.8x with
 # predicted==traced==measured bytes exactly equal under every wire
 # format, and the delta+varint sparse index codec must beat raw u64
 # indices at alpha <= 0.1 (exits nonzero if any gate fails).
-cargo run --release -q -p parallax-bench --bin repro -- compress
+(cd "$bench_dir" && "$repro" compress)
 
 # Serving gate: train both tiny presets with snapshot publishing, then
 # require the validated zero-copy snapshot load to finish inside its
@@ -123,6 +132,6 @@ cargo run --release -q -p parallax-bench --bin repro -- compress
 # training-graph forward pass on the snapshot weights. QPS and p50/p99
 # are reported (BENCH_serving.json) but not gated — absolute latency on
 # a shared host is noise.
-cargo run --release -q -p parallax-bench --bin repro -- serve-bench
+(cd "$bench_dir" && "$repro" serve-bench)
 
 echo "verify: OK"

@@ -4,7 +4,7 @@
 
 use parallax_repro::cluster::ClusterModel;
 use parallax_repro::core::sparsity::estimate_profile;
-use parallax_repro::core::{get_runner, ParallaxConfig};
+use parallax_repro::core::{get_runner, Exchange, ParallaxConfig};
 use parallax_repro::dataflow::Session;
 use parallax_repro::models::data::{ImageDataset, ZipfCorpus};
 use parallax_repro::models::lm::{LmConfig, LmModel};
@@ -136,8 +136,13 @@ fn nmt_hybrid_plan_splits_variables_correctly() {
         plan.ar_vars().len(),
         model.built.graph.variables().len() - 2,
     );
-    // And the hybrid uses no AllGatherv.
-    assert!(plan.gatherv_vars().is_empty());
+    // And the hybrid uses no AllGatherv: every AllReduce variable rides
+    // the ring.
+    let graph = &model.built.graph;
+    assert!(plan
+        .ar_vars()
+        .into_iter()
+        .all(|v| plan.exchange(graph, runner.config(), v) == Exchange::Ring));
 }
 
 #[test]
