@@ -162,45 +162,34 @@ fn main() {
     if all || which == "kernels" {
         parallax_bench::kernels::run("BENCH_kernels.json").expect("write BENCH_kernels.json");
     }
+    let model = || flag_value("--model").unwrap_or_else(|| "lm".to_string());
     if which == "check" {
-        let model = flag_value("--model").unwrap_or_else(|| "lm".to_string());
-        let (report, ok) = parallax_bench::check::run(&model);
-        print!("{report}");
-        if !ok {
-            std::process::exit(1);
-        }
+        finish("check", parallax_bench::check::run(&model()));
     }
     if which == "plan" {
-        let model = flag_value("--model").unwrap_or_else(|| "lm".to_string());
         let calibrate = flag_value("--calibrate");
-        let (report, ok) = parallax_bench::plan::run(&model, calibrate.as_deref(), "");
-        print!("{report}");
-        if !ok {
-            std::process::exit(1);
-        }
+        finish(
+            "plan",
+            parallax_bench::plan::run(&model(), calibrate.as_deref(), ""),
+        );
     }
     if which == "protocheck" {
-        let model = flag_value("--model").unwrap_or_else(|| "lm".to_string());
-        let (report, ok) = parallax_bench::protocheck::run(&model);
-        print!("{report}");
-        if !ok {
-            std::process::exit(1);
-        }
+        finish("protocheck", parallax_bench::protocheck::run(&model()));
     }
     if which == "trace" {
-        let model = flag_value("--model").unwrap_or_else(|| "lm".to_string());
         let iters: usize = flag_value("--iters")
             .and_then(|s| s.parse().ok())
             .unwrap_or(6);
-        let report = parallax_bench::trace::run(&model, iters, "").expect("traced run");
-        print!("{report}");
+        finish(
+            "trace",
+            parallax_bench::trace::run(&model(), iters, "").map(|report| (report, true)),
+        );
     }
     if which == "trace-overhead" {
         parallax_bench::trace::run_overhead("BENCH_trace_overhead.json")
             .expect("write BENCH_trace_overhead.json");
     }
     if which == "straggler" {
-        let model = flag_value("--model").unwrap_or_else(|| "lm".to_string());
         let machines: usize = flag_value("--machines")
             .and_then(|s| s.parse().ok())
             .unwrap_or(parallax_bench::straggler::MACHINES);
@@ -212,47 +201,23 @@ fn main() {
             .split(',')
             .filter_map(|s| s.trim().parse().ok())
             .collect();
-        match parallax_bench::straggler::run(&model, machines, &factors, iters) {
-            Ok((report, ok)) => {
-                print!("{report}");
-                if !ok {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("repro straggler: {e}");
-                std::process::exit(1);
-            }
-        }
+        finish(
+            "straggler",
+            parallax_bench::straggler::run(&model(), machines, &factors, iters),
+        );
     }
     if which == "compress" {
-        match parallax_bench::compress::run("BENCH_compression.json") {
-            Ok((report, ok)) => {
-                print!("{report}");
-                if !ok {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("repro compress: {e}");
-                std::process::exit(1);
-            }
-        }
+        finish(
+            "compress",
+            parallax_bench::compress::run("BENCH_compression.json"),
+        );
     }
     if which == "serve-bench" {
         let model = flag_value("--model");
-        match parallax_bench::serve::run(model.as_deref(), "BENCH_serving.json") {
-            Ok((report, ok)) => {
-                print!("{report}");
-                if !ok {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("repro serve-bench: {e}");
-                std::process::exit(1);
-            }
-        }
+        finish(
+            "serve-bench",
+            parallax_bench::serve::run(model.as_deref(), "BENCH_serving.json"),
+        );
     }
     if which == "chaos" {
         let only: Vec<String> = flag_value("--scenarios")
@@ -262,27 +227,29 @@ fn main() {
             .filter(|s| !s.is_empty())
             .map(str::to_string)
             .collect();
-        match parallax_bench::chaos::run(&only) {
-            Ok((report, ok)) => {
-                print!("{report}");
-                if !ok {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("repro chaos: {e}");
-                std::process::exit(1);
-            }
-        }
+        finish("chaos", parallax_bench::chaos::run(&only));
     }
     if which == "dist" {
         dist();
     }
     if which == "dist-check" {
         let exe = std::env::current_exe().expect("current_exe");
-        let (report, ok) = parallax_bench::dist::run(&exe);
-        print!("{report}");
-        if !ok {
+        finish("dist-check", Ok(parallax_bench::dist::run(&exe)));
+    }
+}
+
+/// Prints a gate's report and exits nonzero when the gate failed, or
+/// prints why it could not run (an unknown preset, say) and exits 1.
+fn finish(gate: &str, result: Result<(String, bool), String>) {
+    match result {
+        Ok((report, ok)) => {
+            print!("{report}");
+            if !ok {
+                std::process::exit(1);
+            }
+        }
+        Err(e) => {
+            eprintln!("repro {gate}: {e}");
             std::process::exit(1);
         }
     }

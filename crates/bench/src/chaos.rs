@@ -26,14 +26,12 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use parallax_core::sparsity::estimate_profile;
-use parallax_core::{get_runner, ParallaxConfig};
+use parallax_core::ParallaxConfig;
 use parallax_dataflow::VarStore;
 use parallax_fault::FaultPlan;
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
-use parallax_tensor::DetRng;
 use parallax_trace::{TraceConfig, TraceDump};
+
+use crate::job::Job;
 
 /// Topology: 2 machines x 2 GPUs. Rank layout (workers first, then one
 /// server rank per machine): workers 0,1 + server 2 on machine 0;
@@ -180,28 +178,14 @@ fn config_for(tag: &str, plan: FaultPlan) -> ParallaxConfig {
 /// Runs the lm preset under `config`, returning the total measured
 /// network bytes and the final model.
 fn run_lm(config: ParallaxConfig) -> Result<(u64, VarStore), String> {
-    let model = LmModel::build(LmConfig::tiny()).map_err(|e| e.to_string())?;
-    let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-    let profile = {
-        let feed = model.feed(&corpus, &mut DetRng::seed(42));
-        estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-    };
-    let runner = get_runner(
-        model.built.graph.clone(),
-        model.built.loss,
-        vec![GPUS; MACHINES],
-        config,
-        profile,
-    )
-    .map_err(|e| e.to_string())?;
+    let job = Job::new("lm")?;
+    let runner = job
+        .runner(vec![GPUS; MACHINES], config, 42)
+        .map_err(|e| e.to_string())?;
     let report = runner
-        .run(ITERS, |w, i| {
-            model.sharded_feed(&corpus, WORKERS, w, &mut DetRng::seed(70 + i as u64))
-        })
+        .run(ITERS, |w, i| job.feed(WORKERS, w, 70 + i as u64))
         .map_err(|e| e.to_string())?;
-    let store = report
-        .final_store(&model.built.graph)
-        .map_err(|e| e.to_string())?;
+    let store = report.final_store(job.graph()).map_err(|e| e.to_string())?;
     Ok((report.traffic.total_network_bytes(), store))
 }
 

@@ -18,18 +18,14 @@
 
 use std::fmt::Write as _;
 
-use parallax_cluster::ResourceSpec;
 use parallax_core::plancheck::predict_iteration_traffic;
 use parallax_core::runner::TrafficReport;
-use parallax_core::sparsity::{estimate_profile, SparsityProfile};
 use parallax_core::strategy::decision_label;
-use parallax_core::{check_plan, get_runner, CoreError, ParallaxConfig};
+use parallax_core::{check_plan, CoreError, ParallaxConfig, Runner};
 use parallax_dataflow::verify::{verify_graph, VerifyReport};
-use parallax_dataflow::{Feed, Graph, NodeId};
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
-use parallax_models::nmt::{NmtConfig, NmtModel};
-use parallax_tensor::DetRng;
+use parallax_dataflow::Feed;
+
+use crate::job::{Job, PROFILE_SEED};
 
 /// Machines in the checked topology (1 GPU each, matching `repro
 /// trace`, so PS shards spread across real machine boundaries).
@@ -37,76 +33,13 @@ const MACHINES: usize = 4;
 
 /// Runs every static pass plus the one-iteration traffic cross-check
 /// for `preset` (`"lm"` or `"nmt"`). Returns the printable report and
-/// whether everything passed.
-pub fn run(preset: &str) -> (String, bool) {
-    match preset {
-        "nmt" => {
-            let model = NmtModel::build(NmtConfig::tiny()).expect("model builds");
-            let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
-            let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-            let profile = {
-                let feed = model.feed(&src, &tgt, &mut DetRng::seed(100));
-                estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-            };
-            let m = &model;
-            let (src_ref, tgt_ref) = (&src, &tgt);
-            check_model(
-                "NMT (tiny)",
-                &model.built.graph,
-                model.built.loss,
-                &profile,
-                |w, i| {
-                    m.sharded_feed(
-                        src_ref,
-                        tgt_ref,
-                        MACHINES,
-                        w,
-                        &mut DetRng::seed(6000 + i as u64),
-                    )
-                },
-            )
-        }
-        _ => {
-            let model = LmModel::build(LmConfig::tiny()).expect("model builds");
-            let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-            let profile = {
-                let feed = model.feed(&corpus, &mut DetRng::seed(100));
-                estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-            };
-            let m = &model;
-            let corpus_ref = &corpus;
-            check_model(
-                "LM (tiny)",
-                &model.built.graph,
-                model.built.loss,
-                &profile,
-                |w, i| m.sharded_feed(corpus_ref, MACHINES, w, &mut DetRng::seed(5000 + i as u64)),
-            )
-        }
-    }
-}
-
-/// One line summarizing a report, plus the rendered diagnostics when
-/// there are any.
-fn report_section(out: &mut String, label: &str, report: &VerifyReport) {
-    let errors = report.errors().count();
-    let warnings = report.warnings().count();
-    let _ = writeln!(out, "{label}: {errors} error(s), {warnings} warning(s)");
-    if !report.diagnostics.is_empty() {
-        out.push_str(&report.render());
-    }
-}
-
-fn check_model<F>(
-    label: &str,
-    graph: &Graph,
-    loss: NodeId,
-    profile: &SparsityProfile,
-    feed_fn: F,
-) -> (String, bool)
-where
-    F: Fn(usize, usize) -> Feed + Send + Sync,
-{
+/// whether everything passed; an unknown preset is an error.
+pub fn run(preset: &str) -> Result<(String, bool), String> {
+    let job = Job::new(preset)?;
+    let label = job.label();
+    let graph = job.graph();
+    let loss = job.loss();
+    let feed_fn = |w: usize, i: usize| job.feed(MACHINES, w, job.feed_seed(i));
     // The measurement iteration runs with the session validator live
     // (the protocol half of `repro check`'s static-then-measure story).
     let config = ParallaxConfig {
@@ -128,51 +61,34 @@ where
 
     // Stage 2: the runner's own gate (it refuses to construct on a bad
     // plan), then the full plan report including warnings.
-    let runner = match get_runner(
-        graph.clone(),
-        loss,
-        vec![1; MACHINES],
-        config.clone(),
-        profile.clone(),
-    ) {
+    let runner = match job.runner(vec![1; MACHINES], config.clone(), PROFILE_SEED) {
         Ok(r) => r,
         Err(CoreError::Verify(rendered)) => {
             let _ = writeln!(out, "runner refused the plan:\n{rendered}");
             let _ = writeln!(out, "{label}: FAIL");
-            return (out, false);
+            return Ok((out, false));
         }
         Err(other) => {
             let _ = writeln!(out, "runner construction failed: {other}");
             let _ = writeln!(out, "{label}: FAIL");
-            return (out, false);
+            return Ok((out, false));
         }
     };
     let plan_report = check_plan(
         graph,
         Some(loss),
-        profile,
+        runner.profile(),
         &config,
         runner.topology(),
         runner.plan(),
     );
     report_section(&mut out, "plan passes", &plan_report);
     ok &= !plan_report.has_errors();
-
-    // The verified placement, as a topology listing naming the active
-    // strategy per variable.
-    let spec = ResourceSpec::uniform(MACHINES, 1).expect("uniform spec");
-    let rows: Vec<(String, String)> = graph
-        .variables()
-        .iter()
-        .zip(&runner.plan().decisions)
-        .map(|(def, d)| (def.name.clone(), decision_label(d)))
-        .collect();
-    out.push_str(&spec.topology_listing(&rows));
+    out.push_str(&topology_listing(graph, &runner));
 
     // Stage 3: static traffic prediction + conservation crosscheck,
     // validated against one executed iteration on the same feeds.
-    let workers = MACHINES;
-    let feeds: Vec<Feed> = (0..workers).map(|w| feed_fn(w, 0)).collect();
+    let feeds: Vec<Feed> = (0..MACHINES).map(|w| feed_fn(w, 0)).collect();
     let (predicted, conservation) = match predict_iteration_traffic(
         graph,
         loss,
@@ -185,7 +101,7 @@ where
         Err(e) => {
             let _ = writeln!(out, "traffic prediction failed: {e}");
             let _ = writeln!(out, "{label}: FAIL");
-            return (out, false);
+            return Ok((out, false));
         }
     };
     report_section(&mut out, "byte conservation", &conservation);
@@ -204,7 +120,49 @@ where
 
     let _ = writeln!(out, "{label}: {}", if ok { "PASS" } else { "FAIL" });
     out.push('\n');
-    (out, ok)
+    Ok((out, ok))
+}
+
+/// One line summarizing a report, plus the rendered diagnostics when
+/// there are any.
+fn report_section(out: &mut String, label: &str, report: &VerifyReport) {
+    let errors = report.errors().count();
+    let warnings = report.warnings().count();
+    let _ = writeln!(out, "{label}: {errors} error(s), {warnings} warning(s)");
+    if !report.diagnostics.is_empty() {
+        out.push_str(&report.render());
+    }
+}
+
+/// The verified placement: the runner's machines and their GPUs, then
+/// each variable with the strategy active for it.
+fn topology_listing(graph: &parallax_dataflow::Graph, runner: &Runner) -> String {
+    let gpus = runner.topology().gpus_per_machine();
+    let mut out = format!(
+        "topology: {} machine(s), {} GPU(s)\n",
+        gpus.len(),
+        gpus.iter().sum::<usize>()
+    );
+    for (m, &n) in gpus.iter().enumerate() {
+        let ids: Vec<String> = (0..n).map(|g| g.to_string()).collect();
+        let _ = writeln!(out, "  worker-{m}: gpus [{}]", ids.join(","));
+    }
+    let names: Vec<&str> = graph
+        .variables()
+        .iter()
+        .map(|def| def.name.as_str())
+        .collect();
+    let width = names
+        .iter()
+        .map(|n| n.len())
+        .max()
+        .unwrap_or(0)
+        .max("variable".len());
+    let _ = writeln!(out, "  {:<width$}  strategy", "variable");
+    for (name, d) in names.iter().zip(&runner.plan().decisions) {
+        let _ = writeln!(out, "  {name:<width$}  {}", decision_label(d));
+    }
+    out
 }
 
 /// Prints predicted vs measured per-class traffic; true when every class
@@ -256,7 +214,7 @@ mod tests {
 
     #[test]
     fn lm_preset_passes_every_stage() {
-        let (report, ok) = run("lm");
+        let (report, ok) = run("lm").unwrap();
         assert!(ok, "report:\n{report}");
         assert!(report.contains("LM (tiny): PASS"), "report:\n{report}");
         assert!(report.contains("graph passes: 0 error(s)"), "{report}");
@@ -274,8 +232,17 @@ mod tests {
 
     #[test]
     fn nmt_preset_passes_every_stage() {
-        let (report, ok) = run("nmt");
+        let (report, ok) = run("nmt").unwrap();
         assert!(ok, "report:\n{report}");
         assert!(report.contains("NMT (tiny): PASS"), "report:\n{report}");
+    }
+
+    #[test]
+    fn unknown_preset_fails_closed() {
+        // A misspelt preset must not fall through to the lm check.
+        let Err(e) = run("lmm") else {
+            panic!("an unknown preset ran a check")
+        };
+        assert_eq!(e, "unknown preset 'lmm' (expected lm or nmt)");
     }
 }

@@ -20,11 +20,10 @@ use std::fmt::Write as _;
 
 use parallax_comm::{wire, WireFormat};
 use parallax_core::plancheck::predict_iteration_traffic;
-use parallax_core::sparsity::estimate_profile;
-use parallax_core::{get_runner, ParallaxConfig};
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
+use parallax_core::ParallaxConfig;
 use parallax_tensor::DetRng;
+
+use crate::job::{Job, PROFILE_SEED};
 
 /// Machines in the executed topology (1 GPU each, matching `repro
 /// check`, so ring hops cross real machine boundaries).
@@ -74,34 +73,19 @@ impl IndexRow {
 
 /// Runs one LM iteration under `format`, returning the measurement row
 /// or an error string.
-fn measure_wire(format: WireFormat) -> Result<WireRow, String> {
-    let model = LmModel::build(LmConfig::tiny()).map_err(|e| e.to_string())?;
-    let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-    let profile = {
-        let feed = model.feed(&corpus, &mut DetRng::seed(100));
-        estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-    };
+fn measure_wire(job: &Job, format: WireFormat) -> Result<WireRow, String> {
     let config = ParallaxConfig {
         wire_format: format,
         ..ParallaxConfig::horovod_baseline()
     };
-    let runner = get_runner(
-        model.built.graph.clone(),
-        model.built.loss,
-        vec![1; MACHINES],
-        config.clone(),
-        profile,
-    )
-    .map_err(|e| e.to_string())?;
-    let m = &model;
-    let corpus_ref = &corpus;
-    let feed_fn = |w: usize, i: usize| {
-        m.sharded_feed(corpus_ref, MACHINES, w, &mut DetRng::seed(5000 + i as u64))
-    };
+    let runner = job
+        .runner(vec![1; MACHINES], config.clone(), PROFILE_SEED)
+        .map_err(|e| e.to_string())?;
+    let feed_fn = |w: usize, i: usize| job.feed(MACHINES, w, job.feed_seed(i));
     let feeds: Vec<_> = (0..MACHINES).map(|w| feed_fn(w, 0)).collect();
     let (predicted, conservation) = predict_iteration_traffic(
-        &model.built.graph,
-        model.built.loss,
+        job.graph(),
+        job.loss(),
         runner.plan(),
         runner.topology(),
         &config,
@@ -206,9 +190,10 @@ pub fn to_json(wires: &[WireRow], indices: &[IndexRow]) -> String {
 
 /// The executed wire sweep: one row per [`WireFormat`], f32 first.
 fn measure_wires() -> Result<Vec<WireRow>, String> {
+    let job = Job::new("lm")?;
     [WireFormat::F32, WireFormat::F16, WireFormat::Bf16]
         .into_iter()
-        .map(measure_wire)
+        .map(|format| measure_wire(&job, format))
         .collect()
 }
 

@@ -36,26 +36,22 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parallax_comm::protocheck::SessionValidator;
 use parallax_comm::{CommError, Endpoint, PeerHealth, TrafficSnapshot, TrafficStats, WireFormat};
 use parallax_core::plancheck::predict_iteration_traffic;
 use parallax_core::runner::TrafficReport;
 use parallax_core::snapshot::{self, Snapshot};
-use parallax_core::sparsity::estimate_profile;
 use parallax_core::{
-    derive_session, get_runner, mean_worker_losses, ParallaxConfig, RestorePoint, RoleAssignment,
-    RoleOutput, Runner,
+    mean_worker_losses, ParallaxConfig, RestorePoint, RoleAssignment, RoleOutput, Runner,
 };
-use parallax_dataflow::{Feed, Graph, NodeId, VarId, VarStore};
+use parallax_dataflow::{Feed, VarId, VarStore};
 use parallax_fault::{FaultInjector, FaultPlan};
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
-use parallax_models::nmt::{NmtConfig, NmtModel};
 use parallax_net::{
     free_local_ports, ClusterSpec, Fleet, FleetOutcome, Role, TcpConfig, TcpTransport,
 };
-use parallax_tensor::{DetRng, Tensor};
+use parallax_tensor::Tensor;
 use parallax_trace::TraceConfig;
+
+use crate::job::{Job, PROFILE_SEED};
 
 /// Wall budget for one process generation of a test topology. Mesh
 /// establishment plus a handful of tiny-preset iterations finishes in
@@ -88,148 +84,71 @@ impl From<String> for RoleFailure {
     }
 }
 
-/// A spec-selected model preset plus its corpora.
-enum Preset {
-    Lm {
-        model: LmModel,
-        corpus: ZipfCorpus,
-    },
-    Nmt {
-        model: NmtModel,
-        src: ZipfCorpus,
-        tgt: ZipfCorpus,
-    },
+/// The config a spec describes: seed, wire format, fault plan,
+/// persistence files, receive deadline, recovery budget and validator
+/// switch over the defaults.
+fn spec_config(spec: &ClusterSpec) -> Result<ParallaxConfig, String> {
+    let wire_format = if spec.wire_format.is_empty() {
+        WireFormat::F32
+    } else {
+        WireFormat::parse(&spec.wire_format)
+            .ok_or_else(|| format!("unknown wire format '{}'", spec.wire_format))?
+    };
+    let fault_plan = if spec.fault_spec.is_empty() {
+        FaultPlan::new()
+    } else {
+        FaultPlan::parse_spec(&spec.fault_spec).map_err(|e| e.to_string())?
+    };
+    let artifact_dir = PathBuf::from(&spec.artifact_dir);
+    let file_path = |name: &str| {
+        if name.is_empty() {
+            None
+        } else {
+            Some(artifact_dir.join(name))
+        }
+    };
+    let checkpoint_path = file_path(&spec.checkpoint);
+    let snapshot_path = file_path(&spec.snapshot);
+    let persists = checkpoint_path.is_some() || snapshot_path.is_some();
+    Ok(ParallaxConfig {
+        seed: spec.seed,
+        wire_format,
+        fault_plan,
+        checkpoint_path,
+        snapshot_path,
+        checkpoint_interval: if persists {
+            spec.checkpoint_interval
+        } else {
+            0
+        },
+        recv_deadline: (spec.recv_deadline_ms > 0)
+            .then(|| Duration::from_millis(spec.recv_deadline_ms)),
+        max_recoveries: spec.max_recoveries,
+        validate_protocol: spec.validate_protocol,
+        ..ParallaxConfig::default()
+    })
 }
 
-/// Everything one process (or the in-process reference) needs to run a
-/// spec's job: the built model and the configured [`Runner`]. Every
-/// process builds this from the same spec and — planning being
-/// deterministic — derives the identical plan.
-pub struct DistJob {
-    preset: Preset,
-    /// The configured runner (plan verified at construction).
-    pub runner: Runner,
+/// The job a spec names and its configured [`Runner`] (plan verified at
+/// construction). Every process builds these from the same spec and,
+/// planning being deterministic, derives the identical plan.
+pub fn build(spec: &ClusterSpec) -> Result<(Job, Runner), String> {
+    let config = spec_config(spec)?;
+    let job = Job::new(&spec.preset)?;
+    let runner = job
+        .runner(
+            vec![spec.gpus_per_machine; spec.machines],
+            config,
+            PROFILE_SEED,
+        )
+        .map_err(|e| e.to_string())?;
+    Ok((job, runner))
 }
 
-impl DistJob {
-    /// Builds the job a spec describes: model, sparsity profile,
-    /// config, verified plan.
-    pub fn build(spec: &ClusterSpec) -> Result<DistJob, String> {
-        let wire_format = if spec.wire_format.is_empty() {
-            WireFormat::F32
-        } else {
-            WireFormat::parse(&spec.wire_format)
-                .ok_or_else(|| format!("unknown wire format '{}'", spec.wire_format))?
-        };
-        let fault_plan = if spec.fault_spec.is_empty() {
-            FaultPlan::new()
-        } else {
-            FaultPlan::parse_spec(&spec.fault_spec).map_err(|e| e.to_string())?
-        };
-        let artifact_dir = PathBuf::from(&spec.artifact_dir);
-        let file_path = |name: &str| {
-            if name.is_empty() {
-                None
-            } else {
-                Some(artifact_dir.join(name))
-            }
-        };
-        let checkpoint_path = file_path(&spec.checkpoint);
-        let snapshot_path = file_path(&spec.snapshot);
-        let persists = checkpoint_path.is_some() || snapshot_path.is_some();
-        let config = ParallaxConfig {
-            seed: spec.seed,
-            wire_format,
-            fault_plan,
-            checkpoint_path,
-            snapshot_path,
-            checkpoint_interval: if persists {
-                spec.checkpoint_interval
-            } else {
-                0
-            },
-            recv_deadline: (spec.recv_deadline_ms > 0)
-                .then(|| Duration::from_millis(spec.recv_deadline_ms)),
-            max_recoveries: spec.max_recoveries,
-            validate_protocol: spec.validate_protocol,
-            ..ParallaxConfig::default()
-        };
-        let gpus = vec![spec.gpus_per_machine; spec.machines];
-        match spec.preset.as_str() {
-            "nmt" => {
-                let model = NmtModel::build(NmtConfig::tiny()).map_err(|e| e.to_string())?;
-                let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
-                let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-                let profile = {
-                    let feed = model.feed(&src, &tgt, &mut DetRng::seed(100));
-                    estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-                };
-                let runner = get_runner(
-                    model.built.graph.clone(),
-                    model.built.loss,
-                    gpus,
-                    config,
-                    profile,
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(DistJob {
-                    preset: Preset::Nmt { model, src, tgt },
-                    runner,
-                })
-            }
-            "lm" => {
-                let model = LmModel::build(LmConfig::tiny()).map_err(|e| e.to_string())?;
-                let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-                let profile = {
-                    let feed = model.feed(&corpus, &mut DetRng::seed(100));
-                    estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-                };
-                let runner = get_runner(
-                    model.built.graph.clone(),
-                    model.built.loss,
-                    gpus,
-                    config,
-                    profile,
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(DistJob {
-                    preset: Preset::Lm { model, corpus },
-                    runner,
-                })
-            }
-            other => Err(format!("unknown preset '{other}' (known: lm, nmt)")),
-        }
-    }
-
-    /// The single-GPU graph the job trains.
-    pub fn graph(&self) -> &Graph {
-        match &self.preset {
-            Preset::Lm { model, .. } => &model.built.graph,
-            Preset::Nmt { model, .. } => &model.built.graph,
-        }
-    }
-
-    /// The loss node.
-    pub fn loss(&self) -> NodeId {
-        match &self.preset {
-            Preset::Lm { model, .. } => model.built.loss,
-            Preset::Nmt { model, .. } => model.built.loss,
-        }
-    }
-
-    /// Worker `w`'s mini-batch for iteration `i` — the deterministic
-    /// feed both execution modes share (seeds match `repro check`'s).
-    pub fn feed(&self, w: usize, i: usize) -> Feed {
-        let workers = self.runner.topology().num_workers();
-        match &self.preset {
-            Preset::Lm { model, corpus } => {
-                model.sharded_feed(corpus, workers, w, &mut DetRng::seed(5000 + i as u64))
-            }
-            Preset::Nmt { model, src, tgt } => {
-                model.sharded_feed(src, tgt, workers, w, &mut DetRng::seed(6000 + i as u64))
-            }
-        }
-    }
+/// Worker `w`'s mini-batch for iteration `i` on `runner`'s topology:
+/// the deterministic feed both execution modes share.
+pub fn feed(job: &Job, runner: &Runner, w: usize, i: usize) -> Feed {
+    job.feed(runner.topology().num_workers(), w, job.feed_seed(i))
 }
 
 // ---------------------------------------------------------------------------
@@ -458,8 +377,7 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), RoleFailure> {
         )
         .into());
     }
-    let job = DistJob::build(&spec)?;
-    let runner = &job.runner;
+    let (job, runner) = build(&spec)?;
     let topo = runner.topology();
 
     // Satellite: non-chief roles keep persistence paths (the protocol
@@ -541,14 +459,9 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), RoleFailure> {
         Some(Arc::clone(&injector)),
     )
     .map_err(|e| e.to_string())?;
-    if let Some(d) = runner.config().recv_deadline {
-        endpoint.set_recv_deadline(d);
-    }
-    if cfg!(debug_assertions) || runner.config().validate_protocol {
-        let session = derive_session(job.graph(), runner.config(), topo, runner.plan())
-            .map_err(|e| e.to_string())?;
-        endpoint.set_validator(SessionValidator::from_spec(&session));
-    }
+    runner
+        .arm_endpoints(std::slice::from_mut(&mut endpoint))
+        .map_err(|e| e.to_string())?;
 
     parallax_trace::configure(TraceConfig::on());
     parallax_trace::reset();
@@ -559,7 +472,7 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), RoleFailure> {
         start_iter,
         restore.as_ref(),
         &injector,
-        &|w, i| job.feed(w, i),
+        &|w, i| feed(&job, &runner, w, i),
     );
     parallax_trace::disable();
     let dump = parallax_trace::drain();
@@ -592,7 +505,7 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), RoleFailure> {
                     .collect()
             }),
             shards: Vec::new(),
-            traffic: class_report(&traffic),
+            traffic: TrafficReport::from_stats(&traffic),
         },
         RoleOutput::Server { shards } => RoleArtifact {
             role,
@@ -606,22 +519,10 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), RoleFailure> {
                 .into_iter()
                 .map(|((var, part), t)| ((var.index() as u64, part as u64), t))
                 .collect(),
-            traffic: class_report(&traffic),
+            traffic: TrafficReport::from_stats(&traffic),
         },
     };
     Ok(artifact.write(&artifact_dir.join(artifact_name(role)))?)
-}
-
-/// Snapshots a process's accumulator into a per-class report.
-fn class_report(traffic: &TrafficStats) -> TrafficReport {
-    use parallax_comm::TrafficClass;
-    TrafficReport {
-        nccl: traffic.class_snapshot(TrafficClass::Nccl),
-        mpi: traffic.class_snapshot(TrafficClass::Mpi),
-        ps: traffic.class_snapshot(TrafficClass::Ps),
-        local_agg: traffic.class_snapshot(TrafficClass::LocalAgg),
-        other: traffic.class_snapshot(TrafficClass::Default),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -676,7 +577,7 @@ pub fn launch(
     let artifact_dir = PathBuf::from(&spec.artifact_dir);
     std::fs::create_dir_all(&artifact_dir)
         .map_err(|e| format!("create {}: {e}", artifact_dir.display()))?;
-    let job = DistJob::build(spec)?;
+    let (job, runner) = build(spec)?;
     let roles = roles_of(spec);
     let mut failed_roles = Vec::new();
     loop {
@@ -707,7 +608,7 @@ pub fn launch(
             .collect();
         let mut fleet = Fleet::spawn(cmds).map_err(|e| format!("spawn fleet: {e}"))?;
         match fleet.wait_all(deadline) {
-            FleetOutcome::AllOk => return merge(&job, spec, failed_roles),
+            FleetOutcome::AllOk => return merge(&job, &runner, spec, failed_roles),
             FleetOutcome::Failed { label, code } => {
                 if spec.checkpoint.is_empty() || generation >= spec.max_recoveries {
                     return Err(format!(
@@ -735,7 +636,8 @@ pub fn launch(
 /// Reads every role artifact of the successful generation and folds
 /// them exactly the way `run_attempt`'s thread scope does.
 fn merge(
-    job: &DistJob,
+    job: &Job,
+    runner: &Runner,
     spec: &ClusterSpec,
     failed_roles: Vec<(String, Option<i32>)>,
 ) -> Result<MergedRun, String> {
@@ -782,8 +684,7 @@ fn merge(
             })
         })
         .collect();
-    let final_model = job
-        .runner
+    let final_model = runner
         .stitch_final_model(&chief, shard_values)
         .map_err(|e| e.to_string())?;
 
@@ -874,25 +775,24 @@ fn check_preset(out: &mut String, program: &Path, mut spec: ClusterSpec) -> Resu
     let _ = writeln!(out, "-- dist-check: {label} --");
 
     // In-process reference from the very same spec-derived job.
-    let job = DistJob::build(&spec)?;
-    let reference = job
-        .runner
-        .run(spec.iterations, |w, i| job.feed(w, i))
+    let (job, runner) = build(&spec)?;
+    let reference = runner
+        .run(spec.iterations, |w, i| feed(&job, &runner, w, i))
         .map_err(|e| e.to_string())?;
 
     // Static prediction, summed per iteration (feeds are
     // iteration-dependent, so each iteration is predicted on its own
     // feeds and the per-class ledgers accumulate).
-    let workers = job.runner.topology().num_workers();
+    let workers = runner.topology().num_workers();
     let mut predicted = TrafficReport::default();
     for i in 0..spec.iterations {
-        let feeds: Vec<Feed> = (0..workers).map(|w| job.feed(w, i)).collect();
+        let feeds: Vec<Feed> = (0..workers).map(|w| feed(&job, &runner, w, i)).collect();
         let (p, conservation) = predict_iteration_traffic(
             job.graph(),
             job.loss(),
-            job.runner.plan(),
-            job.runner.topology(),
-            job.runner.config(),
+            runner.plan(),
+            runner.topology(),
+            runner.config(),
             &feeds,
         )
         .map_err(|e| e.to_string())?;
@@ -1108,26 +1008,22 @@ mod tests {
     fn dist_job_builds_for_both_presets() {
         for (preset, machines, gpus) in [("lm", 1, 2), ("nmt", 2, 1)] {
             let spec = check_spec(preset, machines, gpus, "f32");
-            let job = DistJob::build(&spec).unwrap_or_else(|e| panic!("{preset}: {e}"));
-            assert_eq!(job.runner.topology().num_workers(), machines * gpus);
-            // Feeds exist for every worker and shard-select the batch.
-            let a = job.feed(0, 1);
-            let b = job.feed(1, 1);
-            assert!(!a.is_empty());
-            assert_eq!(a.len(), b.len());
+            let (job, runner) = build(&spec).unwrap_or_else(|e| panic!("{preset}: {e}"));
+            assert_eq!(job.name(), preset);
+            assert_eq!(runner.topology().num_workers(), machines * gpus);
         }
     }
 
     #[test]
     fn unknown_preset_and_wire_are_typed_errors() {
         let mut spec = check_spec("tabular", 1, 1, "f32");
-        let Err(e) = DistJob::build(&spec) else {
+        let Err(e) = build(&spec) else {
             panic!("bogus preset accepted")
         };
         assert!(e.contains("unknown preset"));
         spec.preset = "lm".into();
         spec.wire_format = "f8".into();
-        let Err(e) = DistJob::build(&spec) else {
+        let Err(e) = build(&spec) else {
             panic!("bogus wire format accepted")
         };
         assert!(e.contains("unknown wire format"));

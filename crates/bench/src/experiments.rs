@@ -7,12 +7,11 @@ use parallax_core::sparsity::estimate_profile;
 use parallax_core::{get_runner, ParallaxConfig};
 use parallax_dataflow::graph::{Init, Op, PhKind};
 use parallax_dataflow::{Feed, Graph, VariableDef};
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
 use parallax_models::metrics;
-use parallax_models::nmt::{NmtConfig, NmtModel};
 use parallax_models::presets;
 use parallax_tensor::DetRng;
+
+use crate::job::{Job, PROFILE_SEED};
 
 /// The paper's testbed shape.
 pub const MACHINES: usize = 8;
@@ -564,75 +563,22 @@ impl ConvergenceResult {
 pub fn fig7(iters: usize) -> Vec<ConvergenceResult> {
     let mut results = Vec::new();
 
-    // LM: perplexity over sampled-softmax candidates.
-    {
-        let model = LmModel::build(LmConfig::tiny()).expect("model builds");
-        let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-        let profile = {
-            let feed = model.feed(&corpus, &mut DetRng::seed(100));
-            estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-        };
-        let runner = get_runner(
-            model.built.graph.clone(),
-            model.built.loss,
-            vec![2, 2],
-            ParallaxConfig {
-                learning_rate: 0.5,
-                ..ParallaxConfig::default()
-            },
-            profile,
-        )
-        .expect("runner");
-        let m = &model;
-        let corpus_ref = &corpus;
+    // LM and NMT: perplexity over sampled-softmax candidates; NMT adds
+    // a final greedy BLEU.
+    for (preset, name, spec) in [("lm", "LM", presets::lm()), ("nmt", "NMT", presets::nmt())] {
+        let job = Job::new(preset).expect("model builds");
+        let runner = job
+            .runner(
+                vec![2, 2],
+                ParallaxConfig {
+                    learning_rate: 0.5,
+                    ..ParallaxConfig::default()
+                },
+                PROFILE_SEED,
+            )
+            .expect("runner");
         let report = runner
-            .run(iters, move |w, i| {
-                m.sharded_feed(corpus_ref, 4, w, &mut DetRng::seed(5000 + i as u64))
-            })
-            .expect("training runs");
-        let curve: Vec<f32> = report
-            .losses
-            .iter()
-            .map(|&l| metrics::perplexity(l))
-            .collect();
-        let spec = presets::lm();
-        let target = curve.last().copied().unwrap_or(1.0) * 1.1;
-        results.push(ConvergenceResult {
-            model: "LM".into(),
-            metric: "perplexity",
-            iteration_time: iteration_times(&spec),
-            target,
-            curve,
-            final_bleu: None,
-        });
-    }
-
-    // NMT: perplexity plus a final greedy BLEU.
-    {
-        let model = NmtModel::build(NmtConfig::tiny()).expect("model builds");
-        let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
-        let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-        let profile = {
-            let feed = model.feed(&src, &tgt, &mut DetRng::seed(100));
-            estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-        };
-        let runner = get_runner(
-            model.built.graph.clone(),
-            model.built.loss,
-            vec![2, 2],
-            ParallaxConfig {
-                learning_rate: 0.5,
-                ..ParallaxConfig::default()
-            },
-            profile,
-        )
-        .expect("runner");
-        let m = &model;
-        let (src_ref, tgt_ref) = (&src, &tgt);
-        let report = runner
-            .run(iters, move |w, i| {
-                m.sharded_feed(src_ref, tgt_ref, 4, w, &mut DetRng::seed(6000 + i as u64))
-            })
+            .run(iters, |w, i| job.feed(4, w, job.feed_seed(i)))
             .expect("training runs");
         let curve: Vec<f32> = report
             .losses
@@ -641,28 +587,30 @@ pub fn fig7(iters: usize) -> Vec<ConvergenceResult> {
             .collect();
 
         // Greedy predictions of the final model vs the reference labels.
-        let final_bleu = {
-            use parallax_dataflow::Session;
-            let mut store = report.final_store(&model.built.graph).expect("final model");
-            let feed = model.feed(&src, &tgt, &mut DetRng::seed(9999));
-            let acts = Session::new(&model.built.graph)
-                .forward(&feed, &mut store)
-                .expect("eval forward");
-            let logits = acts.tensor(model.built.logits).expect("logits");
-            let preds = logits.argmax_rows().expect("argmax");
-            let t_last = model.config.length - 1;
-            let refs: Vec<usize> = feed
-                .get(&format!("labels_{t_last}"))
-                .expect("labels fed")
-                .as_ids("bleu refs")
-                .expect("ids")
-                .to_vec();
-            Some(metrics::bleu(&[preds], &[refs], 1))
+        let final_bleu = match &job {
+            Job::Lm { .. } => None,
+            Job::Nmt { model, src, tgt } => {
+                use parallax_dataflow::Session;
+                let mut store = report.final_store(job.graph()).expect("final model");
+                let feed = model.feed(src, tgt, &mut DetRng::seed(9999));
+                let acts = Session::new(job.graph())
+                    .forward(&feed, &mut store)
+                    .expect("eval forward");
+                let logits = acts.tensor(job.built().logits).expect("logits");
+                let preds = logits.argmax_rows().expect("argmax");
+                let t_last = model.config.length - 1;
+                let refs: Vec<usize> = feed
+                    .get(&format!("labels_{t_last}"))
+                    .expect("labels fed")
+                    .as_ids("bleu refs")
+                    .expect("ids")
+                    .to_vec();
+                Some(metrics::bleu(&[preds], &[refs], 1))
+            }
         };
-        let spec = presets::nmt();
         let target = curve.last().copied().unwrap_or(1.0) * 1.1;
         results.push(ConvergenceResult {
-            model: "NMT".into(),
+            model: name.into(),
             metric: "perplexity",
             iteration_time: iteration_times(&spec),
             target,
@@ -783,32 +731,19 @@ pub fn traffic_matrices() -> Vec<(Framework, Vec<Vec<u64>>, f64)> {
     let machines = 4usize;
     let gpus = 1usize;
     let iters = 3usize;
-    let model = LmModel::build(LmConfig::tiny()).expect("model builds");
-    let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-    let profile = {
-        let feed = model.feed(&corpus, &mut DetRng::seed(100));
-        estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-    };
+    let job = Job::new("lm").expect("model builds");
     [Framework::TfPs, Framework::Horovod, Framework::Parallax]
         .into_iter()
         .map(|fw| {
-            let runner = get_runner(
-                model.built.graph.clone(),
-                model.built.loss,
-                vec![gpus; machines],
-                ParallaxConfig {
-                    seed: 3,
-                    ..fw.config()
-                },
-                profile.clone(),
-            )
-            .expect("runner");
-            let m = &model;
-            let c = &corpus;
+            let config = ParallaxConfig {
+                seed: 3,
+                ..fw.config()
+            };
+            let runner = job
+                .runner(vec![gpus; machines], config, PROFILE_SEED)
+                .expect("runner");
             let report = runner
-                .run(iters, move |w, i| {
-                    m.sharded_feed(c, machines * gpus, w, &mut DetRng::seed(800 + i as u64))
-                })
+                .run(iters, |w, i| job.feed(machines * gpus, w, 800 + i as u64))
                 .expect("training");
             let mut matrix = vec![vec![0u64; machines]; machines];
             let mut add = |snap: &parallax_comm::TrafficSnapshot| {

@@ -20,12 +20,10 @@ use parallax_cluster::{CalibrationProfile, ClusterModel};
 use parallax_core::sparsity::{estimate_profile, SparsityProfile};
 use parallax_core::strategy::decision_label;
 use parallax_core::{plan_search, ParallaxConfig};
-use parallax_dataflow::{Feed, Graph, NodeId};
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
-use parallax_models::nmt::{NmtConfig, NmtModel};
+use parallax_dataflow::Feed;
 use parallax_ps::PsTopology;
-use parallax_tensor::DetRng;
+
+use crate::job::Job;
 
 /// Machines in the planned topology (1 GPU each, matching `repro
 /// check` and `repro trace`).
@@ -34,54 +32,29 @@ const MACHINES: usize = 4;
 /// Runs the strategy search for `preset` (`"lm"` or `"nmt"`), writing
 /// the search report to `PLAN_<preset>.json` under `out_dir`. Returns
 /// the printable report and whether the searched plan beat (or tied)
-/// every fixed strategy.
-pub fn run(preset: &str, calibrate: Option<&str>, out_dir: &str) -> (String, bool) {
+/// every fixed strategy; an unknown preset is an error and writes
+/// nothing.
+pub fn run(preset: &str, calibrate: Option<&str>, out_dir: &str) -> Result<(String, bool), String> {
+    let job = Job::new(preset)?;
     let calibration = match calibrate {
         Some(path) => match load_calibration(path) {
             Ok(cal) => Some(cal),
-            Err(e) => return (format!("repro plan: {e}\n"), false),
+            Err(e) => return Ok((format!("repro plan: {e}\n"), false)),
         },
         None => None,
     };
-    match preset {
-        "nmt" => {
-            let model = NmtModel::build(NmtConfig::tiny()).expect("model builds");
-            let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
-            let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-            let feeds: Vec<Feed> = (0..MACHINES)
-                .map(|w| model.sharded_feed(&src, &tgt, MACHINES, w, &mut DetRng::seed(6000)))
-                .collect();
-            let profile = estimate_profile(&model.built.graph, &feeds[..1], 1).expect("profile");
-            plan_model(
-                "NMT (tiny)",
-                preset,
-                &model.built.graph,
-                model.built.loss,
-                &profile,
-                &feeds,
-                calibration.as_ref(),
-                out_dir,
-            )
-        }
-        _ => {
-            let model = LmModel::build(LmConfig::tiny()).expect("model builds");
-            let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-            let feeds: Vec<Feed> = (0..MACHINES)
-                .map(|w| model.sharded_feed(&corpus, MACHINES, w, &mut DetRng::seed(5000)))
-                .collect();
-            let profile = estimate_profile(&model.built.graph, &feeds[..1], 1).expect("profile");
-            plan_model(
-                "LM (tiny)",
-                preset,
-                &model.built.graph,
-                model.built.loss,
-                &profile,
-                &feeds,
-                calibration.as_ref(),
-                out_dir,
-            )
-        }
-    }
+    let feeds: Vec<Feed> = (0..MACHINES)
+        .map(|w| job.feed(MACHINES, w, job.feed_seed(0)))
+        .collect();
+    // The search's profile is worker 0's shard of the first batch.
+    let profile = estimate_profile(job.graph(), &feeds[..1], 1).map_err(|e| e.to_string())?;
+    Ok(plan_model(
+        &job,
+        &profile,
+        &feeds,
+        calibration.as_ref(),
+        out_dir,
+    ))
 }
 
 /// Reads and parses a `parallax-calibration-v1` file, checking it was
@@ -99,17 +72,14 @@ fn load_calibration(path: &str) -> Result<CalibrationProfile, String> {
     Ok(cal)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn plan_model(
-    label: &str,
-    preset: &str,
-    graph: &Graph,
-    loss: NodeId,
+    job: &Job,
     profile: &SparsityProfile,
     feeds: &[Feed],
     calibration: Option<&CalibrationProfile>,
     out_dir: &str,
 ) -> (String, bool) {
+    let (label, preset, graph) = (job.label(), job.name(), job.graph());
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -125,7 +95,7 @@ fn plan_model(
     let base = ParallaxConfig::default();
     let (plan, report) = match plan_search(
         graph,
-        loss,
+        job.loss(),
         profile,
         &base,
         &topo,
@@ -228,7 +198,7 @@ mod tests {
     #[test]
     fn lm_search_beats_fixed_strategies() {
         let dir = tmp_dir("parallax_plan_lm");
-        let (report, ok) = run("lm", None, &dir);
+        let (report, ok) = run("lm", None, &dir).unwrap();
         assert!(ok, "report:\n{report}");
         assert!(report.contains("LM (tiny): PASS"), "report:\n{report}");
         assert!(report.contains("pure_allreduce"), "{report}");
@@ -242,7 +212,7 @@ mod tests {
     #[test]
     fn nmt_search_beats_fixed_strategies() {
         let dir = tmp_dir("parallax_plan_nmt");
-        let (report, ok) = run("nmt", None, &dir);
+        let (report, ok) = run("nmt", None, &dir).unwrap();
         assert!(ok, "report:\n{report}");
         assert!(report.contains("NMT (tiny): PASS"), "report:\n{report}");
     }
@@ -261,7 +231,7 @@ mod tests {
         );
         let cal_path = format!("{dir}cal.json");
         std::fs::write(&cal_path, cal).unwrap();
-        let (report, ok) = run("lm", Some(&cal_path), &dir);
+        let (report, ok) = run("lm", Some(&cal_path), &dir).unwrap();
         assert!(ok, "report:\n{report}");
         assert!(report.contains("trace-calibrated"), "{report}");
     }
@@ -269,8 +239,18 @@ mod tests {
     #[test]
     fn missing_calibration_file_fails_cleanly() {
         let dir = tmp_dir("parallax_plan_badcal");
-        let (report, ok) = run("lm", Some("/nonexistent/cal.json"), &dir);
+        let (report, ok) = run("lm", Some("/nonexistent/cal.json"), &dir).unwrap();
         assert!(!ok);
         assert!(report.contains("cannot read calibration file"), "{report}");
+    }
+
+    #[test]
+    fn unknown_preset_writes_no_plan() {
+        let dir = tmp_dir("parallax_plan_unknown");
+        let Err(e) = run("lmm", None, &dir) else {
+            panic!("an unknown preset ran the search")
+        };
+        assert!(e.contains("unknown preset 'lmm'"), "{e}");
+        assert!(!std::path::Path::new(&format!("{dir}PLAN_lmm.json")).exists());
     }
 }

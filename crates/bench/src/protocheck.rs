@@ -26,17 +26,11 @@ use std::time::Duration;
 
 use parallax_comm::protocheck::{MsgEvent, Phase, SessionSpec, WireKind};
 use parallax_comm::tag::{ReqKind, MAX_VARS};
-use parallax_core::sparsity::estimate_profile;
-use parallax_core::{
-    check_fault_plan, check_session, derive_session, get_runner, ParallaxConfig, Runner,
-};
+use parallax_core::{check_fault_plan, check_session, derive_session, ParallaxConfig, Runner};
 use parallax_dataflow::verify::DiagCode;
-use parallax_dataflow::{Feed, Graph};
 use parallax_fault::FaultPlan;
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
-use parallax_models::nmt::{NmtConfig, NmtModel};
-use parallax_tensor::DetRng;
+
+use crate::job::{Job, PROFILE_SEED};
 
 /// Topology: 2 machines x 2 GPUs (workers 0,1 + server 2 on machine 0;
 /// workers 3,4 + server 5 on machine 1), matching `repro chaos`.
@@ -51,55 +45,10 @@ const CKPT_INTERVAL: usize = 2;
 const DEADLINE: Duration = Duration::from_millis(1500);
 
 /// Runs the protocol gate for `preset` (`"lm"` or `"nmt"`). Returns the
-/// printable report and whether every stage passed.
-pub fn run(preset: &str) -> (String, bool) {
-    match preset {
-        "nmt" => {
-            let model = NmtModel::build(NmtConfig::tiny()).expect("model builds");
-            let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
-            let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-            let profile = {
-                let feed = model.feed(&src, &tgt, &mut DetRng::seed(100));
-                estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-            };
-            let m = &model;
-            let (src_ref, tgt_ref) = (&src, &tgt);
-            check_protocol(
-                "NMT (tiny)",
-                &model.built.graph,
-                model.built.loss,
-                &profile,
-                move |w, i| {
-                    m.sharded_feed(
-                        src_ref,
-                        tgt_ref,
-                        WORKERS,
-                        w,
-                        &mut DetRng::seed(6000 + i as u64),
-                    )
-                },
-            )
-        }
-        _ => {
-            let model = LmModel::build(LmConfig::tiny()).expect("model builds");
-            let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-            let profile = {
-                let feed = model.feed(&corpus, &mut DetRng::seed(100));
-                estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-            };
-            let m = &model;
-            let corpus_ref = &corpus;
-            check_protocol(
-                "LM (tiny)",
-                &model.built.graph,
-                model.built.loss,
-                &profile,
-                move |w, i| {
-                    m.sharded_feed(corpus_ref, WORKERS, w, &mut DetRng::seed(5000 + i as u64))
-                },
-            )
-        }
-    }
+/// printable report and whether every stage passed; an unknown preset
+/// is an error.
+pub fn run(preset: &str) -> Result<(String, bool), String> {
+    Ok(check_protocol(&Job::new(preset)?))
 }
 
 fn ckpt_path(tag: &str) -> PathBuf {
@@ -245,16 +194,9 @@ fn phase_summary(spec: &SessionSpec) -> String {
         .join(", ")
 }
 
-fn check_protocol<F>(
-    label: &str,
-    graph: &Graph,
-    loss: parallax_dataflow::NodeId,
-    profile: &parallax_core::sparsity::SparsityProfile,
-    feed_fn: F,
-) -> (String, bool)
-where
-    F: Fn(usize, usize) -> Feed + Send + Sync,
-{
+fn check_protocol(job: &Job) -> (String, bool) {
+    let (label, graph) = (job.label(), job.graph());
+    let feed_fn = |w: usize, i: usize| job.feed(WORKERS, w, job.feed_seed(i));
     let mut out = String::new();
     let mut ok = true;
     let _ = writeln!(
@@ -265,13 +207,7 @@ where
     // ---- Stage 1: static session check -----------------------------
     let config = gate_config("static", FaultPlan::new());
     let static_ckpt = config.checkpoint_path.clone();
-    let runner = match get_runner(
-        graph.clone(),
-        loss,
-        vec![GPUS; MACHINES],
-        config.clone(),
-        profile.clone(),
-    ) {
+    let runner = match job.runner(vec![GPUS; MACHINES], config.clone(), PROFILE_SEED) {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(out, "runner construction failed: {e}");
@@ -363,19 +299,10 @@ where
         let cleanup = config.checkpoint_path.clone();
         let runner = match runner {
             Some(r) => Ok(r),
-            None => get_runner(
-                graph.clone(),
-                loss,
-                vec![GPUS; MACHINES],
-                config,
-                profile.clone(),
-            ),
+            None => job.runner(vec![GPUS; MACHINES], config, PROFILE_SEED),
         };
         let result = match runner {
-            Ok(r) => r
-                .run(ITERS, &feed_fn)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
+            Ok(r) => r.run(ITERS, feed_fn).map(|_| ()).map_err(|e| e.to_string()),
             Err(e) => Err(e.to_string()),
         };
         if let Some(p) = cleanup {
@@ -431,7 +358,7 @@ mod tests {
 
     #[test]
     fn lm_gate_passes() {
-        let (report, ok) = run("lm");
+        let (report, ok) = run("lm").unwrap();
         assert!(ok, "report:\n{report}");
         assert!(report.contains("LM (tiny): PASS"), "{report}");
         // Every seeded defect must read "detected".
@@ -440,7 +367,7 @@ mod tests {
 
     #[test]
     fn nmt_gate_passes() {
-        let (report, ok) = run("nmt");
+        let (report, ok) = run("nmt").unwrap();
         assert!(ok, "report:\n{report}");
         assert!(report.contains("NMT (tiny): PASS"), "{report}");
         assert!(!report.contains("MISSED"), "{report}");

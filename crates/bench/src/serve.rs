@@ -27,20 +27,20 @@
 //! exits nonzero.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use parallax_core::snapshot::Snapshot;
-use parallax_core::sparsity::estimate_profile;
-use parallax_core::{get_runner, ParallaxConfig};
+use parallax_core::ParallaxConfig;
 use parallax_dataflow::{Feed, Graph, NodeId, Session, Value, VarStore};
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
-use parallax_models::nmt::{NmtConfig, NmtModel};
+use parallax_models::lm::LmModel;
+use parallax_models::nmt::NmtModel;
 use parallax_serve::engine::ServeModel;
 use parallax_serve::{LmRequest, LmServe, NmtRequest, NmtServe, ServeConfig, ServeEngine};
-use parallax_tensor::{DetRng, Tensor};
+use parallax_tensor::Tensor;
 use parallax_trace::TraceConfig;
+
+use crate::job::{Job, PROFILE_SEED};
 
 /// Machines in the training topology (1 GPU each; PS placement, so the
 /// snapshot is assembled from PS shards over FetchShard).
@@ -226,16 +226,14 @@ where
     Ok(row)
 }
 
-/// Trains the tiny LM with snapshot publishing, then measures serving.
-fn bench_lm() -> Result<ServingRow, String> {
-    let model = LmModel::build(LmConfig::tiny()).map_err(|e| e.to_string())?;
-    let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-    let profile = {
-        let feed = model.feed(&corpus, &mut DetRng::seed(100));
-        estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-    };
+/// Trains `job` for [`TRAIN_ITERS`] iterations with snapshot
+/// publishing, planned from the profile of `profile_seed`'s batch and
+/// fed iteration `i` from seed `feed_base + i`. Returns the snapshot
+/// path.
+fn train_snapshot(job: &Job, profile_seed: u64, feed_base: u64) -> Result<PathBuf, String> {
     let snap_path = std::env::temp_dir().join(format!(
-        "parallax_serve_bench_lm_{}.plxsnap",
+        "parallax_serve_bench_{}_{}.plxsnap",
+        job.name(),
         std::process::id()
     ));
     let config = ParallaxConfig {
@@ -243,22 +241,20 @@ fn bench_lm() -> Result<ServingRow, String> {
         checkpoint_interval: PUBLISH_EVERY,
         ..ParallaxConfig::default()
     };
-    let runner = get_runner(
-        model.built.graph.clone(),
-        model.built.loss,
-        vec![1; MACHINES],
-        config,
-        profile,
-    )
-    .map_err(|e| e.to_string())?;
-    let m = &model;
-    let corpus_ref = &corpus;
+    let runner = job
+        .runner(vec![1; MACHINES], config, profile_seed)
+        .map_err(|e| e.to_string())?;
     runner
         .run(TRAIN_ITERS, |w, i| {
-            m.sharded_feed(corpus_ref, MACHINES, w, &mut DetRng::seed(9000 + i as u64))
+            job.feed(MACHINES, w, feed_base + i as u64)
         })
         .map_err(|e| e.to_string())?;
+    Ok(snap_path)
+}
 
+/// Trains the tiny LM with snapshot publishing, then measures serving.
+fn bench_lm(job: &Job, model: &LmModel) -> Result<ServingRow, String> {
+    let snap_path = train_snapshot(job, PROFILE_SEED, 9000)?;
     let cfg = model.config;
     let requests: Vec<LmRequest> = (0..cfg.batch)
         .map(|b| LmRequest {
@@ -280,11 +276,11 @@ fn bench_lm() -> Result<ServingRow, String> {
     }
     train_feed.insert("ids", Value::Ids(ids));
 
-    let serve = LmServe::new(&model).map_err(|e| e.to_string())?;
+    let serve = LmServe::new(model).map_err(|e| e.to_string())?;
     let row = measure_serving(
         "lm",
-        &model.built.graph,
-        model.built.logits,
+        job.graph(),
+        job.built().logits,
         serve,
         &snap_path,
         requests,
@@ -296,45 +292,8 @@ fn bench_lm() -> Result<ServingRow, String> {
 
 /// Trains the tiny NMT model with snapshot publishing, then measures
 /// serving.
-fn bench_nmt() -> Result<ServingRow, String> {
-    let model = NmtModel::build(NmtConfig::tiny()).map_err(|e| e.to_string())?;
-    let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
-    let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-    let profile = {
-        let feed = model.feed(&src, &tgt, &mut DetRng::seed(200));
-        estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-    };
-    let snap_path = std::env::temp_dir().join(format!(
-        "parallax_serve_bench_nmt_{}.plxsnap",
-        std::process::id()
-    ));
-    let config = ParallaxConfig {
-        snapshot_path: Some(snap_path.clone()),
-        checkpoint_interval: PUBLISH_EVERY,
-        ..ParallaxConfig::default()
-    };
-    let runner = get_runner(
-        model.built.graph.clone(),
-        model.built.loss,
-        vec![1; MACHINES],
-        config,
-        profile,
-    )
-    .map_err(|e| e.to_string())?;
-    let m = &model;
-    let (src_ref, tgt_ref) = (&src, &tgt);
-    runner
-        .run(TRAIN_ITERS, |w, i| {
-            m.sharded_feed(
-                src_ref,
-                tgt_ref,
-                MACHINES,
-                w,
-                &mut DetRng::seed(9500 + i as u64),
-            )
-        })
-        .map_err(|e| e.to_string())?;
-
+fn bench_nmt(job: &Job, model: &NmtModel) -> Result<ServingRow, String> {
+    let snap_path = train_snapshot(job, 200, 9500)?;
     let cfg = model.config;
     let requests: Vec<NmtRequest> = (0..cfg.batch)
         .map(|b| NmtRequest {
@@ -361,11 +320,11 @@ fn bench_nmt() -> Result<ServingRow, String> {
     train_feed.insert("src_ids", Value::Ids(src_ids));
     train_feed.insert("tgt_ids", Value::Ids(tgt_ids));
 
-    let serve = NmtServe::new(&model).map_err(|e| e.to_string())?;
+    let serve = NmtServe::new(model).map_err(|e| e.to_string())?;
     let row = measure_serving(
         "nmt",
-        &model.built.graph,
-        model.built.logits,
+        job.graph(),
+        job.built().logits,
         serve,
         &snap_path,
         requests,
@@ -422,11 +381,9 @@ pub fn to_json(rows: &[ServingRow]) -> String {
 /// writes `path`, and returns the printable report plus whether the
 /// load-time and bitwise gates passed.
 pub fn run(model: Option<&str>, path: &str) -> Result<(String, bool), String> {
-    let which: Vec<&str> = match model {
-        None => vec!["lm", "nmt"],
-        Some("lm") => vec!["lm"],
-        Some("nmt") => vec!["nmt"],
-        Some(other) => return Err(format!("unknown model '{other}' (expected lm or nmt)")),
+    let jobs = match model {
+        None => vec![Job::new("lm")?, Job::new("nmt")?],
+        Some(name) => vec![Job::new(name)?],
     };
     let mut out = String::new();
     let mut ok = true;
@@ -436,10 +393,10 @@ pub fn run(model: Option<&str>, path: &str) -> Result<(String, bool), String> {
          publish every {PUBLISH_EVERY} iters) =="
     );
     let mut rows = Vec::new();
-    for name in which {
-        let row = match name {
-            "lm" => bench_lm()?,
-            _ => bench_nmt()?,
+    for job in &jobs {
+        let row = match job {
+            Job::Lm { model, .. } => bench_lm(job, model)?,
+            Job::Nmt { model, .. } => bench_nmt(job, model)?,
         };
         let load_ok = row.load_us < SNAPSHOT_LOAD_GATE_US;
         let gate_ok = load_ok && row.bitwise_equal;

@@ -15,13 +15,10 @@
 use std::fmt::Write as _;
 
 use parallax_cluster::{CalibrationProfile, ClusterModel};
-use parallax_core::sparsity::estimate_profile;
-use parallax_core::{get_runner, ParallaxConfig, RunReport};
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
-use parallax_models::nmt::{NmtConfig, NmtModel};
-use parallax_tensor::DetRng;
+use parallax_core::{ParallaxConfig, RunReport};
 use parallax_trace::{export, TraceConfig, TraceDump};
+
+use crate::job::{Job, PROFILE_SEED};
 
 /// Default machine count of `repro straggler` (1 GPU each, so machine
 /// boundaries exist).
@@ -148,59 +145,19 @@ pub fn traced_run(
     iters: usize,
     slowdown: &[f64],
 ) -> Result<TracedRun, String> {
+    let job = Job::new(preset)?;
     parallax_trace::configure(TraceConfig::on());
     parallax_trace::reset();
     let config = ParallaxConfig {
         machine_slowdown: slowdown.to_vec(),
         ..ParallaxConfig::default()
     };
-    let gpus = vec![1usize; machines];
-    let report = match preset {
-        "nmt" => {
-            let model = NmtModel::build(NmtConfig::tiny()).map_err(|e| e.to_string())?;
-            let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
-            let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-            let profile = {
-                let feed = model.feed(&src, &tgt, &mut DetRng::seed(100));
-                estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-            };
-            let runner = get_runner(
-                model.built.graph.clone(),
-                model.built.loss,
-                gpus,
-                config,
-                profile,
-            )
-            .map_err(|e| e.to_string())?;
-            runner
-                .run(iters, |w, i| {
-                    model.sharded_feed(&src, &tgt, machines, w, &mut DetRng::seed(6000 + i as u64))
-                })
-                .map_err(|e| e.to_string())?
-        }
-        "lm" => {
-            let model = LmModel::build(LmConfig::tiny()).map_err(|e| e.to_string())?;
-            let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-            let profile = {
-                let feed = model.feed(&corpus, &mut DetRng::seed(100));
-                estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-            };
-            let runner = get_runner(
-                model.built.graph.clone(),
-                model.built.loss,
-                gpus,
-                config,
-                profile,
-            )
-            .map_err(|e| e.to_string())?;
-            runner
-                .run(iters, |w, i| {
-                    model.sharded_feed(&corpus, machines, w, &mut DetRng::seed(5000 + i as u64))
-                })
-                .map_err(|e| e.to_string())?
-        }
-        other => return Err(format!("unknown preset '{other}' (expected lm or nmt)")),
-    };
+    let runner = job
+        .runner(vec![1; machines], config, PROFILE_SEED)
+        .map_err(|e| e.to_string())?;
+    let report = runner
+        .run(iters, |w, i| job.feed(machines, w, job.feed_seed(i)))
+        .map_err(|e| e.to_string())?;
     parallax_trace::disable();
     let dump = parallax_trace::drain();
     Ok(TracedRun { report, dump })

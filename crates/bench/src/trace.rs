@@ -11,14 +11,12 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use parallax_cluster::{CalibrationProfile, ClusterModel};
-use parallax_core::sparsity::estimate_profile;
-use parallax_core::{get_runner, ParallaxConfig};
-use parallax_models::data::ZipfCorpus;
-use parallax_models::lm::{LmConfig, LmModel};
-use parallax_models::nmt::{NmtConfig, NmtModel};
+use parallax_core::ParallaxConfig;
 use parallax_tensor::ops::{self};
 use parallax_tensor::{DetRng, Tensor};
 use parallax_trace::{export, json, SpanCat, TraceConfig};
+
+use crate::job::{Job, PROFILE_SEED};
 
 /// Machines in the traced topology (1 GPU each, so machine boundaries —
 /// and therefore stragglers and network phases — actually exist).
@@ -28,76 +26,21 @@ const MACHINES: usize = 4;
 /// tracing enabled, injects the modelled timeline, and writes
 /// `TRACE_<preset>.chrome.json` + `TRACE_<preset>.json` beside printing
 /// the breakdown and straggler reports. Returns the printed report so
-/// tests can assert on it without re-capturing stdout.
-pub fn run(preset: &str, iters: usize, out_dir: &str) -> std::io::Result<String> {
+/// tests can assert on it without re-capturing stdout; an unknown
+/// preset is an error and writes nothing.
+pub fn run(preset: &str, iters: usize, out_dir: &str) -> Result<String, String> {
+    let job = Job::new(preset)?;
     parallax_trace::configure(TraceConfig::on());
     parallax_trace::reset();
-
+    let runner = job
+        .runner(vec![1; MACHINES], ParallaxConfig::default(), PROFILE_SEED)
+        .map_err(|e| e.to_string())?;
+    let report = runner
+        .run(iters, |w, i| job.feed(MACHINES, w, job.feed_seed(i)))
+        .map_err(|e| format!("traced run: {e}"))?;
     let cluster = ClusterModel::paper_testbed();
-    let gpus = vec![1usize; MACHINES];
-    let (report, server_cpu, sim) = match preset {
-        "nmt" => {
-            let model = NmtModel::build(NmtConfig::tiny()).expect("model builds");
-            let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
-            let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-            let profile = {
-                let feed = model.feed(&src, &tgt, &mut DetRng::seed(100));
-                estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-            };
-            let runner = get_runner(
-                model.built.graph.clone(),
-                model.built.loss,
-                gpus,
-                ParallaxConfig::default(),
-                profile,
-            )
-            .expect("runner");
-            let m = &model;
-            let (src_ref, tgt_ref) = (&src, &tgt);
-            let report = runner
-                .run(iters, move |w, i| {
-                    m.sharded_feed(
-                        src_ref,
-                        tgt_ref,
-                        MACHINES,
-                        w,
-                        &mut DetRng::seed(6000 + i as u64),
-                    )
-                })
-                .expect("traced run");
-            let server_cpu = runner.modelled_server_cpu(&cluster);
-            let sim =
-                report.iteration_sim(&cluster, MACHINES, report.host_compute_per_iter, server_cpu);
-            (report, server_cpu, sim)
-        }
-        _ => {
-            let model = LmModel::build(LmConfig::tiny()).expect("model builds");
-            let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-            let profile = {
-                let feed = model.feed(&corpus, &mut DetRng::seed(100));
-                estimate_profile(&model.built.graph, &[feed], 1).expect("profile")
-            };
-            let runner = get_runner(
-                model.built.graph.clone(),
-                model.built.loss,
-                gpus,
-                ParallaxConfig::default(),
-                profile,
-            )
-            .expect("runner");
-            let m = &model;
-            let corpus_ref = &corpus;
-            let report = runner
-                .run(iters, move |w, i| {
-                    m.sharded_feed(corpus_ref, MACHINES, w, &mut DetRng::seed(5000 + i as u64))
-                })
-                .expect("traced run");
-            let server_cpu = runner.modelled_server_cpu(&cluster);
-            let sim =
-                report.iteration_sim(&cluster, MACHINES, report.host_compute_per_iter, server_cpu);
-            (report, server_cpu, sim)
-        }
-    };
+    let server_cpu = runner.modelled_server_cpu(&cluster);
+    let sim = report.iteration_sim(&cluster, MACHINES, report.host_compute_per_iter, server_cpu);
 
     // Lay the modelled phase timeline (same format, SIM lane) next to
     // the measured spans, then freeze and collect.
@@ -109,11 +52,7 @@ pub fn run(preset: &str, iters: usize, out_dir: &str) -> std::io::Result<String>
     let _ = writeln!(
         out,
         "== Executed trace: {} on {MACHINES} machines x 1 GPU, {iters} iterations ==",
-        if preset == "nmt" {
-            "NMT (tiny)"
-        } else {
-            "LM (tiny)"
-        },
+        job.label(),
     );
     let measured = report.traffic.total_network_bytes();
     let traced = dump.total_span_bytes();
@@ -146,9 +85,13 @@ pub fn run(preset: &str, iters: usize, out_dir: &str) -> std::io::Result<String>
     let chrome_path = format!("{out_dir}TRACE_{preset}.chrome.json");
     let summary_path = format!("{out_dir}TRACE_{preset}.json");
     let cal_path = format!("{out_dir}TRACE_{preset}.cal.json");
-    std::fs::write(&chrome_path, chrome)?;
-    std::fs::write(&summary_path, summary)?;
-    std::fs::write(&cal_path, cal)?;
+    for (path, text) in [
+        (&chrome_path, chrome),
+        (&summary_path, summary),
+        (&cal_path, cal),
+    ] {
+        std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
+    }
     let _ = writeln!(
         out,
         "wrote {chrome_path} (load in chrome://tracing or Perfetto) and {summary_path}"
@@ -338,6 +281,8 @@ mod tests {
             + "/";
         std::fs::create_dir_all(dir.trim_end_matches('/')).unwrap();
         let report = run("lm", 2, &dir).expect("traced run");
+        assert!(run("lmm", 2, &dir).is_err());
+        assert!(!std::path::Path::new(&format!("{dir}TRACE_lmm.json")).exists());
         assert!(report.contains("straggler"), "report: {report}");
         assert!(report.contains("breakdown"), "report: {report}");
         let chrome =

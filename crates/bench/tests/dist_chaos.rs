@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use parallax_bench::dist::{launch, DistJob, MergedRun, EXIT_PEER_TIMEOUT, FAULT_LOG};
+use parallax_bench::dist::{build, feed, launch, MergedRun, EXIT_PEER_TIMEOUT, FAULT_LOG};
 use parallax_net::ClusterSpec;
 
 /// Per-generation wall budget; generous for loaded CI machines.
@@ -49,10 +49,11 @@ fn run_scenario(scenario: &str, fault_spec: &str) -> MergedRun {
     // Uninterrupted reference, in-process, same seed/plan/persistence.
     let ref_spec = spec_for(&format!("{scenario}_ref"), "");
     std::fs::create_dir_all(&ref_spec.artifact_dir).unwrap();
-    let ref_job = DistJob::build(&ref_spec).unwrap();
-    let reference = ref_job
-        .runner
-        .run(ref_spec.iterations, |w, i| ref_job.feed(w, i))
+    let (ref_job, ref_runner) = build(&ref_spec).unwrap();
+    let reference = ref_runner
+        .run(ref_spec.iterations, |w, i| {
+            feed(&ref_job, &ref_runner, w, i)
+        })
         .unwrap();
 
     // Faulted socket run.

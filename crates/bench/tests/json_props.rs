@@ -317,7 +317,6 @@ fn damaged_documents_give_a_value_or_a_typed_error() {
                     assert_eq!(CalibrationProfile::from_json(&p.to_json()).unwrap(), p);
                 }
                 Err(SpecError::Invalid(_)) => rejected += 1,
-                Err(e) => panic!("{text:?}: untyped error {e}"),
             }
         }
         for (text, why) in duplicated_or_appended(&spec_doc) {

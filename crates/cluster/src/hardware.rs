@@ -202,14 +202,6 @@ impl MachineScales {
         Self::sanitize(self.network.get(m).copied())
     }
 
-    /// True when every factor is 1.0 (or the vectors are empty).
-    pub fn is_homogeneous(&self) -> bool {
-        self.compute
-            .iter()
-            .chain(self.network.iter())
-            .all(|&f| !(f.is_finite() && f > 0.0) || f == 1.0)
-    }
-
     /// Sets machine `m`'s compute slowdown, growing the vector with 1.0
     /// as needed. Builder-style.
     pub fn with_compute_slowdown(mut self, m: usize, factor: f64) -> Self {
@@ -331,7 +323,6 @@ mod tests {
         let s = MachineScales::homogeneous();
         assert_eq!(s.compute_scale(0), 1.0);
         assert_eq!(s.network_scale(7), 1.0);
-        assert!(s.is_homogeneous());
         let model = ClusterModel::paper_testbed();
         assert_eq!(model.compute_scale(3), 1.0);
     }
@@ -342,7 +333,6 @@ mod tests {
         assert_eq!(model.compute_scale(2), 3.0);
         assert_eq!(model.compute_scale(0), 1.0);
         assert_eq!(model.compute_scale(5), 1.0);
-        assert!(!model.scales.is_homogeneous());
     }
 
     #[test]
@@ -354,7 +344,6 @@ mod tests {
         for m in 0..4 {
             assert_eq!(s.compute_scale(m), 1.0);
         }
-        assert!(s.is_homogeneous());
     }
 
     #[test]

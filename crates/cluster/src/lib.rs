@@ -1,7 +1,9 @@
 #![warn(missing_docs)]
 
-//! Cluster substrate: resource specifications, hardware cost models, and
-//! the iteration-time simulator.
+//! Cluster substrate: hardware cost models and the iteration-time
+//! simulator. Which machines and GPUs a job runs on is the
+//! `gpus_per_machine` list `get_runner` takes, or a CLUSTER.json
+//! (`parallax_net::ClusterSpec`) for a multi-process fleet.
 //!
 //! The paper's evaluation ran on 8 machines with 6 TITAN Xp GPUs each over
 //! 100 Gbps InfiniBand. This crate substitutes that testbed: worker
@@ -16,27 +18,18 @@ pub mod costmodel;
 pub mod des;
 pub mod hardware;
 pub mod sim;
-pub mod spec;
 
 pub use costmodel::{CalibrationProfile, SparseOpCost};
 pub use des::{fifo_replay, simulate, DesMessage, DesResult, QueueStats};
 pub use hardware::{ClusterModel, CpuModel, GpuModel, MachineScales, NetworkModel, Transport};
 pub use sim::{IterationSim, Phase, PsQueueModel};
-pub use spec::{MachineSpec, ResourceSpec};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, SpecError>;
 
-/// Errors from resource-spec parsing and simulation configuration.
+/// Errors from simulation configuration and calibration decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
-    /// A resource file line could not be parsed.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        reason: String,
-    },
     /// The specification is structurally invalid.
     Invalid(String),
 }
@@ -44,7 +37,6 @@ pub enum SpecError {
 impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SpecError::Parse { line, reason } => write!(f, "line {line}: {reason}"),
             SpecError::Invalid(msg) => write!(f, "invalid spec: {msg}"),
         }
     }

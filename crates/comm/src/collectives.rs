@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use parallax_tensor::{IndexedSlices, Tensor};
+use parallax_tensor::IndexedSlices;
 use parallax_trace::{span, SpanCat};
 
 use crate::transport::{unwrap_shared, Endpoint, Payload};
@@ -255,17 +255,6 @@ fn ring_allreduce_words(
     Ok(())
 }
 
-/// [`ring_allreduce_wire`] over a tensor's buffer.
-pub fn ring_allreduce_tensor_wire(
-    ep: &mut Endpoint,
-    ranks: &[usize],
-    tag: u64,
-    tensor: &mut Tensor,
-    wire: WireFormat,
-) -> Result<()> {
-    ring_allreduce_wire(ep, ranks, tag, tensor.data_mut(), wire)
-}
-
 /// Ring AllGatherv: every participant contributes a variable-length float
 /// buffer; everyone receives all contributions, ordered by group position.
 ///
@@ -305,13 +294,14 @@ pub fn allgatherv(
         .collect())
 }
 
-/// Ring AllGatherv over [`IndexedSlices`], returning the per-participant
+/// Ring AllGatherv over [`IndexedSlices`] — the sparse-gradient exchange
+/// of the AR architecture (Figure 2(d)) — returning the per-participant
 /// contributions in group-position order instead of concatenating them.
 ///
-/// Callers that need a machine-blocked aggregation order (the canonical
-/// two-level sparse fold shared with the Parameter Server accumulators)
-/// group these parts themselves; [`allgatherv_slices`] is the
-/// concatenating convenience wrapper.
+/// Callers group these parts themselves into a machine-blocked
+/// aggregation order (the canonical two-level sparse fold shared with
+/// the Parameter Server accumulators), or concatenate them with
+/// [`IndexedSlices::concat`].
 pub fn allgatherv_slices_parts(
     ep: &mut Endpoint,
     ranks: &[usize],
@@ -340,46 +330,12 @@ pub fn allgatherv_slices_parts(
     Ok(parts.into_iter().map(|p| p.expect("all filled")).collect())
 }
 
-/// Ring AllGatherv over [`IndexedSlices`] — the sparse-gradient exchange of
-/// the AR architecture (Figure 2(d)): every participant ends up with the
-/// concatenation of all contributions in group order.
-pub fn allgatherv_slices(
-    ep: &mut Endpoint,
-    ranks: &[usize],
-    tag: u64,
-    local: IndexedSlices,
-) -> Result<IndexedSlices> {
-    let shared = allgatherv_slices_parts(ep, ranks, tag, local)?;
-    IndexedSlices::concat(&shared).map_err(|_| CommError::LengthMismatch {
-        expected: 0,
-        actual: 0,
-    })
-}
-
-/// [`allgatherv_slices`] with a selectable [`WireFormat`]: under
+/// [`allgatherv_slices_parts`] with a selectable [`WireFormat`]: under
 /// f16/bf16 the slice *indices* travel as zigzag-delta varints
 /// ([`PackedSlices`]) while values stay f32, so the exchange is
-/// lossless and the result is bitwise identical to the raw format.
+/// lossless and the parts are bitwise identical to the raw format's.
 /// Each contribution is packed once at its source and forwarded by
 /// reference count, exactly like the raw path.
-pub fn allgatherv_slices_wire(
-    ep: &mut Endpoint,
-    ranks: &[usize],
-    tag: u64,
-    local: IndexedSlices,
-    wire: WireFormat,
-) -> Result<IndexedSlices> {
-    let parts = allgatherv_slices_parts_wire(ep, ranks, tag, local, wire)?;
-    IndexedSlices::concat(&parts).map_err(|_| CommError::LengthMismatch {
-        expected: 0,
-        actual: 0,
-    })
-}
-
-/// [`allgatherv_slices_parts`] with a selectable [`WireFormat`]; the
-/// per-participant parts come back in group-position order and the index
-/// packing is lossless, so results are bitwise identical to the raw
-/// format.
 pub fn allgatherv_slices_parts_wire(
     ep: &mut Endpoint,
     ranks: &[usize],
@@ -575,7 +531,8 @@ mod tests {
             let r = ep.rank();
             let local =
                 IndexedSlices::new(vec![r, r + 1], Tensor::full([2, 1], r as f32), 8).unwrap();
-            allgatherv_slices(ep, ranks, 3, local).unwrap()
+            let parts = allgatherv_slices_parts(ep, ranks, 3, local).unwrap();
+            IndexedSlices::concat(&parts).unwrap()
         });
         for s in &results {
             assert_eq!(s.indices(), &[0, 1, 1, 2]);
@@ -749,12 +706,13 @@ mod tests {
             )
             .unwrap()
         };
-        let (raw, raw_traffic) = run_all(topo.clone(), |ep, ranks| {
-            allgatherv_slices(ep, ranks, tag, build(ep.rank())).unwrap()
-        });
-        let (packed, packed_traffic) = run_all(topo, |ep, ranks| {
-            allgatherv_slices_wire(ep, ranks, tag, build(ep.rank()), WireFormat::F16).unwrap()
-        });
+        let gather = |wire| {
+            move |ep: &mut Endpoint, ranks: &[usize]| {
+                allgatherv_slices_parts_wire(ep, ranks, tag, build(ep.rank()), wire).unwrap()
+            }
+        };
+        let (raw, raw_traffic) = run_all(topo.clone(), gather(WireFormat::F32));
+        let (packed, packed_traffic) = run_all(topo, gather(WireFormat::F16));
         // Index packing is lossless: identical result, fewer bytes.
         assert_eq!(raw, packed);
         assert!(

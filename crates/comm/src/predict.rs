@@ -107,7 +107,7 @@ pub fn allgatherv_hop_source(n: usize, pos: usize, hop: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{allgatherv_slices, gather_slices_to, ring_allreduce};
+    use crate::collectives::{allgatherv_slices_parts_wire, gather_slices_to, ring_allreduce};
     use crate::transport::{Endpoint, Payload, Router};
     use parallax_tensor::{IndexedSlices, Tensor};
 
@@ -223,7 +223,6 @@ mod tests {
 
     #[test]
     fn wire_allgatherv_slices_hops_match_execution_exactly() {
-        use crate::collectives::allgatherv_slices_wire;
         use crate::wire::slices_wire_bytes;
         for wire in [WireFormat::F32, WireFormat::F16] {
             for gpus in [vec![1, 1, 1], vec![2, 2]] {
@@ -240,7 +239,7 @@ mod tests {
                     .unwrap()
                 };
                 let measured = run_all(topo.clone(), |ep, ranks| {
-                    allgatherv_slices_wire(ep, ranks, tag, build(ep.rank()), wire).unwrap();
+                    allgatherv_slices_parts_wire(ep, ranks, tag, build(ep.rank()), wire).unwrap();
                 });
                 let ledger = StaticLedger::new(topo.clone());
                 let n = topo.num_workers();
@@ -272,7 +271,7 @@ mod tests {
                     16,
                 )
                 .unwrap();
-                allgatherv_slices(ep, ranks, tag, local).unwrap();
+                allgatherv_slices_parts_wire(ep, ranks, tag, local, WireFormat::F32).unwrap();
             });
             let ledger = StaticLedger::new(topo.clone());
             let n = topo.num_workers();

@@ -16,7 +16,7 @@ impl WorkerId {
 /// Machines and their worker counts: worker ranks are assigned
 /// machine-major, so machine 0 hosts ranks `0..gpus[0]`, machine 1 the
 /// next `gpus[1]` ranks, and so on — matching how Parallax launches one
-/// worker per GPU from a resource specification.
+/// worker per GPU of each machine `get_runner` is given.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     gpus_per_machine: Vec<usize>,

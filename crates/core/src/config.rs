@@ -123,12 +123,6 @@ pub struct ParallaxConfig {
     /// a sparse variable may use `PsSparse` with at least one partition
     /// or `AllReduce` (densify, the alpha-escape path).
     pub decision_overrides: Vec<(usize, SyncDecision)>,
-    /// Per-partitioner-group overrides: `group_partitions[g]` fixes the
-    /// count for variables declared in partitioner group `g` (the
-    /// paper's "multiple partitioners ... applied independently" for
-    /// different granularities). Groups beyond the vector's length — and
-    /// ungrouped sparse variables — use `sparse_partitions`.
-    pub group_partitions: Vec<usize>,
     /// Sparse variables with estimated `alpha` at or above this are
     /// treated as dense and AllReduced (Section 3.1's near-dense case).
     pub alpha_dense_threshold: f64,
@@ -208,7 +202,6 @@ impl Default for ParallaxConfig {
             arch: ArchChoice::Hybrid,
             sparse_partitions: None,
             decision_overrides: Vec::new(),
-            group_partitions: Vec::new(),
             alpha_dense_threshold: 0.95,
             compute_threads: None,
             wire_format: parallax_comm::WireFormat::F32,

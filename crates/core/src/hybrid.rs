@@ -27,17 +27,7 @@ pub fn decide(
             graph.variables().len()
         )));
     }
-    // A variable declared in partitioner group `g` takes that group's
-    // configured count when one is given; the global count otherwise.
-    let partitions_for = |var: parallax_dataflow::VarId| -> usize {
-        graph
-            .var_def(var)
-            .ok()
-            .and_then(|def| def.partition_group)
-            .and_then(|g| config.group_partitions.get(g).copied())
-            .unwrap_or(sparse_partitions)
-            .max(1)
-    };
+    let partitions = sparse_partitions.max(1);
     let mut decisions: Vec<SyncDecision> = profile
         .vars
         .iter()
@@ -45,18 +35,14 @@ pub fn decide(
             ArchChoice::ArOnly => SyncDecision::AllReduce,
             ArchChoice::PsOnly => {
                 if v.sparse {
-                    SyncDecision::PsSparse {
-                        partitions: partitions_for(v.var),
-                    }
+                    SyncDecision::PsSparse { partitions }
                 } else {
                     SyncDecision::PsDense
                 }
             }
             ArchChoice::Hybrid => {
                 if v.sparse && v.alpha < config.alpha_dense_threshold {
-                    SyncDecision::PsSparse {
-                        partitions: partitions_for(v.var),
-                    }
+                    SyncDecision::PsSparse { partitions }
                 } else {
                     SyncDecision::AllReduce
                 }
@@ -175,40 +161,6 @@ mod tests {
         let ps = decide(&g, &profile(0.01), &ParallaxConfig::tf_ps_baseline(), 16).unwrap();
         assert!(matches!(ps[0], SyncDecision::PsSparse { .. }));
         assert!(matches!(ps[1], SyncDecision::PsDense));
-    }
-
-    #[test]
-    fn per_group_partition_overrides_apply() {
-        let mut g = Graph::new();
-        let g0 = g.open_partition_group();
-        let g1 = g.open_partition_group();
-        let a = g
-            .variable_in_group(VariableDef::new("emb_a", [100, 4], Init::Glorot), g0)
-            .unwrap();
-        let b = g
-            .variable_in_group(VariableDef::new("emb_b", [100, 4], Init::Glorot), g1)
-            .unwrap();
-        let c = g
-            .variable(VariableDef::new("emb_c", [100, 4], Init::Glorot))
-            .unwrap();
-        let ids = g.placeholder("ids", PhKind::Ids).unwrap();
-        for var in [a, b, c] {
-            g.add(Op::Gather { table: var, ids }).unwrap();
-        }
-        let profile = profile_from_parts(vec![
-            (a, true, 0.1, 100, 400),
-            (b, true, 0.1, 100, 400),
-            (c, true, 0.1, 100, 400),
-        ]);
-        let config = ParallaxConfig {
-            group_partitions: vec![4, 32],
-            ..ParallaxConfig::default()
-        };
-        let d = decide(&g, &profile, &config, 16).unwrap();
-        assert!(matches!(d[0], SyncDecision::PsSparse { partitions: 4 }));
-        assert!(matches!(d[1], SyncDecision::PsSparse { partitions: 32 }));
-        // Ungrouped variables fall back to the global count.
-        assert!(matches!(d[2], SyncDecision::PsSparse { partitions: 16 }));
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub use error::CoreError;
 pub use plancheck::{check_plan, predict_iteration_traffic};
 pub use protocheck::{check_fault_plan, check_session, derive_session};
 pub use runner::{
-    get_runner, get_runner_from_spec, get_runner_with_plan, mean_worker_losses, shard_range,
-    RestorePoint, RoleAssignment, RoleOutput, RunReport, Runner,
+    get_runner, get_runner_with_plan, mean_worker_losses, shard_range, RestorePoint,
+    RoleAssignment, RoleOutput, RunReport, Runner,
 };
 pub use strategize::{plan_search, SearchReport};
 pub use strategy::{fixed_strategies, Strategy, StrategyPlan};

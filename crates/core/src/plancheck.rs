@@ -559,7 +559,7 @@ fn exchange_of(
     Ok(Some(match plan.exchange(graph, config, var) {
         // Contribution sizes on the wire: packed (delta+varint
         // indices) under a compressing format, raw otherwise —
-        // exactly what `allgatherv_slices_wire` sends.
+        // exactly what `allgatherv_slices_parts_wire` sends.
         Exchange::Gatherv => Exchanged::Gatherv(
             fed.grads
                 .iter()

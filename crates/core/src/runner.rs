@@ -15,7 +15,9 @@ use std::time::Instant;
 use parallax_cluster::{
     CalibrationProfile, ClusterModel, IterationSim, Phase, SparseOpCost, Transport,
 };
-use parallax_comm::{collectives, tag, Endpoint, Router, TrafficClass, TrafficSnapshot};
+use parallax_comm::{
+    collectives, tag, Endpoint, Router, TrafficClass, TrafficSnapshot, TrafficStats,
+};
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::{Feed, Graph, NodeId, Session, VarId, VarStore};
 use parallax_fault::FaultInjector;
@@ -157,6 +159,17 @@ pub struct TrafficReport {
 }
 
 impl TrafficReport {
+    /// Snapshots an accumulator's ledger, one entry per class.
+    pub fn from_stats(traffic: &TrafficStats) -> TrafficReport {
+        TrafficReport {
+            nccl: traffic.class_snapshot(TrafficClass::Nccl),
+            mpi: traffic.class_snapshot(TrafficClass::Mpi),
+            ps: traffic.class_snapshot(TrafficClass::Ps),
+            local_agg: traffic.class_snapshot(TrafficClass::LocalAgg),
+            other: traffic.class_snapshot(TrafficClass::Default),
+        }
+    }
+
     /// Accumulates another report's per-class traffic into this one.
     /// Recovery re-creates the router (and therefore the ledger) per
     /// attempt; merging keeps the whole-run totals cross-checkable
@@ -424,19 +437,6 @@ pub fn get_runner_with_plan(
     Ok(runner)
 }
 
-/// Builds a [`Runner`] from a parsed resource specification (the
-/// `resource_info_file` of Figure 3's `get_runner`).
-pub fn get_runner_from_spec(
-    graph: Graph,
-    loss: NodeId,
-    spec: &parallax_cluster::ResourceSpec,
-    config: ParallaxConfig,
-    profile: SparsityProfile,
-) -> Result<Runner> {
-    let gpus_per_machine = spec.machines().iter().map(|m| m.gpu_ids.len()).collect();
-    get_runner(graph, loss, gpus_per_machine, config, profile)
-}
-
 impl Runner {
     /// The distributed plan in force.
     pub fn plan(&self) -> &DistributedPlan {
@@ -641,28 +641,7 @@ impl Runner {
         let needs_servers = self.plan.needs_servers();
         let (mut endpoints, traffic) =
             Router::build_with(self.topo.comm().clone(), Some(Arc::clone(injector)));
-        if let Some(d) = self.config.recv_deadline {
-            for ep in endpoints.iter_mut() {
-                ep.set_recv_deadline(d);
-            }
-        }
-        // Runtime half of the protocol checker: debug builds (and any
-        // run with `validate_protocol`) assert every routed message
-        // against the session machine derived from the verified plan.
-        // The validator is stateless, so fault-injected duplicates and
-        // recovery replays are never false positives.
-        if cfg!(debug_assertions) || self.config.validate_protocol {
-            let spec = crate::protocheck::derive_session(
-                &self.graph,
-                &self.config,
-                &self.topo,
-                &self.plan,
-            )?;
-            let validator = parallax_comm::protocheck::SessionValidator::from_spec(&spec);
-            for ep in endpoints.iter_mut() {
-                ep.set_validator(Arc::clone(&validator));
-            }
-        }
+        self.arm_endpoints(&mut endpoints)?;
         let mut by_rank: Vec<Option<Endpoint>> = endpoints.drain(..).map(Some).collect();
 
         let workers = self.topo.num_workers();
@@ -762,13 +741,7 @@ impl Runner {
         // Merge this attempt's ledger into the running total *before*
         // checking for failures: even a doomed attempt's bytes were
         // physically sent and mirrored into the trace ledger.
-        traffic_total.merge_from(&TrafficReport {
-            nccl: traffic.class_snapshot(TrafficClass::Nccl),
-            mpi: traffic.class_snapshot(TrafficClass::Mpi),
-            ps: traffic.class_snapshot(TrafficClass::Ps),
-            local_agg: traffic.class_snapshot(TrafficClass::LocalAgg),
-            other: traffic.class_snapshot(TrafficClass::Default),
-        });
+        traffic_total.merge_from(&TrafficReport::from_stats(&traffic));
 
         let failures = take(failures);
         if let Some(first) = failures.into_iter().next() {
@@ -804,6 +777,35 @@ impl Runner {
     /// The configuration in force (what `get_runner` validated).
     pub fn config(&self) -> &ParallaxConfig {
         &self.config
+    }
+
+    /// Arms one attempt's endpoints the way every role of this job
+    /// runs, in both execution modes: the configured receive deadline,
+    /// and, in debug builds or under `validate_protocol`, the runtime
+    /// half of the protocol checker, a validator that asserts every
+    /// sent message against the session machine derived (once per call)
+    /// from the verified plan. The validator is stateless, so
+    /// fault-injected duplicates and recovery replays are never false
+    /// positives.
+    pub fn arm_endpoints(&self, endpoints: &mut [Endpoint]) -> Result<()> {
+        if let Some(d) = self.config.recv_deadline {
+            for ep in endpoints.iter_mut() {
+                ep.set_recv_deadline(d);
+            }
+        }
+        if cfg!(debug_assertions) || self.config.validate_protocol {
+            let spec = crate::protocheck::derive_session(
+                &self.graph,
+                &self.config,
+                &self.topo,
+                &self.plan,
+            )?;
+            let validator = parallax_comm::protocheck::SessionValidator::from_spec(&spec);
+            for ep in endpoints.iter_mut() {
+                ep.set_validator(Arc::clone(&validator));
+            }
+        }
+        Ok(())
     }
 
     /// Executes exactly one role of this job over the given endpoint —
@@ -1187,11 +1189,11 @@ impl Runner {
                 };
                 match grad {
                     Grad::Dense(mut agg) => {
-                        collectives::ring_allreduce_tensor_wire(
+                        collectives::ring_allreduce_wire(
                             endpoint,
                             &worker_ranks,
                             tag::allreduce_tag(var.index(), iter as u64),
-                            &mut agg,
+                            agg.data_mut(),
                             self.config.wire_format,
                         )?;
                         if self.config.average_dense {

@@ -61,23 +61,6 @@ impl SparsityProfile {
             / total
     }
 
-    /// Total elements in dense and sparse variables (Table 1's columns).
-    pub fn element_counts(&self) -> (usize, usize) {
-        let dense = self
-            .vars
-            .iter()
-            .filter(|v| !v.sparse)
-            .map(|v| v.elements)
-            .sum();
-        let sparse = self
-            .vars
-            .iter()
-            .filter(|v| v.sparse)
-            .map(|v| v.elements)
-            .sum();
-        (dense, sparse)
-    }
-
     /// The profile of one variable.
     pub fn of(&self, var: VarId) -> Option<&VarSparsity> {
         self.vars.get(var.index())
@@ -227,9 +210,6 @@ mod tests {
         let profile = estimate_profile(&g, &feeds, 1).unwrap();
         let expected = (400.0 * 0.02 + 8.0 * 1.0) / 408.0;
         assert!((profile.alpha_model() - expected).abs() < 1e-9);
-        let (dense, sparse) = profile.element_counts();
-        assert_eq!(dense, 8);
-        assert_eq!(sparse, 400);
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Integration tests for the runner's extended features: asynchronous
-//! training, optimizer selection, gradient tracing, resource-spec entry
-//! point, and checkpointing.
+//! training, optimizer selection, gradient tracing and checkpointing.
 
-use parallax_cluster::ResourceSpec;
 use parallax_comm::protocheck::WireKind;
 use parallax_comm::tag::ReqKind;
 use parallax_core::sparsity::estimate_profile;
 use parallax_core::{
-    checkpoint, derive_session, get_runner, get_runner_from_spec, shard_range, ArchChoice,
-    OptimizerKind, ParallaxConfig,
+    checkpoint, derive_session, get_runner, shard_range, ArchChoice, OptimizerKind, ParallaxConfig,
 };
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::graph::{Init, Op, PhKind};
@@ -225,28 +222,6 @@ fn gradient_tracing_reports_global_norms() {
         (got - expected).abs() < 1e-3 * expected.max(1.0),
         "traced norm {got} vs sequential {expected}"
     );
-}
-
-#[test]
-fn runner_from_resource_spec_matches_explicit_layout() {
-    let (graph, loss) = build_model();
-    let profile = profile_for(&graph);
-    let spec = ResourceSpec::parse("host-a: 0,1\nhost-b: 0,1\n").unwrap();
-    let runner = get_runner_from_spec(
-        graph.clone(),
-        loss,
-        &spec,
-        ParallaxConfig {
-            seed: SEED,
-            ..ParallaxConfig::default()
-        },
-        profile,
-    )
-    .unwrap();
-    assert_eq!(runner.topology().num_machines(), 2);
-    assert_eq!(runner.topology().num_workers(), 4);
-    let report = runner.run(3, |w, _| worker_feed(w, 4)).unwrap();
-    assert_eq!(report.losses.len(), 3);
 }
 
 #[test]

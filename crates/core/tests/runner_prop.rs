@@ -19,14 +19,14 @@ const CLASSES: usize = 4;
 /// classifier head, so every architecture path gets exercised.
 fn build_model(sparse_vars: usize, emb: usize) -> (Graph, NodeId) {
     let mut g = Graph::new();
-    let grp = g.open_partition_group();
     let mut embs = Vec::new();
     for i in 0..sparse_vars {
         embs.push(
-            g.variable_in_group(
-                VariableDef::new(format!("emb{i}"), [VOCAB, emb], Init::Normal(0.2)),
-                grp,
-            )
+            g.variable(VariableDef::new(
+                format!("emb{i}"),
+                [VOCAB, emb],
+                Init::Normal(0.2),
+            ))
             .expect("variable"),
         );
     }

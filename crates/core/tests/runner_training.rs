@@ -23,8 +23,7 @@ const CLASSES: usize = 4;
 /// (the embedding) and dense variables (LSTM kernel, projection).
 fn build_model(batch: usize) -> (Graph, NodeId) {
     let mut g = Graph::new();
-    let grp = g.open_partition_group();
-    let emb = parallax_dataflow::builder::embedding(&mut g, "emb", VOCAB, EMB, Some(grp)).unwrap();
+    let emb = parallax_dataflow::builder::embedding(&mut g, "emb", VOCAB, EMB).unwrap();
     let ids = g.placeholder("ids", PhKind::Ids).unwrap();
     let labels = g.placeholder("labels", PhKind::Ids).unwrap();
     let h0 = g.placeholder("h0", PhKind::Float).unwrap();

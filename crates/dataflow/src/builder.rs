@@ -138,19 +138,9 @@ pub fn lstm_step(
     result
 }
 
-/// Declares an embedding table, optionally inside a partitioner group.
-pub fn embedding(
-    g: &mut Graph,
-    name: &str,
-    vocab: usize,
-    dim: usize,
-    group: Option<usize>,
-) -> Result<VarId> {
-    let def = VariableDef::new(name, [vocab, dim], Init::Normal(0.05));
-    match group {
-        Some(grp) => g.variable_in_group(def, grp),
-        None => g.variable(def),
-    }
+/// Declares a `vocab x dim` embedding table.
+pub fn embedding(g: &mut Graph, name: &str, vocab: usize, dim: usize) -> Result<VarId> {
+    g.variable(VariableDef::new(name, [vocab, dim], Init::Normal(0.05)))
 }
 
 /// A residual block of two linear layers: `relu(x + f(x))`, the dense-model
@@ -237,11 +227,9 @@ mod tests {
     #[test]
     fn embedding_is_sparse_when_gathered() {
         let mut g = Graph::new();
-        let grp = g.open_partition_group();
-        let emb = embedding(&mut g, "emb", 50, 8, Some(grp)).unwrap();
+        let emb = embedding(&mut g, "emb", 50, 8).unwrap();
         let ids = g.placeholder("ids", PhKind::Ids).unwrap();
         let _x = g.add(Op::Gather { table: emb, ids }).unwrap();
         assert!(g.is_sparse_variable(emb));
-        assert_eq!(g.var_def(emb).unwrap().partition_group, Some(grp));
     }
 }

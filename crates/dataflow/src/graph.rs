@@ -88,10 +88,6 @@ pub enum Init {
 }
 
 /// A trainable variable declaration.
-///
-/// `partition_group` marks membership in a `parallax.partitioner()`
-/// context (Figure 3 of the paper): all variables in one group are
-/// partitioned with the same partition count found by the search.
 #[derive(Debug, Clone)]
 pub struct VariableDef {
     /// Human-readable unique name.
@@ -100,8 +96,6 @@ pub struct VariableDef {
     pub shape: Shape,
     /// Initialization scheme.
     pub init: Init,
-    /// `Some(group)` when declared inside a partitioner context.
-    pub partition_group: Option<usize>,
 }
 
 impl VariableDef {
@@ -111,7 +105,6 @@ impl VariableDef {
             name: name.into(),
             shape: shape.into(),
             init,
-            partition_group: None,
         }
     }
 
@@ -354,7 +347,6 @@ pub struct Graph {
     scope_stack: Vec<String>,
     variables: Vec<VariableDef>,
     placeholders: Vec<PlaceholderDef>,
-    partition_groups: usize,
 }
 
 impl Graph {
@@ -458,32 +450,9 @@ impl Graph {
         self.add(Op::Constant(value))
     }
 
-    /// Opens a new partitioner group (the `parallax.partitioner()` context)
-    /// and returns its id; pass it to [`Graph::variable_in_group`].
-    pub fn open_partition_group(&mut self) -> usize {
-        self.partition_groups += 1;
-        self.partition_groups - 1
-    }
-
-    /// Declares a variable inside a partitioner group.
-    pub fn variable_in_group(&mut self, mut def: VariableDef, group: usize) -> Result<VarId> {
-        if group >= self.partition_groups {
-            return Err(DataflowError::InvalidGraph(format!(
-                "unknown partition group {group}"
-            )));
-        }
-        def.partition_group = Some(group);
-        self.variable(def)
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of declared partitioner groups.
-    pub fn num_partition_groups(&self) -> usize {
-        self.partition_groups
     }
 
     /// The operation of a node.
@@ -599,13 +568,7 @@ impl Graph {
         }
 
         let mut sliced = Graph::new();
-        for _ in 0..self.partition_groups {
-            sliced.open_partition_group();
-        }
-        for def in &self.variables {
-            // Defs carry their partition_group already; push verbatim.
-            sliced.variables.push(def.clone());
-        }
+        sliced.variables = self.variables.clone();
 
         let mut map: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
         for (i, op) in self.nodes.iter().enumerate() {
@@ -712,19 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_groups_tag_variables() {
-        let mut g = Graph::new();
-        let grp = g.open_partition_group();
-        let v = g
-            .variable_in_group(VariableDef::new("emb", [100, 8], Init::Glorot), grp)
-            .unwrap();
-        assert_eq!(g.var_def(v).unwrap().partition_group, Some(grp));
-        assert!(g
-            .variable_in_group(VariableDef::new("x", [1], Init::Zeros), 7)
-            .is_err());
-    }
-
-    #[test]
     fn find_variable_by_name() {
         let (g, emb, _) = small_graph();
         assert_eq!(g.find_variable("emb"), Some(emb));
@@ -783,9 +733,8 @@ mod tests {
     /// `logits = gather(emb, ids) * w + b`, `loss = xent(logits, labels)`.
     fn train_graph() -> (Graph, NodeId, NodeId) {
         let mut g = Graph::new();
-        let grp = g.open_partition_group();
         let emb = g
-            .variable_in_group(VariableDef::new("emb", [10, 4], Init::Glorot), grp)
+            .variable(VariableDef::new("emb", [10, 4], Init::Glorot))
             .unwrap();
         let w = g
             .variable(VariableDef::new("w", [4, 3], Init::Normal(0.2)))
@@ -811,15 +760,13 @@ mod tests {
         assert!(sliced.ops().iter().all(|op| op.name() != "SoftmaxXent"));
         assert!(sliced.placeholders().iter().all(|p| p.name != "labels"));
         assert!(sliced.placeholders().iter().any(|p| p.name == "ids"));
-        // VarIds (and partition groups) are identical to the training graph.
+        // VarIds are identical to the training graph.
         assert_eq!(sliced.variables().len(), g.variables().len());
-        assert_eq!(sliced.num_partition_groups(), g.num_partition_groups());
         for var in g.var_ids() {
             let a = g.var_def(var).unwrap();
             let b = sliced.var_def(var).unwrap();
             assert_eq!(a.name, b.name);
             assert_eq!(a.shape, b.shape);
-            assert_eq!(a.partition_group, b.partition_group);
         }
         assert!(g.is_sparse_variable(g.find_variable("emb").unwrap()));
         assert!(sliced.is_sparse_variable(sliced.find_variable("emb").unwrap()));

@@ -97,26 +97,6 @@ impl ZipfCorpus {
         }
         (ids, labels)
     }
-
-    /// Average distinct tokens in a `batch x length` sample, estimated by
-    /// drawing `trials` batches — the measured `alpha * vocab`.
-    pub fn expected_distinct(
-        &self,
-        batch: usize,
-        length: usize,
-        trials: usize,
-        rng: &mut DetRng,
-    ) -> f64 {
-        let mut total = 0usize;
-        for _ in 0..trials {
-            let (ids, _) = self.sample_batch(batch, length, rng);
-            let mut sorted = ids;
-            sorted.sort_unstable();
-            sorted.dedup();
-            total += sorted.len();
-        }
-        total as f64 / trials as f64
-    }
 }
 
 /// Synthetic dense image data with class labels.
@@ -145,72 +125,6 @@ impl ImageDataset {
     pub fn feed(&self, batch: usize, rng: &mut DetRng) -> Feed {
         let (x, labels) = self.sample_batch(batch, rng);
         Feed::new().with("x", x).with("labels", labels)
-    }
-}
-
-/// A sharded view of a token dataset: worker `w` of `workers` sees a
-/// disjoint, deterministic subset of every epoch — Figure 3's
-/// `ds = parallax.shard(ds)`.
-///
-/// Sharding is by sequence index within the epoch: the global epoch
-/// order is fixed by the epoch seed (identical on every worker), and
-/// each worker takes its `shard_range` slice, so the union over workers
-/// is exactly the global batch stream with no overlap.
-#[derive(Debug, Clone)]
-pub struct ShardedTokenDataset {
-    corpus: ZipfCorpus,
-    /// Sequences per *global* batch.
-    pub global_batch: usize,
-    /// Tokens per sequence.
-    pub length: usize,
-    workers: usize,
-    worker: usize,
-    base_seed: u64,
-}
-
-impl ShardedTokenDataset {
-    /// Creates worker `worker`'s shard of a `workers`-way split.
-    pub fn shard(
-        corpus: ZipfCorpus,
-        global_batch: usize,
-        length: usize,
-        workers: usize,
-        worker: usize,
-        base_seed: u64,
-    ) -> Self {
-        ShardedTokenDataset {
-            corpus,
-            global_batch,
-            length,
-            workers,
-            worker,
-            base_seed,
-        }
-    }
-
-    /// Sequences this worker receives per batch.
-    pub fn local_batch(&self) -> usize {
-        parallax_core::runner::shard_range(self.global_batch, self.workers, self.worker).len()
-    }
-
-    /// This worker's `(ids, labels)` for global batch `iter`, time-major.
-    /// Every worker draws the same global sample (same seed) and slices
-    /// its own columns, so shards are disjoint and exhaustive.
-    pub fn batch(&self, iter: usize) -> (Vec<usize>, Vec<usize>) {
-        let mut rng = DetRng::seed(self.base_seed.wrapping_add(iter as u64));
-        let (ids, labels) = self
-            .corpus
-            .sample_batch(self.global_batch, self.length, &mut rng);
-        let r = parallax_core::runner::shard_range(self.global_batch, self.workers, self.worker);
-        let mut my_ids = Vec::with_capacity(r.len() * self.length);
-        let mut my_labels = Vec::with_capacity(r.len() * self.length);
-        for t in 0..self.length {
-            for b in r.clone() {
-                my_ids.push(ids[t * self.global_batch + b]);
-                my_labels.push(labels[t * self.global_batch + b]);
-            }
-        }
-        (my_ids, my_labels)
     }
 }
 
@@ -248,70 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn longer_sequences_touch_more_distinct_rows_sublinearly() {
-        // The Table 6 mechanism: distinct rows grow with length, but
-        // slower than linearly (Zipf reuse).
-        let corpus = ZipfCorpus::new(2000, 1.0);
-        let mut rng = DetRng::seed(3);
-        let d4 = corpus.expected_distinct(32, 4, 5, &mut rng);
-        let d32 = corpus.expected_distinct(32, 32, 5, &mut rng);
-        assert!(d32 > 2.0 * d4, "d4 {d4}, d32 {d32}");
-        assert!(
-            d32 < 8.0 * d4,
-            "sublinear growth expected: d4 {d4}, d32 {d32}"
-        );
-    }
-
-    #[test]
     fn images_have_requested_shape_and_label_range() {
         let ds = ImageDataset::new(64, 10);
         let mut rng = DetRng::seed(4);
         let (x, labels) = ds.sample_batch(8, &mut rng);
         assert_eq!(x.shape().dims(), &[8, 64]);
         assert!(labels.iter().all(|&l| l < 10));
-    }
-
-    #[test]
-    fn shards_are_disjoint_and_exhaustive() {
-        let corpus = ZipfCorpus::new(200, 1.0);
-        let workers = 3;
-        let global_batch = 8;
-        let length = 2;
-        // The unsharded global batch.
-        let mut rng = DetRng::seed(77);
-        let (global_ids, _) = corpus.sample_batch(global_batch, length, &mut rng);
-        // Reassemble from the shards.
-        let mut rebuilt = vec![None; global_batch * length];
-        let mut starts = 0usize;
-        for w in 0..workers {
-            let ds =
-                ShardedTokenDataset::shard(corpus.clone(), global_batch, length, workers, w, 77);
-            let (ids, _) = ds.batch(0);
-            let r = parallax_core::runner::shard_range(global_batch, workers, w);
-            starts += r.len();
-            for t in 0..length {
-                for (k, b) in r.clone().enumerate() {
-                    let slot = t * global_batch + b;
-                    assert!(rebuilt[slot].is_none(), "shards overlap");
-                    rebuilt[slot] = Some(ids[t * r.len() + k]);
-                }
-            }
-        }
-        assert_eq!(starts, global_batch);
-        let rebuilt: Vec<usize> = rebuilt.into_iter().map(|v| v.unwrap()).collect();
-        assert_eq!(rebuilt, global_ids);
-    }
-
-    #[test]
-    fn shard_batches_vary_by_iteration() {
-        let corpus = ZipfCorpus::new(100, 1.0);
-        let ds = ShardedTokenDataset::shard(corpus, 4, 3, 2, 0, 5);
-        assert_eq!(ds.local_batch(), 2);
-        let (a, _) = ds.batch(0);
-        let (b, _) = ds.batch(1);
-        assert_ne!(a, b, "different iterations draw different data");
-        let (a2, _) = ds.batch(0);
-        assert_eq!(a, a2, "batches are reproducible");
     }
 
     #[test]

@@ -34,16 +34,6 @@ impl InceptionConfig {
             classes: 5,
         }
     }
-
-    /// A mid-size executed configuration.
-    pub fn small() -> Self {
-        InceptionConfig {
-            features: 64,
-            width: 48,
-            blocks: 4,
-            classes: 10,
-        }
-    }
 }
 
 /// One mixed block: three parallel branches (1/2, 1/4, 1/4 of the

@@ -50,19 +50,6 @@ impl LmConfig {
             layers: 1,
         }
     }
-
-    /// A mid-size executed configuration for convergence experiments.
-    pub fn small() -> Self {
-        LmConfig {
-            vocab: 800,
-            emb: 16,
-            hidden: 32,
-            length: 8,
-            batch: 8,
-            candidates: 48,
-            layers: 1,
-        }
-    }
 }
 
 /// A built LM and its variable handles.
@@ -84,21 +71,10 @@ impl LmModel {
     /// LSTM cell, projection, and sampled softmax per timestep.
     pub fn build(config: LmConfig) -> parallax_dataflow::Result<LmModel> {
         let mut g = Graph::new();
-        let grp = g.open_partition_group();
-        let emb_in = parallax_dataflow::builder::embedding(
-            &mut g,
-            "lm/emb_in",
-            config.vocab,
-            config.emb,
-            Some(grp),
-        )?;
-        let emb_out = parallax_dataflow::builder::embedding(
-            &mut g,
-            "lm/emb_out",
-            config.vocab,
-            config.emb,
-            Some(grp),
-        )?;
+        let emb_in =
+            parallax_dataflow::builder::embedding(&mut g, "lm/emb_in", config.vocab, config.emb)?;
+        let emb_out =
+            parallax_dataflow::builder::embedding(&mut g, "lm/emb_out", config.vocab, config.emb)?;
         let ids = g.placeholder("ids", PhKind::Ids)?;
         let cands = g.placeholder("cands", PhKind::Ids)?;
         let h0 = g.placeholder("h0", PhKind::Float)?;
@@ -272,11 +248,6 @@ mod tests {
         // LSTM kernel is dense.
         let kernel = g.find_variable("lm/lstm/l0/kernel").unwrap();
         assert!(!g.is_sparse_variable(kernel));
-        // Both embeddings share the partitioner group.
-        assert_eq!(
-            g.var_def(model.emb_in).unwrap().partition_group,
-            g.var_def(model.emb_out).unwrap().partition_group,
-        );
     }
 
     #[test]

@@ -53,20 +53,6 @@ impl NmtConfig {
             attention: true,
         }
     }
-
-    /// A mid-size executed configuration with a 2-layer stack.
-    pub fn small() -> Self {
-        NmtConfig {
-            src_vocab: 600,
-            tgt_vocab: 500,
-            emb: 16,
-            hidden: 24,
-            layers: 2,
-            length: 6,
-            batch: 8,
-            attention: true,
-        }
-    }
 }
 
 /// A stack of LSTM layers stepped together; layer `l`'s hidden state
@@ -131,21 +117,17 @@ impl NmtModel {
     /// dense projection to target-vocabulary logits.
     pub fn build(config: NmtConfig) -> parallax_dataflow::Result<NmtModel> {
         let mut g = Graph::new();
-        // The Figure 3 example: both embeddings under one partitioner.
-        let grp = g.open_partition_group();
         let emb_enc = parallax_dataflow::builder::embedding(
             &mut g,
             "nmt/emb_enc",
             config.src_vocab,
             config.emb,
-            Some(grp),
         )?;
         let emb_dec = parallax_dataflow::builder::embedding(
             &mut g,
             "nmt/emb_dec",
             config.tgt_vocab,
             config.emb,
-            Some(grp),
         )?;
         let src_ids = g.placeholder("src_ids", PhKind::Ids)?;
         let tgt_ids = g.placeholder("tgt_ids", PhKind::Ids)?;

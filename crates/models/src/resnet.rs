@@ -38,17 +38,6 @@ impl ResNetConfig {
             classes: 5,
         }
     }
-
-    /// A mid-size executed configuration.
-    pub fn small() -> Self {
-        ResNetConfig {
-            features: 64,
-            width: 48,
-            bottleneck: 16,
-            blocks: 6,
-            classes: 10,
-        }
-    }
 }
 
 /// Builds the ResNet-like graph.

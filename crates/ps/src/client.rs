@@ -279,23 +279,16 @@ impl PsClient {
     }
 
     /// Chief-only: fetches the current (post-update) value of a PS
-    /// variable for checkpointing, stitching partitioned sparse shards
-    /// back into one tensor. Returns `None` for AllReduce variables
-    /// (their authoritative copy is the chief's local replica). Call
-    /// after [`PsClient::await_update_done`] so every shard is applied.
+    /// variable for checkpointing and snapshot publishing, stitching
+    /// partitioned sparse shards back into one tensor, plus the
+    /// optimizer's slot state (velocity/accum), stitched the same way.
+    /// Returns `None` for AllReduce variables (their authoritative copy
+    /// is the chief's local replica). Call after
+    /// [`PsClient::await_update_done`] so every shard is applied.
     ///
-    /// The result is row-major over the variable's *rows*; the caller
-    /// reshapes to the variable's full shape.
-    pub fn fetch_var(&mut self, ep: &mut Endpoint, var: VarId) -> Result<Option<Tensor>> {
-        Ok(self
-            .fetch_var_with_state(ep, var)?
-            .map(|(value, _state)| value))
-    }
-
-    /// Like [`PsClient::fetch_var`], but also returns the optimizer's
-    /// slot state (velocity/accum) for the variable, stitched across
-    /// shards the same way as the value. `None` state means the server's
-    /// optimizer is stateless (or some shard had no state yet).
+    /// The value is row-major over the variable's *rows*; the caller
+    /// reshapes to the variable's full shape. `None` state means the
+    /// server's optimizer is stateless (or some shard had no state yet).
     ///
     /// The server piggybacks the state as a second message under the
     /// fetch response tag; both messages are always consumed, so callers

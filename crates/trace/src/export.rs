@@ -386,22 +386,9 @@ pub fn compute_skew_stats(dump: &TraceDump) -> Vec<IterStat> {
         .collect()
 }
 
-/// Aggregate max/median ratio over a stats vector (1.0 when empty):
-/// total max divided by total median, which is more stable than the
-/// mean of per-iteration ratios on noisy hosts.
-pub fn aggregate_ratio(stats: &[IterStat]) -> f64 {
-    let sum_max: u64 = stats.iter().map(|s| s.max_ns).sum();
-    let sum_med: u64 = stats.iter().map(|s| s.median_ns).sum();
-    if sum_med == 0 {
-        1.0
-    } else {
-        sum_max as f64 / sum_med as f64
-    }
-}
-
 /// Upper median of the per-iteration max/median ratios (1.0 when
-/// empty). Where [`aggregate_ratio`] lets one stalled iteration
-/// dominate the whole run, this discards such spikes — on time-shared
+/// empty). Where a ratio of totals lets one stalled iteration dominate
+/// the whole run, this discards such spikes — on time-shared
 /// hosts a multi-millisecond scheduler stall in a single iteration is
 /// the dominant measurement artifact, so conformance checks compare
 /// against this figure.

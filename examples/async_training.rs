@@ -20,7 +20,7 @@ const ITERS: usize = 30;
 
 fn main() {
     let mut graph = Graph::new();
-    let emb = parallax_repro::dataflow::builder::embedding(&mut graph, "emb", VOCAB, 12, None)
+    let emb = parallax_repro::dataflow::builder::embedding(&mut graph, "emb", VOCAB, 12)
         .expect("embedding");
     let ids = graph.placeholder("ids", PhKind::Ids).expect("ids");
     let labels = graph.placeholder("labels", PhKind::Ids).expect("labels");

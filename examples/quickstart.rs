@@ -21,10 +21,8 @@ fn main() {
     // 1. Build a single-GPU graph, exactly as for local training: an
     //    embedding (sparse) feeding a small classifier (dense).
     let mut graph = Graph::new();
-    let group = graph.open_partition_group(); // parallax.partitioner()
-    let emb =
-        parallax_repro::dataflow::builder::embedding(&mut graph, "emb", VOCAB, EMB, Some(group))
-            .expect("embedding");
+    let emb = parallax_repro::dataflow::builder::embedding(&mut graph, "emb", VOCAB, EMB)
+        .expect("embedding");
     let ids = graph.placeholder("ids", PhKind::Ids).expect("ids");
     let labels = graph.placeholder("labels", PhKind::Ids).expect("labels");
     let x = graph.add(Op::Gather { table: emb, ids }).expect("gather");

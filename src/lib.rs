@@ -8,7 +8,7 @@
 //! * [`tensor`] — dense tensors and sparse `IndexedSlices`.
 //! * [`dataflow`] — the graph engine with reverse-mode autodiff.
 //! * [`comm`] — transport, traffic accounting, ring collectives.
-//! * [`cluster`] — resource specs and the hardware/iteration-time model.
+//! * [`cluster`] — the hardware/iteration-time model.
 //! * [`ps`] — the Parameter Server architecture.
 //! * [`core`] — Parallax itself: sparsity analysis, hybrid decision,
 //!   partition search, graph transformation, the distributed runner.
