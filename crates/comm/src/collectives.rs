@@ -6,10 +6,17 @@
 //! ever receive from the ring predecessor under a single tag, so FIFO
 //! channel ordering guarantees step alignment without per-step tags.
 //!
+//! Ring AllReduce takes a bucket of buffers and reduces them in one
+//! chunk-major ring: the runner passes every ring-exchanged gradient of
+//! a step at once, so a step costs one collective and `2(N-1)` messages
+//! per rank however many variables ride the ring.
+//!
 //! Costs match the paper's Section 3.1 analysis: ring AllReduce moves
-//! `w/N` bytes per worker per step for `2(N-1)` steps; AllGatherv moves
-//! each worker's full contribution for `N-1` steps.
+//! `w/N` bytes per worker per step for `2(N-1)` steps, where `w` is the
+//! bucket's total size; AllGatherv moves each worker's full contribution
+//! for `N-1` steps.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use parallax_tensor::IndexedSlices;
@@ -50,7 +57,9 @@ pub(crate) fn chunk_range(len: usize, n: usize, i: usize) -> std::ops::Range<usi
 /// ascending position order (wrapping mod `n`). Any aggregator that
 /// must be bitwise interchangeable with the ring — in particular the
 /// Parameter Server's dense accumulator — replays that exact schedule
-/// through this function instead of summing in arrival order.
+/// through this function instead of summing in arrival order. A fused
+/// ring cuts each buffer of its bucket into its own chunks, so this
+/// one-buffer schedule holds for every buffer of a bucket.
 pub fn ring_reduce_reference(parts: &[&[f32]]) -> Result<Vec<f32>> {
     let n = parts.len();
     if n == 0 {
@@ -79,13 +88,61 @@ pub fn ring_reduce_reference(parts: &[&[f32]]) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Ring AllReduce (sum) in place: after the call every participant's
-/// `data` holds the elementwise sum over all participants.
+/// The bucket's pieces of ring chunk `c`: each buffer's own
+/// `chunk_range(len, n, c)` beside the range it fills in the chunk's hop
+/// message, in bucket order. Fails with [`CommError::LengthMismatch`]
+/// when a message of `msg_len` elements is not that chunk, before any
+/// buffer is touched: a peer whose bucket differs is reported here, not
+/// as an out-of-range slice or a write of its data into ours.
+fn chunk_parts<'a, 'b>(
+    bufs: &'a mut [&'b mut [f32]],
+    n: usize,
+    c: usize,
+    msg_len: usize,
+) -> Result<impl Iterator<Item = (Range<usize>, &'a mut [f32])> + use<'a, 'b>> {
+    let expected: usize = bufs.iter().map(|b| chunk_range(b.len(), n, c).len()).sum();
+    if msg_len != expected {
+        return Err(CommError::LengthMismatch {
+            expected,
+            actual: msg_len,
+        });
+    }
+    let mut at = 0;
+    Ok(bufs.iter_mut().map(move |b| {
+        let local = chunk_range(b.len(), n, c);
+        let msg = at..at + local.len();
+        at = msg.end;
+        (msg, &mut b[local])
+    }))
+}
+
+/// Ring chunk `c` of the bucket as its hop message: each buffer's own
+/// `chunk_range(len, n, c)` mapped through `f`, concatenated in bucket
+/// order. One straight loop per buffer, into a buffer allocated once.
+fn gather_chunk<T>(bufs: &[&mut [f32]], n: usize, c: usize, f: impl Fn(f32) -> T) -> Vec<T> {
+    let len = bufs.iter().map(|b| chunk_range(b.len(), n, c).len()).sum();
+    let mut msg = Vec::with_capacity(len);
+    for b in bufs {
+        msg.extend(b[chunk_range(b.len(), n, c)].iter().map(|&x| f(x)));
+    }
+    msg
+}
+
+/// Ring AllReduce (sum) in place over a bucket of buffers: after the
+/// call every participant's buffers hold the elementwise sums over all
+/// participants. All participants must pass buckets of the same lengths.
+///
+/// The bucket travels as one ring: the hop message of ring chunk `c`
+/// concatenates, in bucket order, each buffer's own
+/// `chunk_range(len, n, c)`. Every element keeps the fold start and
+/// association a ring over its buffer alone would give it (so
+/// [`ring_reduce_reference`] holds per buffer), while a rank sends
+/// `2(n-1)` messages per call however many buffers ride it.
 pub fn ring_allreduce(
     ep: &mut Endpoint,
     ranks: &[usize],
     tag: u64,
-    data: &mut [f32],
+    bufs: &mut [&mut [f32]],
 ) -> Result<()> {
     let _span = span(SpanCat::Collective, "allreduce");
     let pos = position(ep, ranks)?;
@@ -95,42 +152,38 @@ pub fn ring_allreduce(
     }
     let next = ranks[(pos + 1) % n];
     let prev = ranks[(pos + n - 1) % n];
-    let len = data.len();
 
     // The chunk travelling the ring lives in `send_buf` and rotates:
     // every hop *moves* it into the router (no per-step copy — only the
-    // entry copy of the first outgoing chunk below), adds the local
+    // entry gather of the first outgoing chunk below), adds the local
     // contribution into the incoming buffer, and sends that next.
     //
     // Reduce-scatter: after step s the travelling chunk (pos - s - 1)
     // holds the partial sum of s + 2 contributions; after N-1 steps rank
-    // `pos` owns the fully reduced chunk (pos + 1) mod N. `data` itself
-    // stays untouched during this phase: every chunk index is received
-    // exactly once, so `data[recv_range]` is always the original local
+    // `pos` owns the fully reduced chunk (pos + 1) mod N. The buffers
+    // stay untouched during this phase: every chunk index is received
+    // exactly once, so their chunk is always the original local
     // contribution, and partial sums never need to be written back
     // (the allgather phase overwrites those ranges anyway).
-    let mut send_buf = data[chunk_range(len, n, pos)].to_vec();
+    let mut send_buf = gather_chunk(bufs, n, pos, |x| x);
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.reduce_scatter");
         let recv_idx = (pos + n - step - 1) % n;
         ep.send(next, tag, Payload::Floats(Arc::new(send_buf)))?;
         let mut incoming = ep.recv(prev, tag)?.into_floats()?;
-        let recv_range = chunk_range(len, n, recv_idx);
-        if incoming.len() != recv_range.len() {
-            return Err(CommError::LengthMismatch {
-                expected: recv_range.len(),
-                actual: incoming.len(),
-            });
-        }
         // partial + local: f32 addition is commutative, so this is
         // bitwise identical to adding incoming into the local chunk.
-        for (x, d) in incoming.iter_mut().zip(&data[recv_range]) {
-            *x += *d;
+        for (msg, local) in chunk_parts(bufs, n, recv_idx, incoming.len())? {
+            for (x, d) in incoming[msg].iter_mut().zip(local.iter()) {
+                *x += *d;
+            }
         }
         send_buf = incoming;
     }
     // The rotation ends holding this rank's fully reduced chunk.
-    data[chunk_range(len, n, (pos + 1) % n)].copy_from_slice(&send_buf);
+    for (msg, out) in chunk_parts(bufs, n, (pos + 1) % n, send_buf.len())? {
+        out.copy_from_slice(&send_buf[msg]);
+    }
     // Allgather: circulate the reduced chunks, forwarding each received
     // buffer on the next hop. The first outgoing chunk (pos + 1) mod N
     // is exactly what `send_buf` already holds.
@@ -139,21 +192,18 @@ pub fn ring_allreduce(
         let recv_idx = (pos + n - step) % n;
         ep.send(next, tag, Payload::Floats(Arc::new(send_buf)))?;
         let incoming = ep.recv(prev, tag)?.into_floats()?;
-        let recv_range = chunk_range(len, n, recv_idx);
-        if incoming.len() != recv_range.len() {
-            return Err(CommError::LengthMismatch {
-                expected: recv_range.len(),
-                actual: incoming.len(),
-            });
+        for (msg, out) in chunk_parts(bufs, n, recv_idx, incoming.len())? {
+            out.copy_from_slice(&incoming[msg]);
         }
-        data[recv_range].copy_from_slice(&incoming);
         send_buf = incoming;
     }
     Ok(())
 }
 
-/// Ring AllReduce with a selectable [`WireFormat`]: chunks travel as
-/// 16-bit wire words under f16/bf16, halving dense exchange bytes.
+/// [`ring_allreduce`] with a selectable [`WireFormat`]: chunks travel as
+/// 16-bit wire words under f16/bf16, halving dense exchange bytes. This
+/// is the runner's one ring: each step it reduces every ring-exchanged
+/// gradient as one bucket.
 ///
 /// Accumulation stays in f32 on every hop (decode → add local f32 →
 /// re-encode), so the reduction order is the fixed ring order and the
@@ -166,24 +216,24 @@ pub fn ring_allreduce_wire(
     ep: &mut Endpoint,
     ranks: &[usize],
     tag: u64,
-    data: &mut [f32],
+    bufs: &mut [&mut [f32]],
     wire: WireFormat,
 ) -> Result<()> {
     match wire {
-        WireFormat::F32 => ring_allreduce(ep, ranks, tag, data),
-        WireFormat::F16 => ring_allreduce_words(ep, ranks, tag, data, f16_from_f32, f16_to_f32),
-        WireFormat::Bf16 => ring_allreduce_words(ep, ranks, tag, data, bf16_from_f32, bf16_to_f32),
+        WireFormat::F32 => ring_allreduce(ep, ranks, tag, bufs),
+        WireFormat::F16 => ring_allreduce_words(ep, ranks, tag, bufs, f16_from_f32, f16_to_f32),
+        WireFormat::Bf16 => ring_allreduce_words(ep, ranks, tag, bufs, bf16_from_f32, bf16_to_f32),
     }
 }
 
 /// [`ring_allreduce_wire`] for one 16-bit format. Generic over the
-/// codec so each hop is a single loop the compiler can vectorize: the
-/// format is chosen once per call, not once per element.
+/// codec so each hop is a single loop per buffer the compiler can
+/// vectorize: the format is chosen once per call, not once per element.
 fn ring_allreduce_words(
     ep: &mut Endpoint,
     ranks: &[usize],
     tag: u64,
-    data: &mut [f32],
+    bufs: &mut [&mut [f32]],
     enc: impl Fn(f32) -> u16,
     dec: impl Fn(u16) -> f32,
 ) -> Result<()> {
@@ -196,59 +246,46 @@ fn ring_allreduce_words(
     }
     let next = ranks[(pos + 1) % n];
     let prev = ranks[(pos + n - 1) % n];
-    let len = data.len();
 
     // Same rotation as `ring_allreduce`, but the travelling chunk stays
-    // in wire words: each reduce-scatter hop rewrites the incoming words
-    // in place as enc(dec(word) + local) and sends that buffer on. The
-    // last hop's chunk is the one this rank owns, fully reduced: the
-    // owner encodes it exactly once and keeps the decode of those words.
-    let mut send: Vec<u16> = data[chunk_range(len, n, pos)]
-        .iter()
-        .map(|&x| enc(x))
-        .collect();
+    // in wire words, encoded straight from the buffers: each
+    // reduce-scatter hop rewrites the incoming words in place as
+    // enc(dec(word) + local) and sends that buffer on. The last hop's
+    // chunk is the one this rank owns, fully reduced: the owner encodes
+    // it exactly once and keeps the decode of those words.
+    let mut send = gather_chunk(bufs, n, pos, &enc);
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.reduce_scatter");
         let recv_idx = (pos + n - step - 1) % n;
         ep.send(next, tag, Payload::Words(Arc::new(send)))?;
         let mut words = unwrap_shared(ep.recv(prev, tag)?.into_shared_words()?);
-        let local = &mut data[chunk_range(len, n, recv_idx)];
-        if words.len() != local.len() {
-            return Err(CommError::LengthMismatch {
-                expected: local.len(),
-                actual: words.len(),
-            });
-        }
-        if step < n - 2 {
-            for (w, &d) in words.iter_mut().zip(local.iter()) {
-                *w = enc(dec(*w) + d);
-            }
-        } else {
-            // The owner's hop.
-            for (w, d) in words.iter_mut().zip(local.iter_mut()) {
-                *w = enc(dec(*w) + *d);
-                *d = dec(*w);
+        let owner = step == n - 2;
+        for (msg, local) in chunk_parts(bufs, n, recv_idx, words.len())? {
+            if owner {
+                for (w, d) in words[msg].iter_mut().zip(local.iter_mut()) {
+                    *w = enc(dec(*w) + *d);
+                    *d = dec(*w);
+                }
+            } else {
+                for (w, &d) in words[msg].iter_mut().zip(local.iter()) {
+                    *w = enc(dec(*w) + d);
+                }
             }
         }
         send = words;
     }
     // Allgather: forward each reduced chunk's words verbatim (by
-    // reference count) and decode them into place.
+    // reference count) and decode them straight into the buffers.
     let mut send = Arc::new(send);
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.allgather");
         let recv_idx = (pos + n - step) % n;
         ep.send(next, tag, Payload::Words(send))?;
         let incoming = ep.recv(prev, tag)?.into_shared_words()?;
-        let out = &mut data[chunk_range(len, n, recv_idx)];
-        if incoming.len() != out.len() {
-            return Err(CommError::LengthMismatch {
-                expected: out.len(),
-                actual: incoming.len(),
-            });
-        }
-        for (o, &w) in out.iter_mut().zip(incoming.iter()) {
-            *o = dec(w);
+        for (msg, out) in chunk_parts(bufs, n, recv_idx, incoming.len())? {
+            for (o, &w) in out.iter_mut().zip(&incoming[msg]) {
+                *o = dec(w);
+            }
         }
         send = incoming;
     }
@@ -453,7 +490,7 @@ mod tests {
             let len = 10;
             let (results, _) = run_all(topo, |ep, ranks| {
                 let mut data: Vec<f32> = (0..len).map(|i| (ep.rank() * 100 + i) as f32).collect();
-                ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+                ring_allreduce(ep, ranks, 1, &mut [&mut data[..]]).unwrap();
                 data
             });
             let expected: Vec<f32> = (0..len)
@@ -470,7 +507,7 @@ mod tests {
         let topo = Topology::uniform(3, 1).unwrap();
         let (results, _) = run_all(topo, |ep, ranks| {
             let mut data = vec![ep.rank() as f32 + 1.0; 7];
-            ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+            ring_allreduce(ep, ranks, 1, &mut [&mut data[..]]).unwrap();
             data
         });
         for r in &results {
@@ -483,7 +520,7 @@ mod tests {
         let topo = Topology::uniform(1, 1).unwrap();
         let (results, _) = run_all(topo, |ep, ranks| {
             let mut data = vec![3.0, 4.0];
-            ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+            ring_allreduce(ep, ranks, 1, &mut [&mut data[..]]).unwrap();
             data
         });
         assert_eq!(results[0], vec![3.0, 4.0]);
@@ -499,7 +536,7 @@ mod tests {
         let topo = Topology::uniform(n, 1).unwrap();
         let (_, traffic) = run_all(topo, |ep, ranks| {
             let mut data = vec![1.0f32; len];
-            ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+            ring_allreduce(ep, ranks, 1, &mut [&mut data[..]]).unwrap();
         });
         let per_machine_out = 2 * (n as u64 - 1) * (len as u64 / n as u64) * 4;
         for m in 0..n {
@@ -569,7 +606,7 @@ mod tests {
                     let mut data: Vec<f32> = (0..len)
                         .map(|i| (ep.rank() as f32 + 1.0) * 0.1 + i as f32 * 0.01)
                         .collect();
-                    ring_allreduce_wire(ep, ranks, 1, &mut data, wire).unwrap();
+                    ring_allreduce_wire(ep, ranks, 1, &mut [&mut data[..]], wire).unwrap();
                     data
                 });
                 for r in &results[1..] {
@@ -600,7 +637,7 @@ mod tests {
             let len = 9;
             let (results, _) = run_all(topo, |ep, ranks| {
                 let mut data: Vec<f32> = (0..len).map(|i| (ep.rank() + i) as f32).collect();
-                ring_allreduce_wire(ep, ranks, 1, &mut data, wire).unwrap();
+                ring_allreduce_wire(ep, ranks, 1, &mut [&mut data[..]], wire).unwrap();
                 data
             });
             let expected: Vec<f32> = (0..len)
@@ -640,38 +677,122 @@ mod tests {
         }
     }
 
+    /// The bucket shapes the oracle tests reduce on a ring of `n`: each
+    /// length alone, then all of them (an empty buffer included) as one
+    /// fused bucket.
+    fn oracle_buckets(n: usize) -> Vec<Vec<usize>> {
+        let mut buckets: Vec<Vec<usize>> = [1, n - 1, n + 1, 37].map(|len| vec![len]).into();
+        buckets.push(vec![0, 1, n - 1, n + 1, 37]);
+        buckets
+    }
+
+    /// Rank `r`'s bucket of buffers with the given lengths; buffer `b`'s
+    /// element `i` is `input(r, j)` at its position `j` in the bucket's
+    /// concatenation, so every buffer holds different values.
+    fn bucket_of(lens: &[usize], r: usize, input: impl Fn(usize, usize) -> f32) -> Vec<Vec<f32>> {
+        let mut at = 0;
+        lens.iter()
+            .map(|&len| {
+                at += len;
+                (at - len..at).map(|j| input(r, j)).collect()
+            })
+            .collect()
+    }
+
+    /// Runs one bucketed ring AllReduce on `n` single-GPU machines and
+    /// returns each rank's reduced buffers.
+    fn reduce_buckets(
+        n: usize,
+        lens: &[usize],
+        wire: WireFormat,
+        input: impl Fn(usize, usize) -> f32 + Sync,
+    ) -> Vec<Vec<Vec<f32>>> {
+        let topo = Topology::uniform(n, 1).unwrap();
+        run_all(topo, |ep, ranks| {
+            let mut bufs = bucket_of(lens, ep.rank(), &input);
+            let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
+            ring_allreduce_wire(ep, ranks, 1, &mut views, wire).unwrap();
+            bufs
+        })
+        .0
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|f| f.to_bits()).collect()
+    }
+
     #[test]
     fn wire_allreduce_equals_sequential_quantized_fold() {
         // Every hop delivers dec(enc(partial)) and adds the local
         // contribution in f32; the owner encodes the reduced chunk once
-        // and every replica decodes those words. So chunk c must equal
+        // and every replica decodes those words. So chunk c of every
+        // buffer must equal
         //   x = w_c; for k in 1..n { x = q(x) + w_{(c+k) mod n} }; q(x)
-        // with q = dec∘enc, bit for bit, specials included.
-        for wire in [WireFormat::F16, WireFormat::Bf16] {
+        // with q = dec∘enc (the identity under f32), bit for bit,
+        // specials included, whatever else shares the buffer's bucket.
+        for wire in [WireFormat::F32, WireFormat::F16, WireFormat::Bf16] {
             for n in 2..=5usize {
-                for len in [1, n - 1, n + 1, 37] {
+                let input = |r: usize, j: usize| wire_oracle_input(r, n, j);
+                for lens in oracle_buckets(n) {
+                    let results = reduce_buckets(n, &lens, wire, input);
+                    let mut at = 0;
+                    for (b, &len) in lens.iter().enumerate() {
+                        let mut want = vec![0u32; len];
+                        for c in 0..n {
+                            for i in chunk_range(len, n, c) {
+                                let mut x = input(c, at + i);
+                                for k in 1..n {
+                                    x = wire.quantize(x) + input((c + k) % n, at + i);
+                                }
+                                want[i] = wire.quantize(x).to_bits();
+                            }
+                        }
+                        for (rank, got) in results.iter().enumerate() {
+                            assert_eq!(
+                                bits(&got[b]),
+                                want,
+                                "{wire:?} n={n} lens={lens:?} buffer {b} rank {rank}"
+                            );
+                        }
+                        at += len;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_disagreement_is_a_length_mismatch_before_any_write() {
+        // Rank 0's bucket has an extra buffer, or a shorter one, than
+        // every other rank's. Its successor must reject the first hop
+        // message it receives with a typed error before writing into any
+        // buffer; the ranks left waiting run into the short deadline.
+        let good = vec![37, 9];
+        for wire in [WireFormat::F32, WireFormat::F16, WireFormat::Bf16] {
+            for n in 2..=4usize {
+                for bad in [vec![37, 9, 5], vec![37 - n, 9]] {
                     let topo = Topology::uniform(n, 1).unwrap();
                     let (results, _) = run_all(topo, |ep, ranks| {
-                        let mut data: Vec<f32> = (0..len)
-                            .map(|i| wire_oracle_input(ep.rank(), n, i))
-                            .collect();
-                        ring_allreduce_wire(ep, ranks, 1, &mut data, wire).unwrap();
-                        data
+                        ep.set_recv_deadline(std::time::Duration::from_millis(100));
+                        let lens = if ep.rank() == 0 { &bad } else { &good };
+                        let mut bufs = bucket_of(lens, ep.rank(), |r, j| (r * 100 + j) as f32);
+                        let before: Vec<Vec<u32>> = bufs.iter().map(|b| bits(b)).collect();
+                        let mut views: Vec<&mut [f32]> =
+                            bufs.iter_mut().map(|b| &mut b[..]).collect();
+                        let result = ring_allreduce_wire(ep, ranks, 1, &mut views, wire);
+                        let after: Vec<Vec<u32>> = bufs.iter().map(|b| bits(b)).collect();
+                        (result, before == after)
                     });
-                    let mut want = vec![0u32; len];
-                    for c in 0..n {
-                        for i in chunk_range(len, n, c) {
-                            let mut x = wire_oracle_input(c, n, i);
-                            for k in 1..n {
-                                x = wire.quantize(x) + wire_oracle_input((c + k) % n, n, i);
-                            }
-                            want[i] = wire.quantize(x).to_bits();
-                        }
-                    }
-                    for (rank, got) in results.iter().enumerate() {
-                        let got: Vec<u32> = got.iter().map(|f| f.to_bits()).collect();
-                        assert_eq!(got, want, "{wire:?} n={n} len={len} rank {rank}");
-                    }
+                    let (result, untouched) = &results[1];
+                    assert!(
+                        matches!(result, Err(CommError::LengthMismatch { .. })),
+                        "{wire:?} n={n} bad={bad:?}: {result:?}"
+                    );
+                    assert!(
+                        untouched,
+                        "{wire:?} n={n} bad={bad:?}: rank 1 wrote a buffer"
+                    );
+                    assert!(results.iter().all(|(r, _)| r.is_err()));
                 }
             }
         }
@@ -684,7 +805,7 @@ mod tests {
         let topo = Topology::uniform(n, 1).unwrap();
         let (_, traffic) = run_all(topo, |ep, ranks| {
             let mut data = vec![1.0f32; len];
-            ring_allreduce_wire(ep, ranks, 1, &mut data, WireFormat::F16).unwrap();
+            ring_allreduce_wire(ep, ranks, 1, &mut [&mut data[..]], WireFormat::F16).unwrap();
         });
         // Same hop schedule as raw, 2 bytes per scalar instead of 4.
         let per_machine_out = 2 * (n as u64 - 1) * (len as u64 / n as u64) * 2;
@@ -736,7 +857,7 @@ mod tests {
             };
             let (results, _) = run_all(topo, |ep, ranks| {
                 let mut data: Vec<f32> = (0..len).map(|i| contrib(ep.rank(), i)).collect();
-                ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+                ring_allreduce(ep, ranks, 1, &mut [&mut data[..]]).unwrap();
                 data
             });
             let parts: Vec<Vec<f32>> = (0..n)
@@ -748,6 +869,29 @@ mod tests {
                 let got: Vec<u32> = r.iter().map(|f| f.to_bits()).collect();
                 let want: Vec<u32> = reference.iter().map(|f| f.to_bits()).collect();
                 assert_eq!(got, want, "{machines}x{gpus} len {len}");
+            }
+        }
+        // A fused bucket: the reference, run per buffer, still gives
+        // every buffer's exact bits.
+        for n in 2..=5usize {
+            let contrib = |r: usize, j: usize| {
+                (1.0 + r as f32) * 0.101 + (j as f32) * 0.037 + 1e-6 * ((r * 31 + j) as f32)
+            };
+            for lens in oracle_buckets(n) {
+                let results = reduce_buckets(n, &lens, WireFormat::F32, contrib);
+                let parts: Vec<Vec<Vec<f32>>> =
+                    (0..n).map(|r| bucket_of(&lens, r, contrib)).collect();
+                for b in 0..lens.len() {
+                    let views: Vec<&[f32]> = parts.iter().map(|p| p[b].as_slice()).collect();
+                    let want = bits(&ring_reduce_reference(&views).unwrap());
+                    for (rank, got) in results.iter().enumerate() {
+                        assert_eq!(
+                            bits(&got[b]),
+                            want,
+                            "n={n} lens={lens:?} buffer {b} rank {rank}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -12,7 +12,10 @@
 //! Collectives are implemented the way the paper assumes: ring
 //! AllReduce (reduce-scatter + allgather, `2(N-1)` steps, each moving
 //! `w/N` bytes per worker — Section 3.1) and ring AllGatherv (`N-1`
-//! steps, each moving the full local contribution).
+//! steps, each moving the full local contribution). Like Horovod's
+//! tensor fusion, one ring AllReduce reduces a whole bucket of
+//! gradients, so `w` is the bucket's size and a worker sends `2(N-1)`
+//! AllReduce messages per iteration, not `2(N-1)` per variable.
 
 pub mod checksum;
 pub mod collectives;

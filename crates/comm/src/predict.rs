@@ -77,12 +77,13 @@ impl StaticLedger {
 }
 
 /// Bytes the rank at ring position `pos` of `n` sends at hop `hop`
-/// (`0..2(n-1)`) of a ring AllReduce of `elems` elements under `wire`.
-/// Reduce-scatter hop `s` sends chunk `(pos - s) mod n` and allgather
-/// hop `s` chunk `(pos + 1 - s) mod n`: the rotation
-/// `collectives::ring_allreduce` performs.
+/// (`0..2(n-1)`) of a ring AllReduce of a bucket of buffers of lengths
+/// `lens` under `wire`. Reduce-scatter hop `s` sends chunk
+/// `(pos - s) mod n` and allgather hop `s` chunk `(pos + 1 - s) mod n`:
+/// the rotation `collectives::ring_allreduce` performs, whose hop message
+/// for chunk `c` carries each buffer's own chunk `c`.
 pub fn ring_allreduce_hop_bytes(
-    elems: usize,
+    lens: &[usize],
     n: usize,
     pos: usize,
     hop: usize,
@@ -94,7 +95,11 @@ pub fn ring_allreduce_hop_bytes(
     } else {
         pos + 2 * n - hop
     };
-    wire.scalar_bytes() * chunk_range(elems, n, chunk % n).len() as u64
+    let elems: usize = lens
+        .iter()
+        .map(|&len| chunk_range(len, n, chunk % n).len())
+        .sum();
+    wire.scalar_bytes() * elems as u64
 }
 
 /// The ring position whose contribution the rank at position `pos` of
@@ -146,11 +151,11 @@ mod tests {
         assert!(ledger.charge(9, 0, 0, 1).is_err());
     }
 
-    /// Charges a ring AllReduce over ranks `0..n` hop by hop.
-    fn charge_ring(ledger: &StaticLedger, n: usize, tag: u64, len: usize, wire: WireFormat) {
+    /// Charges a ring AllReduce of a bucket over ranks `0..n` hop by hop.
+    fn charge_ring(ledger: &StaticLedger, n: usize, tag: u64, lens: &[usize], wire: WireFormat) {
         for pos in 0..n {
             for hop in 0..2 * (n - 1) {
-                let bytes = ring_allreduce_hop_bytes(len, n, pos, hop, wire);
+                let bytes = ring_allreduce_hop_bytes(lens, n, pos, hop, wire);
                 ledger.charge(pos, (pos + 1) % n, tag, bytes).unwrap();
             }
         }
@@ -181,10 +186,10 @@ mod tests {
             let tag = 0x1000_0000_0000_0000u64;
             let measured = run_all(topo.clone(), |ep, ranks| {
                 let mut data = vec![1.0f32; len];
-                ring_allreduce(ep, ranks, tag, &mut data).unwrap();
+                ring_allreduce(ep, ranks, tag, &mut [&mut data[..]]).unwrap();
             });
             let ledger = StaticLedger::new(topo.clone());
-            charge_ring(&ledger, topo.num_workers(), tag, len, WireFormat::F32);
+            charge_ring(&ledger, topo.num_workers(), tag, &[len], WireFormat::F32);
             assert_eq!(
                 ledger.class_snapshot(TrafficClass::Nccl),
                 measured.class_snapshot(TrafficClass::Nccl),
@@ -197,25 +202,41 @@ mod tests {
     #[test]
     fn wire_ring_allreduce_hops_match_execution_exactly() {
         use crate::collectives::ring_allreduce_wire;
+        // Single buffers and fused buckets (empty and sub-ring-sized
+        // buffers included): one message per hop however many buffers
+        // ride the ring, sized from every buffer's own chunk.
         for wire in [WireFormat::F32, WireFormat::F16, WireFormat::Bf16] {
-            for (gpus, len) in [
-                (vec![1, 1, 1, 1], 8usize),
-                (vec![2, 1], 10),
-                (vec![2, 2, 1], 13),
+            for (gpus, lens) in [
+                (vec![1, 1, 1, 1], vec![8usize]),
+                (vec![2, 1], vec![10]),
+                (vec![2, 2, 1], vec![13]),
+                (vec![1, 1, 1, 1], vec![8, 0, 3, 37]),
+                (vec![2, 1], vec![10, 1, 7]),
+                (vec![2, 2, 1], vec![13, 4, 0, 6, 29]),
             ] {
                 let topo = Topology::new(gpus).unwrap();
                 let tag = 0x1000_0000_0000_0000u64;
                 let measured = run_all(topo.clone(), |ep, ranks| {
-                    let mut data = vec![1.0f32; len];
-                    ring_allreduce_wire(ep, ranks, tag, &mut data, wire).unwrap();
+                    let mut bufs: Vec<Vec<f32>> = lens.iter().map(|&l| vec![1.0; l]).collect();
+                    let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
+                    ring_allreduce_wire(ep, ranks, tag, &mut views, wire).unwrap();
                 });
                 let ledger = StaticLedger::new(topo.clone());
-                charge_ring(&ledger, topo.num_workers(), tag, len, wire);
-                assert_eq!(
+                let n = topo.num_workers();
+                charge_ring(&ledger, n, tag, &lens, wire);
+                let (predicted, measured) = (
                     ledger.class_snapshot(TrafficClass::Nccl),
                     measured.class_snapshot(TrafficClass::Nccl),
-                    "wire={wire:?} gpus={:?} len={len}",
+                );
+                let what = format!(
+                    "wire={wire:?} gpus={:?} lens={lens:?}",
                     topo.gpus_per_machine()
+                );
+                assert_eq!(predicted, measured, "{what}");
+                assert_eq!(
+                    measured.inter_messages + measured.intra_messages,
+                    (n * 2 * (n - 1)) as u64,
+                    "{what}"
                 );
             }
         }

@@ -5,8 +5,10 @@
 //! requests of one iteration share a single *request tag* and carry a
 //! packed header naming the request kind and target `(variable,
 //! partition)`; server->worker responses use per-target *response tags*
-//! so a worker can block on exactly the response it needs; collectives
-//! and local aggregation use one tag per variable and iteration.
+//! so a worker can block on exactly the response it needs; an
+//! AllGatherv or a local aggregation uses one tag per variable and
+//! iteration, and the one fused ring AllReduce of an iteration one tag
+//! named after the first variable of its bucket.
 //!
 //! Layout: `namespace | kind:6 | var:14 | part:14 | iter:30`. The
 //! namespace is the top nibble (`0x1` AllReduce, `0x2` local
@@ -130,7 +132,8 @@ pub fn local_agg_tag(var: usize, iter: u64) -> u64 {
     NS_LOCAL_AGG | pack(ReqKind::PushDense, var, 0, iter)
 }
 
-/// Tag of the ring AllReduce of a variable.
+/// Tag of the fused ring AllReduce of a bucket whose first variable is
+/// `var`.
 pub fn allreduce_tag(var: usize, iter: u64) -> u64 {
     NS_COLLECTIVE | pack(ReqKind::PushDense, var, 0, iter)
 }
@@ -163,7 +166,7 @@ pub fn flow_id(kind: ReqKind, var: usize, part: usize, from: usize, iter: u64) -
 /// What a wire tag says about the message travelling under it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TagClass {
-    /// Ring-AllReduce traffic for `var` in `iter`.
+    /// Ring-AllReduce traffic of the bucket `var` leads, in `iter`.
     Collective {
         /// Variable index from the tag's header bits.
         var: usize,

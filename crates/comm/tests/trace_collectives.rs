@@ -30,8 +30,12 @@ fn collective_spans_cross_check_traffic_bytes() {
                     ep.rank() as u32,
                     &format!("worker{}", ep.rank()),
                 );
-                let mut data = vec![ep.rank() as f32; 16];
-                ring_allreduce(&mut ep, ranks, 0x1000_0000_0000_0000, &mut data).unwrap();
+                // A bucket of two buffers rides one ring: one parent
+                // span and 2(N-1) step spans per rank, as for one buffer.
+                let mut data = [ep.rank() as f32; 16];
+                let mut bias = [ep.rank() as f32; 5];
+                let mut bucket = [&mut data[..], &mut bias[..]];
+                ring_allreduce(&mut ep, ranks, 0x1000_0000_0000_0000, &mut bucket).unwrap();
                 let local = vec![1.0; ep.rank() + 1];
                 let parts = allgatherv(&mut ep, ranks, 0x3000_0000_0000_0000, local).unwrap();
                 assert_eq!(parts.len(), machines);

@@ -651,6 +651,15 @@ pub(crate) fn predict_from_session(
     let ledger = StaticLedger::new(topo.comm().clone());
     let req = tag::request_tag(0);
     let ring = spec.workers.len();
+    // The fused ring carries every bucket variable that has a gradient,
+    // in bucket order; with none it is skipped.
+    let bucket = plan.ring_bucket(graph, config);
+    let mut ring_lens = Vec::new();
+    for &var in &bucket {
+        if let Some(Exchanged::Ring(elems)) = exchange_of(&fed, graph, plan, var, config)? {
+            ring_lens.push(elems);
+        }
+    }
     for e in spec.events.iter().filter(|e| !e.boundary_only) {
         let var = VarId::from_index(e.var);
         let def = graph.var_def(var)?;
@@ -699,26 +708,38 @@ pub(crate) fn predict_from_session(
                     false => (req, sizes),
                 }
             }
-            WireKind::Collective | WireKind::Gatherv => {
+            WireKind::Collective => {
+                if bucket.first().map(|v| v.index()) != Some(e.var) {
+                    return Err(CoreError::Config(format!(
+                        "'{}' is not the plan's ring bucket: '{}' is not its first variable",
+                        e.label, def.name
+                    )));
+                }
+                if ring_lens.is_empty() {
+                    continue;
+                }
                 let pos = topo.worker_position(e.from)?;
-                match (e.kind, exchange_of(&fed, graph, plan, var, config)?) {
-                    (WireKind::Collective, Some(Exchanged::Ring(elems))) => (
-                        tag::allreduce_tag(e.var, 0),
-                        (0..2 * (ring - 1))
-                            .map(|h| {
-                                ring_allreduce_hop_bytes(elems, ring, pos, h, config.wire_format)
-                            })
-                            .collect(),
-                    ),
-                    (WireKind::Gatherv, Some(Exchanged::Gatherv(contribs))) => (
+                (
+                    tag::allreduce_tag(e.var, 0),
+                    (0..2 * (ring - 1))
+                        .map(|h| {
+                            ring_allreduce_hop_bytes(&ring_lens, ring, pos, h, config.wire_format)
+                        })
+                        .collect(),
+                )
+            }
+            WireKind::Gatherv => {
+                let pos = topo.worker_position(e.from)?;
+                match exchange_of(&fed, graph, plan, var, config)? {
+                    Some(Exchanged::Gatherv(contribs)) => (
                         tag::gatherv_tag(e.var, 0),
                         (0..ring - 1)
                             .map(|h| contribs[allgatherv_hop_source(ring, pos, h)])
                             .collect(),
                     ),
                     // No worker has a gradient: the collective is skipped.
-                    (_, None) => continue,
-                    _ => {
+                    None => continue,
+                    Some(Exchanged::Ring(_)) => {
                         return Err(CoreError::Config(format!(
                             "'{}' is not the exchange the plan gives '{}'",
                             e.label, def.name
@@ -996,6 +1017,75 @@ mod tests {
             spec.events_mut().push(ring);
         });
         assert_eq!(classes, vec!["Nccl"]);
+    }
+
+    #[test]
+    fn ring_bucket_charges_the_variables_that_have_a_gradient() {
+        // `orphan` leads the ring bucket but never reaches the loss. The
+        // fused ring then carries `w` alone, under `orphan`'s tag; with
+        // `w` cut off too, no bucket variable has a gradient and the ring
+        // is skipped. Either way the prediction equals a measured
+        // iteration, bytes and messages.
+        for with_w in [true, false] {
+            let mut g = Graph::new();
+            let orphan = g
+                .variable(VariableDef::new("orphan", [3, 2], Init::Glorot))
+                .unwrap();
+            let emb = g
+                .variable(VariableDef::new("emb", [12, 4], Init::Glorot))
+                .unwrap();
+            let w = g
+                .variable(VariableDef::new("w", [4, 2], Init::Glorot))
+                .unwrap();
+            let ids = g.placeholder("ids", PhKind::Ids).unwrap();
+            let mut h = g.add(Op::Gather { table: emb, ids }).unwrap();
+            if with_w {
+                let wn = g.add(Op::Variable(w)).unwrap();
+                h = g.add(Op::MatMul(h, wn)).unwrap();
+            }
+            let loss = g.add(Op::MeanAll(h)).unwrap();
+            let profile = profile_from_parts(vec![
+                (orphan, false, 1.0, 3, 6),
+                (emb, true, 0.25, 12, 48),
+                (w, false, 1.0, 4, 8),
+            ]);
+            let config = ParallaxConfig::horovod_baseline();
+            let runner =
+                crate::runner::get_runner(g.clone(), loss, vec![1, 1], config.clone(), profile)
+                    .unwrap();
+            assert_eq!(runner.plan().ring_bucket(&g, &config), vec![orphan, w]);
+            let feeds: Vec<Feed> = (0..2)
+                .map(|k| Feed::new().with("ids", vec![k, k + 5, 11 - k]))
+                .collect();
+            let (predicted, report) = predict_iteration_traffic(
+                &g,
+                loss,
+                runner.plan(),
+                runner.topology(),
+                &config,
+                &feeds,
+            )
+            .unwrap();
+            assert!(!report.has_errors(), "{}", report.render());
+            let measured = runner.run(1, |k, _| feeds[k].clone()).unwrap().traffic;
+            for (class, p, m) in [
+                ("nccl", &predicted.nccl, &measured.nccl),
+                ("mpi", &predicted.mpi, &measured.mpi),
+                ("ps", &predicted.ps, &measured.ps),
+            ] {
+                assert_eq!(p, m, "{class} with_w={with_w}");
+            }
+            let ring = &predicted.nccl;
+            let expect = if with_w { (4, 2 * 4 * 8) } else { (0, 0) };
+            assert_eq!(
+                (
+                    ring.inter_messages + ring.intra_messages,
+                    ring.total_network_bytes()
+                ),
+                expect,
+                "with_w={with_w}"
+            );
+        }
     }
 
     #[test]

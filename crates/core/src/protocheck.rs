@@ -272,34 +272,40 @@ pub fn derive_session(
     }
 
     // ---- Exchange phase: ring collectives -----------------------------
+    // Every step each worker sends one message to ring-next under its
+    // collective's one reused tag: first the fused AllReduce of the ring
+    // bucket (2(N-1) steps, tagged by the bucket's first variable), then
+    // each pure-AR sparse variable's AllGatherv (N-1 steps).
     if nworkers > 1 {
-        for &var in &ar_vars {
-            let v = var.index();
-            // Ring AllReduce: 2(N-1) steps; AllGatherv: N-1 steps under
-            // the MPI-classified tag. Every step each worker sends one
-            // chunk to ring-next under one reused tag.
-            let (kind, steps, what) = match exchange(var) {
-                Exchange::Ring => (WireKind::Collective, 2 * (nworkers as u64 - 1), "AllReduce"),
-                Exchange::Gatherv => (WireKind::Gatherv, nworkers as u64 - 1, "AllGatherv"),
-                Exchange::Push | Exchange::LocalAggPush => continue,
-            };
+        let mut ring_steps = |kind, v: usize, steps: u64, what: String| {
             for i in 0..nworkers {
                 let from = workers[i];
                 let to = workers[(i + 1) % nworkers];
-                let mut e = base_event(
-                    Phase::Exchange,
-                    from,
-                    to,
-                    kind,
-                    v,
-                    0,
-                    steps,
-                    format!("{what} ring step for '{}'", name_of(v)),
-                );
+                let mut e = base_event(Phase::Exchange, from, to, kind, v, 0, steps, what.clone());
                 e.tag_uses = steps;
                 e.deps = pull_resps.get(&from).cloned().unwrap_or_default();
                 events.push(e);
                 coll_of.entry(from).or_default().push(events.len() - 1);
+            }
+        };
+        let bucket = plan.ring_bucket(graph, config);
+        if let Some(first) = bucket.first() {
+            let what = format!(
+                "AllReduce ring step for the {} variable(s) from '{}'",
+                bucket.len(),
+                name_of(first.index())
+            );
+            ring_steps(
+                WireKind::Collective,
+                first.index(),
+                2 * (nworkers as u64 - 1),
+                what,
+            );
+        }
+        for &var in &ar_vars {
+            if exchange(var) == Exchange::Gatherv {
+                let what = format!("AllGatherv ring step for '{}'", name_of(var.index()));
+                ring_steps(WireKind::Gatherv, var.index(), nworkers as u64 - 1, what);
             }
         }
     }
@@ -1133,6 +1139,37 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, WireKind::Request(_))));
+    }
+
+    #[test]
+    fn ring_bucket_is_one_collective_event_per_link() {
+        // emb's alpha (0.25) reaches the threshold, so it densifies onto
+        // the ring beside w. The bucket holds both, yet each ring link
+        // carries one event: 2(N-1) messages under the first variable's
+        // tag.
+        let config = ParallaxConfig {
+            alpha_dense_threshold: 0.05,
+            ..ParallaxConfig::default()
+        };
+        let (g, topo, plan, spec) = derive(&config);
+        let bucket = plan.ring_bucket(&g, &config);
+        assert_eq!(bucket, vec![VarId::from_index(0), VarId::from_index(1)]);
+        let workers = topo.worker_ranks();
+        let n = workers.len();
+        let ring: Vec<&MsgEvent> = spec
+            .events
+            .iter()
+            .filter(|e| e.kind == WireKind::Collective)
+            .collect();
+        assert_eq!(ring.len(), n);
+        for (i, e) in ring.iter().enumerate() {
+            assert_eq!((e.from, e.to), (workers[i], workers[(i + 1) % n]));
+            assert_eq!(e.var, bucket[0].index());
+            assert_eq!(e.sends, 2 * (n as u64 - 1));
+            assert_eq!(e.tag_uses, e.sends);
+        }
+        let report = check_session(&g, &config, &topo, &plan, &spec);
+        assert!(!report.has_errors(), "{}", report.render());
     }
 
     #[test]

@@ -1088,6 +1088,7 @@ impl Runner {
         let mut compute_secs = 0.0f64;
         let sync = self.config.synchronous;
         let ckpt_interval = self.ckpt_interval();
+        let ring_bucket = self.plan.ring_bucket(&self.graph, &self.config);
         // Reused across iterations so the per-node value buffer is
         // allocated once for the whole loop.
         let mut acts = parallax_dataflow::Activations::new();
@@ -1172,86 +1173,87 @@ impl Runner {
                 ..
             } = &mut ctx;
 
-            // AllReduce path: dense via ring AllReduce, sparse via
-            // AllGatherv; every replica applies the identical aggregate.
-            // Each gradient is moved out of the map and reduced in place.
+            // AllReduce path: the ring bucket's gradients (a sparse one
+            // densified) go through one fused ring AllReduce, reduced in
+            // place; then, in `ar_vars` order, each variable is averaged,
+            // traced and applied, a pure-AR sparse gradient after its own
+            // AllGatherv. Every replica applies the identical aggregate.
+            let mut ring: Vec<(VarId, Tensor)> = ring_bucket
+                .iter()
+                .filter_map(|&var| {
+                    grads.remove(&var).map(|grad| match grad {
+                        Grad::Dense(t) => (var, t),
+                        sparse => (var, sparse.to_dense()),
+                    })
+                })
+                .collect();
+            if let (Some(first), false) = (ring_bucket.first(), ring.is_empty()) {
+                let mut bufs: Vec<&mut [f32]> =
+                    ring.iter_mut().map(|(_, t)| t.data_mut()).collect();
+                collectives::ring_allreduce_wire(
+                    endpoint,
+                    &worker_ranks,
+                    tag::allreduce_tag(first.index(), iter as u64),
+                    &mut bufs,
+                    self.config.wire_format,
+                )?;
+            }
+            let mut ring = ring.into_iter().peekable();
             let mut sq_norm = 0.0f64;
             for &var in ar_vars {
+                if let Some((_, mut agg)) = ring.next_if(|(v, _)| *v == var) {
+                    if self.config.average_dense {
+                        // Multiply by the reciprocal, matching the
+                        // server's `Grad::scale(1.0 / workers)`, so a
+                        // variable moved between AR and PS averages to
+                        // identical bits.
+                        let inv = 1.0 / workers as f32;
+                        for v in agg.data_mut() {
+                            *v *= inv;
+                        }
+                    }
+                    if self.config.trace_gradients {
+                        sq_norm += agg.data().iter().map(|x| (x * x) as f64).sum::<f64>();
+                    }
+                    let _apply =
+                        parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.apply");
+                    optimizer.apply_dense(var.index() as u64, local.get_mut(var)?, &agg)?;
+                    continue;
+                }
                 let Some(grad) = grads.remove(&var) else {
                     continue;
                 };
-                // A sparse gradient densifies onto the ring unless its
-                // exchange is AllGatherv (pure AR, as Horovod does).
-                let grad = if grad.is_sparse() && exchanges[var.index()] == Exchange::Ring {
-                    Grad::Dense(grad.to_dense())
-                } else {
-                    grad
+                let Grad::Sparse(s) = grad else {
+                    return Err(CoreError::Worker(format!(
+                        "variable '{}' has a dense gradient, but its exchange is AllGatherv",
+                        self.graph.var_def(var)?.name
+                    )));
                 };
-                match grad {
-                    Grad::Dense(mut agg) => {
-                        collectives::ring_allreduce_wire(
-                            endpoint,
-                            &worker_ranks,
-                            tag::allreduce_tag(var.index(), iter as u64),
-                            agg.data_mut(),
-                            self.config.wire_format,
-                        )?;
-                        if self.config.average_dense {
-                            // Multiply by the reciprocal, matching the
-                            // server's `Grad::scale(1.0 / workers)`, so a
-                            // variable moved between AR and PS averages
-                            // to identical bits.
-                            let inv = 1.0 / workers as f32;
-                            for v in agg.data_mut() {
-                                *v *= inv;
-                            }
-                        }
-                        if self.config.trace_gradients {
-                            sq_norm += agg.data().iter().map(|x| (x * x) as f64).sum::<f64>();
-                        }
-                        {
-                            let _apply =
-                                parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.apply");
-                            optimizer.apply_dense(var.index() as u64, local.get_mut(var)?, &agg)?;
-                        }
-                    }
-                    Grad::Sparse(s) => {
-                        let parts = collectives::allgatherv_slices_parts_wire(
-                            endpoint,
-                            &worker_ranks,
-                            tag::gatherv_tag(var.index(), iter as u64),
-                            s,
-                            self.config.wire_format,
-                        )?;
-                        // Canonical machine-blocked fold shared with the
-                        // PS accumulators (parts arrive in worker_ranks
-                        // order, which is machine-major).
-                        let mut agg = parallax_tensor::IndexedSlices::coalesce_grouped(
-                            &parts,
-                            &worker_machines,
-                        )?;
-                        if self.config.average_sparse {
-                            agg = agg.scale(1.0 / workers as f32);
-                        }
-                        if self.config.trace_gradients {
-                            sq_norm += agg
-                                .values()
-                                .data()
-                                .iter()
-                                .map(|x| (x * x) as f64)
-                                .sum::<f64>();
-                        }
-                        {
-                            let _apply =
-                                parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.apply");
-                            optimizer.apply_sparse(
-                                var.index() as u64,
-                                local.get_mut(var)?,
-                                &agg,
-                            )?;
-                        }
-                    }
+                let parts = collectives::allgatherv_slices_parts_wire(
+                    endpoint,
+                    &worker_ranks,
+                    tag::gatherv_tag(var.index(), iter as u64),
+                    s,
+                    self.config.wire_format,
+                )?;
+                // Canonical machine-blocked fold shared with the PS
+                // accumulators (parts arrive in worker_ranks order, which
+                // is machine-major).
+                let mut agg =
+                    parallax_tensor::IndexedSlices::coalesce_grouped(&parts, &worker_machines)?;
+                if self.config.average_sparse {
+                    agg = agg.scale(1.0 / workers as f32);
                 }
+                if self.config.trace_gradients {
+                    sq_norm += agg
+                        .values()
+                        .data()
+                        .iter()
+                        .map(|x| (x * x) as f64)
+                        .sum::<f64>();
+                }
+                let _apply = parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.apply");
+                optimizer.apply_sparse(var.index() as u64, local.get_mut(var)?, &agg)?;
             }
 
             // Parameter Server path.

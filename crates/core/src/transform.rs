@@ -4,13 +4,15 @@
 //! produces a [`DistributedPlan`]: per-variable synchronization
 //! decisions and the sharding plan. [`DistributedPlan::exchange`] is the
 //! one rule that says how each variable's gradient is aggregated: ring
-//! AllReduce per dense variable (Figure 4), AllGatherv for a sparse one
-//! under pure AllReduce, or a Parameter Server push, locally aggregated
-//! per machine for a sparse shard (Figure 5), composed per variable kind
-//! for the hybrid architecture (Figure 6). The runner's workers, the
-//! session machine and the traffic predictor all ask it. Aggregation and
-//! update run on each shard's own server. Main computation (Model/Grads)
-//! is replicated once per GPU in every architecture.
+//! AllReduce for a dense variable (Figure 4; one fused collective for
+//! all of them, [`DistributedPlan::ring_bucket`]), AllGatherv for a
+//! sparse one under pure AllReduce, or a Parameter Server push, locally
+//! aggregated per machine for a sparse shard (Figure 5), composed per
+//! variable kind for the hybrid architecture (Figure 6). The runner's
+//! workers, the session machine and the traffic predictor all ask it.
+//! Aggregation and update run on each shard's own server. Main
+//! computation (Model/Grads) is replicated once per GPU in every
+//! architecture.
 
 use parallax_dataflow::{Graph, VarId};
 use parallax_ps::placement::{build_plan, SyncDecision};
@@ -24,8 +26,9 @@ use crate::Result;
 /// How one variable's gradient leaves a worker each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exchange {
-    /// Ring AllReduce across all replicas; a sparse gradient densifies
-    /// first (the hybrid alpha rule's near-dense variables).
+    /// Ring AllReduce across all replicas, in the plan's one fused
+    /// bucket ([`DistributedPlan::ring_bucket`]); a sparse gradient
+    /// densifies first (the hybrid alpha rule's near-dense variables).
     Ring,
     /// AllGatherv of the sparse gradient across all replicas (pure-AR).
     Gatherv,
@@ -93,6 +96,18 @@ impl DistributedPlan {
             _ if sparse && config.local_aggregation && config.synchronous => Exchange::LocalAggPush,
             _ => Exchange::Push,
         }
+    }
+
+    /// The one ring AllReduce bucket: every [`Exchange::Ring`] variable,
+    /// in index order. Each step the runner reduces all of their
+    /// gradients in a single fused collective tagged
+    /// `tag::allreduce_tag(first, iter)` for the bucket's first variable;
+    /// the session machine and the traffic fold read the same list.
+    pub fn ring_bucket(&self, graph: &Graph, config: &ParallaxConfig) -> Vec<VarId> {
+        self.ar_vars()
+            .into_iter()
+            .filter(|&var| self.exchange(graph, config, var) == Exchange::Ring)
+            .collect()
     }
 }
 

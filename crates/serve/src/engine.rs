@@ -35,7 +35,7 @@ use parallax_dataflow::{
 use parallax_tensor::Tensor;
 
 use crate::error::ServeError;
-use crate::queue::{Bounded, PushError};
+use crate::queue::Bounded;
 use crate::Result;
 
 /// A model adapter the engine can serve: the inference graph (usually a
@@ -86,7 +86,8 @@ pub struct Response<T> {
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Request-queue capacity; `try_submit` sheds load beyond it.
+    /// Request-queue capacity; `submit` blocks while the queue holds
+    /// this many requests.
     pub queue_capacity: usize,
     /// Worker threads draining the queue.
     pub workers: usize,
@@ -291,23 +292,6 @@ impl<M: ServeModel> ServeEngine<M> {
             .push(pending)
             .map_err(|_| ServeError::Closed)?;
         Ok(Ticket { rx })
-    }
-
-    /// Like [`ServeEngine::submit`] but sheds load instead of blocking
-    /// when the queue is full.
-    pub fn try_submit(&self, req: M::Request) -> Result<Ticket<M::Output>> {
-        self.shared.model.validate(&req)?;
-        let (tx, rx) = channel::unbounded();
-        let pending = PendingRequest {
-            req,
-            enqueued: Instant::now(),
-            tx,
-        };
-        match self.shared.queue.try_push(pending) {
-            Ok(()) => Ok(Ticket { rx }),
-            Err(PushError::Full(_)) => Err(ServeError::QueueFull),
-            Err(PushError::Closed(_)) => Err(ServeError::Closed),
-        }
     }
 
     /// Submits and blocks for the answer, with a per-request span on

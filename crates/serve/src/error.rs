@@ -13,9 +13,6 @@ pub enum ServeError {
     Dataflow(DataflowError),
     /// Kernel failure (bubbled from `parallax-tensor`).
     Tensor(TensorError),
-    /// The bounded request queue is at capacity (load shedding: the
-    /// caller decides whether to retry, not the engine).
-    QueueFull,
     /// The engine has shut down and accepts no more requests.
     Closed,
     /// The request failed model-specific validation before enqueueing.
@@ -31,7 +28,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Core(e) => write!(f, "serve: {e}"),
             ServeError::Dataflow(e) => write!(f, "serve: {e}"),
             ServeError::Tensor(e) => write!(f, "serve: {e}"),
-            ServeError::QueueFull => write!(f, "serve: request queue is full"),
             ServeError::Closed => write!(f, "serve: engine is shut down"),
             ServeError::BadRequest(msg) => write!(f, "serve: bad request: {msg}"),
             ServeError::Canceled => write!(f, "serve: request canceled (batch failed)"),

@@ -43,19 +43,22 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Ring AllReduce equals elementwise sum, for any cluster shape and
-    /// buffer length (including lengths not divisible by the worker count).
+    /// buffer length (including lengths not divisible by the worker count),
+    /// with the buffer cut anywhere into a bucket of two.
     #[test]
     fn allreduce_equals_sum(
         machines in 1usize..4,
         gpus in 1usize..3,
         len in 1usize..40,
+        cut in 0usize..40,
         seed in 0u64..1000,
     ) {
         let results = run_collective(machines, gpus, |ep, ranks| {
             let mut data: Vec<f32> = (0..len)
                 .map(|i| ((ep.rank() * 31 + i * 7 + seed as usize) % 13) as f32 - 6.0)
                 .collect();
-            ring_allreduce(ep, ranks, 1, &mut data).expect("allreduce");
+            let (head, tail) = data.split_at_mut(cut.min(len));
+            ring_allreduce(ep, ranks, 1, &mut [head, tail]).expect("allreduce");
             data
         });
         let workers = machines * gpus;
