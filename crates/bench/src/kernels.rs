@@ -186,9 +186,15 @@ const WITH_AT_B: &[Orientation] = &[Orientation::AB, Orientation::AtB];
 /// their input gradients `dY * W^T` are `A * B^T` over the same three
 /// triples (`32 x out x in`), and their weight gradients `X^T * dY` are
 /// `A^T * B` at `in x 32 x out`. lm-serve scores 8 hidden states against
-/// the 20,000 x 32 output embedding (`A * B^T`). Every row that is not
-/// `A * B` shares its shape with an `A * B` row, for scale.
-const MATMUL_SHAPES: [(&str, usize, usize, usize, &[Orientation]); 11] = [
+/// the 20,000 x 32 output embedding (`A * B^T`). lm-ps runs nine small
+/// products per timestep at batch 8, each timed in the orientation the
+/// step runs it: the logits score 8 projected states against 512
+/// candidate rows (`A * B^T` at 8x32x512; dX `A * B` at 8x512x32; dW
+/// `A^T * B` at 512x8x32), and the LSTM cell (8x48x64) and projection
+/// (8x16x32) run forward as `A * B`, dX as `A * B^T` and dW as
+/// `A^T * B`. Every row that is not `A * B` shares its shape with an
+/// `A * B` row, for scale.
+const MATMUL_SHAPES: [(&str, usize, usize, usize, &[Orientation]); 20] = [
     ("square_256", 256, 256, 256, A_B),
     ("resnet_block_64x256x256", 64, 256, 256, A_B),
     ("lm_projection_160x512x512", 160, 512, 512, A_B),
@@ -200,6 +206,15 @@ const MATMUL_SHAPES: [(&str, usize, usize, usize, &[Orientation]); 11] = [
     ("dense_ar_dw_256x32x64", 256, 32, 64, WITH_AT_B),
     ("dense_ar_dw_64x32x256", 64, 32, 256, WITH_AT_B),
     ("lm_serve_logits_8x32x20000", 8, 32, 20_000, WITH_A_BT),
+    ("lm_ps_logits_8x32x512", 8, 32, 512, WITH_A_BT),
+    ("lm_ps_logits_dx_8x512x32", 8, 512, 32, A_B),
+    ("lm_ps_logits_dw_512x8x32", 512, 8, 32, WITH_AT_B),
+    ("lm_ps_lstm_8x48x64", 8, 48, 64, A_B),
+    ("lm_ps_lstm_dx_8x64x48", 8, 64, 48, WITH_A_BT),
+    ("lm_ps_lstm_dw_48x8x64", 48, 8, 64, WITH_AT_B),
+    ("lm_ps_proj_8x16x32", 8, 16, 32, A_B),
+    ("lm_ps_proj_dx_8x32x16", 8, 32, 16, WITH_A_BT),
+    ("lm_ps_proj_dw_16x8x32", 16, 8, 32, WITH_AT_B),
 ];
 
 const COALESCE_ALPHAS: [f64; 3] = [0.01, 0.1, 0.5];
@@ -390,6 +405,24 @@ mod tests {
         assert!(m
             .iter()
             .any(|r| r.op.label() == "a_bt" && (r.m, r.k, r.n) == (8, 32, 20_000)));
+        // lm-ps's nine products, each in the orientation its step runs.
+        for (op, shape) in [
+            ("a_bt", (8, 32, 512)),
+            ("a_b", (8, 512, 32)),
+            ("at_b", (512, 8, 32)),
+            ("a_b", (8, 48, 64)),
+            ("a_bt", (8, 64, 48)),
+            ("at_b", (48, 8, 64)),
+            ("a_b", (8, 16, 32)),
+            ("a_bt", (8, 32, 16)),
+            ("at_b", (16, 8, 32)),
+        ] {
+            assert!(
+                m.iter()
+                    .any(|r| r.op.label() == op && (r.m, r.k, r.n) == shape),
+                "no {op} row at {shape:?}"
+            );
+        }
         let coalesce = doc
             .get("coalesce")
             .and_then(Value::as_array)

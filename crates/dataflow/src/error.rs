@@ -33,6 +33,10 @@ pub enum DataflowError {
     GradUnsupported(String),
     /// A variable provider (e.g. a Parameter Server client) failed.
     Provider(String),
+    /// Backward found no kept logits gradient for this `SoftmaxXent`
+    /// node: the activations did not come from a forward pass of the
+    /// graph being differentiated.
+    MissingXentGrad(usize),
 }
 
 impl fmt::Display for DataflowError {
@@ -54,6 +58,9 @@ impl fmt::Display for DataflowError {
             DataflowError::InvalidGraph(msg) => write!(f, "invalid graph: {msg}"),
             DataflowError::GradUnsupported(msg) => write!(f, "gradient unsupported: {msg}"),
             DataflowError::Provider(msg) => write!(f, "variable provider: {msg}"),
+            DataflowError::MissingXentGrad(id) => {
+                write!(f, "no forward logits gradient for SoftmaxXent node {id}")
+            }
         }
     }
 }

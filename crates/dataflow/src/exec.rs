@@ -7,10 +7,19 @@ use crate::value::{Feed, Value};
 use crate::varstore::VarProvider;
 use crate::{DataflowError, Result};
 
-/// An executed forward pass: the value of every node, in node order.
+/// An executed forward pass: the value of every node, in node order,
+/// and the `d loss / d logits` of every `SoftmaxXent` node. Forward's
+/// softmax builds that gradient anyway; backward scales the kept tensor
+/// instead of computing the softmax a second time, just as it
+/// differentiates `Sigmoid`, `Tanh` and `SoftmaxRows` from their kept
+/// outputs. Only [`Session::forward_into`] fills it, and each call
+/// replaces every entry.
 #[derive(Debug, Clone, Default)]
 pub struct Activations {
     values: Vec<Value>,
+    /// `(node, d loss / d logits)` for each `SoftmaxXent` node, in node
+    /// order.
+    xent_grads: Vec<(NodeId, Tensor)>,
 }
 
 impl Activations {
@@ -34,6 +43,16 @@ impl Activations {
     /// The scalar value of a node.
     pub fn scalar(&self, id: NodeId) -> Result<f32> {
         Ok(self.tensor(id)?.scalar_value()?)
+    }
+
+    /// The gradient of `SoftmaxXent` node `id`'s loss with respect to
+    /// its logits, as forward computed it.
+    pub(crate) fn xent_grad(&self, id: NodeId) -> Result<&Tensor> {
+        self.xent_grads
+            .iter()
+            .find(|(node, _)| *node == id)
+            .map(|(_, grad)| grad)
+            .ok_or(DataflowError::MissingXentGrad(id.index()))
     }
 
     /// Number of evaluated nodes.
@@ -95,21 +114,25 @@ impl<'g> Session<'g> {
         provider: &mut P,
         out: &mut Activations,
     ) -> Result<()> {
-        let values = &mut out.values;
+        let Activations { values, xent_grads } = out;
         values.clear();
+        xent_grads.clear();
         values.reserve(self.graph.num_nodes());
         for op in self.graph.ops() {
             let _span = parallax_trace::span(parallax_trace::SpanCat::Compute, op_trace_name(op));
-            let value = self.eval(op, values, feed, provider)?;
+            let value = self.eval(op, values, xent_grads, feed, provider)?;
             values.push(value);
         }
         Ok(())
     }
 
+    /// Evaluates `op`, the node after `values`; a `SoftmaxXent` node
+    /// also appends its logits gradient to `xent_grads`.
     fn eval<P: VarProvider>(
         &self,
         op: &Op,
         values: &[Value],
+        xent_grads: &mut Vec<(NodeId, Tensor)>,
         feed: &Feed,
         provider: &mut P,
     ) -> Result<Value> {
@@ -183,8 +206,9 @@ impl<'g> Session<'g> {
             Op::Reshape(a, shape) => Value::Tensor(tensor(*a)?.clone().reshape(shape.clone())?),
             Op::MeanAll(a) => Value::Tensor(ops::mean_all(tensor(*a)?)),
             Op::SoftmaxXent { logits, labels } => {
-                let (loss, _dlogits) =
+                let (loss, dlogits) =
                     ops::softmax_cross_entropy(tensor(*logits)?, ids_of(*labels)?)?;
+                xent_grads.push((NodeId(values.len()), dlogits));
                 Value::Tensor(Tensor::scalar(loss))
             }
         })
@@ -251,6 +275,60 @@ mod tests {
         let acts = Session::new(&g).forward(&feed, &mut store).unwrap();
         // Uniform logits of width 3 => loss = ln 3.
         assert!((acts.scalar(loss).unwrap() - 3f32.ln()).abs() < 1e-5);
+    }
+
+    /// A variable read straight into `SoftmaxXent` against two labels.
+    fn xent_graph() -> (Graph, NodeId, NodeId) {
+        let mut g = Graph::new();
+        let v = g
+            .variable(VariableDef::new("v", [2, 5], Init::Glorot))
+            .unwrap();
+        let labels = g.placeholder("labels", PhKind::Ids).unwrap();
+        let logits = g.read(v).unwrap();
+        let loss = g.add(Op::SoftmaxXent { logits, labels }).unwrap();
+        (g, logits, loss)
+    }
+
+    #[test]
+    fn forward_keeps_the_xent_logits_gradient_bitwise() {
+        let (g, logits, loss) = xent_graph();
+        let mut store = VarStore::init(&g, &mut DetRng::seed(3));
+        let mut acts = Activations::new();
+        let feed = Feed::new().with("labels", vec![4usize, 1]);
+        Session::new(&g)
+            .forward_into(&feed, &mut store, &mut acts)
+            .unwrap();
+        let (_, dlogits) =
+            ops::softmax_cross_entropy(acts.tensor(logits).unwrap(), &[4, 1]).unwrap();
+        let kept = acts.xent_grad(loss).unwrap();
+        assert_eq!(kept.shape(), dlogits.shape());
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(kept), bits(&dlogits));
+    }
+
+    #[test]
+    fn forward_into_replaces_the_kept_xent_gradients() {
+        let (g, logits, loss) = xent_graph();
+        let mut store = VarStore::init(&g, &mut DetRng::seed(3));
+        let mut acts = Activations::new();
+        let session = Session::new(&g);
+        for labels in [vec![0usize, 0], vec![2, 3]] {
+            let feed = Feed::new().with("labels", labels);
+            session.forward_into(&feed, &mut store, &mut acts).unwrap();
+        }
+        let (_, second) =
+            ops::softmax_cross_entropy(acts.tensor(logits).unwrap(), &[2, 3]).unwrap();
+        assert_eq!(acts.xent_grads.len(), 1, "only the second feed's entry");
+        assert_eq!(acts.xent_grad(loss).unwrap(), &second);
+        // A forward pass of a graph without SoftmaxXent keeps none.
+        let mut plain = Graph::new();
+        let x = plain.placeholder("x", PhKind::Float).unwrap();
+        plain.add(Op::Sigmoid(x)).unwrap();
+        let feed = Feed::new().with("x", Tensor::zeros([1, 2]));
+        Session::new(&plain)
+            .forward_into(&feed, &mut store, &mut acts)
+            .unwrap();
+        assert!(acts.xent_grads.is_empty());
     }
 
     #[test]

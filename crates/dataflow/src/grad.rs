@@ -279,12 +279,10 @@ pub fn backward(graph: &Graph, acts: &Activations, loss: NodeId) -> Result<HashM
                 let g = upstream.scalar_value()? / av.len() as f32;
                 node_grads.flow(*a, || Ok(Tensor::full(av.shape().clone(), g)))?;
             }
-            Op::SoftmaxXent { logits, labels } => {
-                let lv = acts.tensor(*logits)?;
-                let labs = acts.value(*labels)?.as_ids("SoftmaxXent grad")?;
-                let (_, dlogits) = ops::softmax_cross_entropy(lv, labs)?;
+            Op::SoftmaxXent { logits, .. } => {
+                let dlogits = acts.xent_grad(NodeId(idx))?;
                 let g = upstream.scalar_value()?;
-                node_grads.flow(*logits, || Ok(ops::scale(&dlogits, g)))?;
+                node_grads.flow(*logits, || Ok(ops::scale(dlogits, g)))?;
             }
         }
     }
@@ -605,6 +603,62 @@ mod tests {
         let store = VarStore::init(&g, &mut rng);
         let feed = Feed::new();
         check_numeric(&g, &store, &feed, loss, 2e-2);
+    }
+
+    #[test]
+    fn xent_gradient_is_the_forward_gradient_scaled() {
+        // The logits are a variable read, so the variable's gradient is
+        // exactly SoftmaxXent's logits gradient, at upstream 0.25.
+        let mut g = Graph::new();
+        let v = g
+            .variable(VariableDef::new("v", [3, 4], Init::Glorot))
+            .unwrap();
+        let labels = g.placeholder("labels", PhKind::Ids).unwrap();
+        let logits = g.read(v).unwrap();
+        let xent = g.add(Op::SoftmaxXent { logits, labels }).unwrap();
+        let loss = g.add(Op::Scale(xent, 0.25)).unwrap();
+        let mut store = VarStore::init(&g, &mut DetRng::seed(41));
+        let feed = Feed::new().with("labels", vec![3usize, 0, 2]);
+        let acts = Session::new(&g).forward(&feed, &mut store).unwrap();
+        let grads = backward(&g, &acts, loss).unwrap();
+        let (_, dlogits) =
+            ops::softmax_cross_entropy(acts.tensor(logits).unwrap(), &[3, 0, 2]).unwrap();
+        let want = ops::scale(&dlogits, 0.25);
+        let got = grads[&v].to_dense();
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn backward_without_a_kept_xent_gradient_is_a_typed_error() {
+        // Two graphs alike up to their loss node: the activations of
+        // the one ending in MeanAll hold no SoftmaxXent gradient for the
+        // other's loss node.
+        let build = |xent: bool| {
+            let mut g = Graph::new();
+            let v = g
+                .variable(VariableDef::new("v", [2, 3], Init::Glorot))
+                .unwrap();
+            let labels = g.placeholder("labels", PhKind::Ids).unwrap();
+            let logits = g.read(v).unwrap();
+            let loss = if xent {
+                g.add(Op::SoftmaxXent { logits, labels }).unwrap()
+            } else {
+                g.add(Op::MeanAll(logits)).unwrap()
+            };
+            (g, loss)
+        };
+        let (xent_graph, loss) = build(true);
+        let (mean_graph, _) = build(false);
+        let mut store = VarStore::init(&mean_graph, &mut DetRng::seed(2));
+        let feed = Feed::new().with("labels", vec![0usize, 1]);
+        let acts = Session::new(&mean_graph)
+            .forward(&feed, &mut store)
+            .unwrap();
+        assert_eq!(
+            backward(&xent_graph, &acts, loss).unwrap_err(),
+            DataflowError::MissingXentGrad(loss.index())
+        );
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! worker pool (which only splits disjoint output row ranges, see
 //! [`crate::pool`]) leaves results bit-for-bit identical to serial
 //! execution at any thread count.
+//!
+//! `matmul`, `matmul_at_b` and `matmul_a_bt` run every product, however
+//! small, through that one packed kernel; the only size rule left is
+//! the pool's: a product of at most `SMALL_PRODUCTS` (128 Ki)
+//! multiply-adds stays on the calling thread.
 
 use crate::pool;
 use crate::sparse::IndexedSlices;
@@ -21,10 +26,10 @@ const MR: usize = 4;
 const NR: usize = 16;
 /// Row count below which a matmul is not worth splitting across the pool.
 const MIN_ROWS_PER_CHUNK: usize = 8;
-/// Product count (`m * k * n`) below which the packed kernels lose to a
-/// plain loop: packing writes `m * k + k * NR` floats and performs two
-/// heap allocations per call, which dominates tiny problems (measured
-/// crossover on the dev box; see `DESIGN.md`).
+/// Product count (`m * k * n`) at or below which a multiply runs on the
+/// calling thread at any pool size instead of being split over the
+/// pool. It decides only where the packed kernel runs, never how, so
+/// results are the same bits on either side.
 const SMALL_PRODUCTS: usize = 128 * 1024;
 
 fn matrix(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -71,54 +76,6 @@ unsafe fn blocked_rows_avx2<const A_T: bool, const B_T: bool>(
     n: usize,
 ) {
     blocked_rows_inner::<A_T, B_T>(ad, bd, chunk, row0, k, m, n);
-}
-
-/// Plain-loop fallback for tiny `A * B` problems, where the packed
-/// kernels' per-call allocations and packing writes dominate. Every
-/// output element still accumulates over `p` ascending into a single
-/// f32, so results are bit-for-bit identical to the packed kernel.
-fn small_matmul(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            let brow = &bd[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Tiny-problem fallback for `A^T * B` (A laid out `[p][i]`); same
-/// ascending-`p` per-element order as the packed kernel.
-fn small_matmul_at_b(ad: &[f32], bd: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    for p in 0..k {
-        let arow = &ad[p * m..(p + 1) * m];
-        let brow = &bd[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Tiny-problem fallback for `A * B^T`: row-by-row dot products, again
-/// reducing over `p` ascending, with no transposed scratch buffer.
-fn small_matmul_a_bt(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &bd[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            out[i * n + j] = acc;
-        }
-    }
 }
 
 /// Packs the `NR`-wide B column panel starting at `j0` into `bpack`
@@ -296,6 +253,32 @@ fn transpose_into(ad: &[f32], out: &mut [f32], m: usize, n: usize) {
     }
 }
 
+/// The `m x n` product every public multiply runs: the packed kernel
+/// over operands stored as [`blocked_rows_inner`] describes. A product
+/// of at most [`SMALL_PRODUCTS`] multiply-adds runs on the calling
+/// thread; a larger one is split over the pool by output rows. An empty
+/// inner dimension (`k == 0`) gives the `m x n` zero tensor, as the
+/// reference kernels do.
+fn product<const A_T: bool, const B_T: bool>(
+    ad: &[f32],
+    bd: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Result<Tensor> {
+    let mut out = vec![0.0f32; m * n];
+    if m > 0 && k > 0 && n > 0 {
+        if m * k * n <= SMALL_PRODUCTS {
+            blocked_rows::<A_T, B_T>(ad, bd, &mut out, 0, k, m, n);
+        } else {
+            pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
+                blocked_rows::<A_T, B_T>(ad, bd, chunk, row0, k, m, n);
+            });
+        }
+    }
+    Tensor::new([m, n], out)
+}
+
 /// `A (m x k) * B (k x n) -> (m x n)`, cache-blocked and parallelized
 /// over disjoint output row ranges.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
@@ -308,19 +291,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             rhs: b.shape().dims().to_vec(),
         });
     }
-    let mut out = vec![0.0f32; m * n];
-    if m > 0 && n > 0 {
-        let ad = a.data();
-        let bd = b.data();
-        if m * k * n <= SMALL_PRODUCTS {
-            small_matmul(ad, bd, &mut out, m, k, n);
-        } else {
-            pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                blocked_rows::<false, false>(ad, bd, chunk, row0, k, m, n);
-            });
-        }
-    }
-    Tensor::new([m, n], out)
+    product::<false, false>(a.data(), b.data(), m, k, n)
 }
 
 /// `A^T (k x m)^T * B (k x n) -> (m x n)`; used for weight gradients
@@ -335,19 +306,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             rhs: b.shape().dims().to_vec(),
         });
     }
-    let mut out = vec![0.0f32; m * n];
-    if m > 0 && n > 0 {
-        let ad = a.data();
-        let bd = b.data();
-        if m * k * n <= SMALL_PRODUCTS {
-            small_matmul_at_b(ad, bd, &mut out, k, m, n);
-        } else {
-            pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                blocked_rows::<true, false>(ad, bd, chunk, row0, k, m, n);
-            });
-        }
-    }
-    Tensor::new([m, n], out)
+    product::<true, false>(a.data(), b.data(), m, k, n)
 }
 
 /// `A (m x k) * B^T (n x k)^T -> (m x n)`; used for input gradients
@@ -364,19 +323,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             rhs: b.shape().dims().to_vec(),
         });
     }
-    let mut out = vec![0.0f32; m * n];
-    if m > 0 && n > 0 {
-        let ad = a.data();
-        let bd = b.data();
-        if m * k * n <= SMALL_PRODUCTS {
-            small_matmul_a_bt(ad, bd, &mut out, m, k, n);
-        } else {
-            pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                blocked_rows::<false, true>(ad, bd, chunk, row0, k, m, n);
-            });
-        }
-    }
-    Tensor::new([m, n], out)
+    product::<false, true>(a.data(), b.data(), m, k, n)
 }
 
 /// Cache-blocked matrix transpose.
@@ -583,9 +530,11 @@ mod tests {
     #[test]
     fn blocked_kernels_match_naive_on_awkward_shapes() {
         // Shapes straddling the MR/NR tile boundaries, including exact
-        // multiples and off-by-one remainders.
+        // multiples and off-by-one remainders, and an empty inner
+        // dimension, whose product is the zero matrix.
         let mut rng = DetRng::seed(11);
         for &(m, k, n) in &[
+            (3, 0, 5),
             (1, 1, 1),
             (3, 5, 7),
             (4, 8, 8),

@@ -9,18 +9,14 @@
 //!    any thread count yields exactly the serial result, because work is
 //!    only ever split over disjoint output rows.
 //!
-//! The kernels take a plain loop at or below `PACKED_THRESHOLD`
-//! products (`m * k * n`) and the packed, pool-split kernels above it,
-//! so each invariant is checked on both sides of that line.
+//! Every product runs the one packed kernel; the random shapes include
+//! an empty inner dimension (`k == 0`), whose product is the `m x n`
+//! zero tensor in every orientation.
 
 use proptest::prelude::*;
 
 use parallax_tensor::ops::{self, matmul::naive};
 use parallax_tensor::{pool, DetRng, Tensor};
-
-/// The product count at or below which the kernels skip packing
-/// (`SMALL_PRODUCTS` in `ops::matmul`).
-const PACKED_THRESHOLD: usize = 128 * 1024;
 
 fn tensor_from(seed: u64, rows: usize, cols: usize) -> Tensor {
     Tensor::randn([rows, cols], 1.0, &mut DetRng::seed(seed))
@@ -64,8 +60,11 @@ fn check_orientations(
 
 /// The packed kernels on the shapes the benchmark workloads run:
 /// dense-ar's layers at batch 32 (forward and input gradients at
-/// `32 x k x n`, weight gradients at `in x 32 x out`), and lm-serve's
-/// logits of 8 hidden states against a 20,000 x 32 output embedding.
+/// `32 x k x n`, weight gradients at `in x 32 x out`), lm-serve's
+/// logits of 8 hidden states against a 20,000 x 32 output embedding,
+/// and lm-ps's nine per-timestep products at batch 8 (forward, input
+/// gradient and weight gradient of the logits against 512 candidates,
+/// the LSTM cell and the projection).
 #[test]
 fn packed_kernels_match_naive_on_workload_shapes() {
     for (seed, (m, k, n)) in [
@@ -77,11 +76,19 @@ fn packed_kernels_match_naive_on_workload_shapes() {
         (256, 32, 64),
         (64, 32, 256),
         (8, 32, 20_000),
+        (8, 32, 512),
+        (8, 512, 32),
+        (512, 8, 32),
+        (8, 48, 64),
+        (8, 64, 48),
+        (48, 8, 64),
+        (8, 16, 32),
+        (8, 32, 16),
+        (16, 8, 32),
     ]
     .into_iter()
     .enumerate()
     {
-        assert!(m * k * n > PACKED_THRESHOLD);
         check_orientations(m, k, n, 10 * seed as u64).unwrap();
     }
 }
@@ -94,7 +101,7 @@ proptest! {
     #[test]
     fn blocked_kernels_match_naive_bitwise(
         m in 1usize..40,
-        k in 1usize..24,
+        k in 0usize..24,
         n in 1usize..40,
         seed in 0u64..1000,
     ) {
@@ -129,7 +136,7 @@ proptest! {
     #[test]
     fn pooled_kernels_are_thread_count_invariant(
         m in 1usize..64,
-        k in 1usize..16,
+        k in 0usize..16,
         n in 1usize..32,
         seed in 0u64..1000,
     ) {
@@ -156,10 +163,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Above the threshold: the packed kernels in all three
-    /// orientations equal the scalar reference bit for bit, at every
-    /// thread count. `n` is derived so `m * k * n` always exceeds the
-    /// threshold; `m` reaches past three pool chunks of 8 rows.
+    /// Products large enough for the pool to split their rows: the
+    /// packed kernels in all three orientations equal the scalar
+    /// reference bit for bit, at every thread count. `n` is derived so
+    /// `m * k * n` always exceeds the 128 Ki multiply-adds a product may
+    /// have and still run on the calling thread; `m` reaches past three
+    /// pool chunks of 8 rows.
     #[test]
     fn packed_kernels_match_naive_at_any_thread_count(
         m in 1usize..72,
@@ -167,8 +176,8 @@ proptest! {
         extra in 1usize..40,
         seed in 0u64..1000,
     ) {
-        let n = PACKED_THRESHOLD / (m * k) + extra;
-        prop_assert!(m * k * n > PACKED_THRESHOLD);
+        let n = 128 * 1024 / (m * k) + extra;
+        prop_assert!(m * k * n > 128 * 1024);
         check_orientations(m, k, n, seed)?;
     }
 }

@@ -12,7 +12,11 @@ seed, alternating which side goes first, and prints:
   * every run: pair, seed, side, correct flag, attempted/failed counts
     and, without --trace, its end-to-end metrics;
   * per metric: each side's median and quartiles, the change's relative
-    move of the median, and in how many pairs the change was better.
+    move of the median, in how many pairs the change was better, and the
+    median and quartiles of the per-pair ratio change/base. Both runs of
+    a pair share a seed and run back to back, so the ratio shows an
+    effect even when the host's speed drifts across the round by more
+    than the effect.
 
 An end-to-end metric is marked "unresolved" where the base side's
 IQR/median exceeds the metric's bound in BENCHMARK.json; otherwise it
@@ -161,6 +165,8 @@ def main():
             sign = 1 if better[name] == "higher" else -1
             wins = sum(sign * (c - b) > 0 for b, c in zip(vals["base"], vals["change"]))
             move = (cmed - bmed) / bmed if bmed else float("nan")
+            ratios = [c / b for b, c in zip(vals["base"], vals["change"]) if b]
+            rq1, rmed, rq3 = quartiles(ratios) if ratios else (float("nan"),) * 3
             spread = (bq3 - bq1) / abs(bmed) if bmed else float("inf")
             bound = bounds[name]
             if bound is not None and spread > bound:
@@ -171,7 +177,8 @@ def main():
                 verdict = "better" if sign * (cmed - bmed) > 0 else "worse"
             print(f"{workload:10} {name:24} base {bmed:12.5g} [{bq1:.5g}, {bq3:.5g}]  "
                   f"change {cmed:12.5g} [{cq1:.5g}, {cq3:.5g}]  {move:+7.1%}  "
-                  f"change better {wins}/{args.pairs}  base iqr/med {spread:.3f}"
+                  f"change better {wins}/{args.pairs}  "
+                  f"pair ratio {rmed:.3f} [{rq1:.3f}, {rq3:.3f}]  base iqr/med {spread:.3f}"
                   f"{'' if bound is None else f' (bound {bound})'}  {verdict}")
     sys.exit(0 if ok else 1)
 
